@@ -7,18 +7,8 @@ multiplicity control, and a Monte Carlo harness for validating error
 rates and power.
 """
 
-from .bootstrap import (
-    DECILES,
-    BootstrapConfig,
-    BootstrapDistribution,
-    InferenceResult,
-    NonFiniteStatisticError,
-    bootstrap_statistic,
-    percentile_ci,
-    resample,
-    signed_pvalue,
-)
-from .contrasts import contrast_pvalues, contrast_value, decinter
+from .bootstrap import DECILES, BootstrapConfig, InferenceResult, percentile_ci, signed_pvalue
+from .contrasts import contrast_value, decinter
 from .data import DataError, read_long_csv
 from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B, FactorialSample, QuantileTestRow
 from .distributions import (
@@ -49,7 +39,6 @@ from .quantiles import (
     hd_quantile,
     hd_weights,
     regularized_incomplete_beta,
-    type7_quantile,
 )
 from .rng import derive_seed, stream
 from .simulation import (
@@ -70,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapConfig",
-    "BootstrapDistribution",
     "CONTRASTS",
     "CORRECTIONS",
     "DECILES",
@@ -87,7 +75,6 @@ __all__ = [
     "MAIN_A",
     "MAIN_B",
     "METHODS",
-    "NonFiniteStatisticError",
     "QuantileTestRow",
     "SimCondition",
     "SimulationReport",
@@ -96,8 +83,6 @@ __all__ = [
     "anova_f_test",
     "bh_adjust",
     "bh_reject",
-    "bootstrap_statistic",
-    "contrast_pvalues",
     "contrast_value",
     "decinter",
     "derive_seed",
@@ -116,12 +101,10 @@ __all__ = [
     "ph_probability",
     "read_long_csv",
     "regularized_incomplete_beta",
-    "resample",
     "run_fwer",
     "run_power",
     "sample_kurtosis",
     "signed_pvalue",
     "stream",
     "sweep",
-    "type7_quantile",
 ]

@@ -1,28 +1,31 @@
-"""Percentile-bootstrap engine shared by the contrast and pairwise tests.
+"""Percentile-bootstrap core shared by every test in the package.
 
-Resampling, the signed-count p-value with its tie term, and percentile
-confidence intervals.  All randomness is addressed through
+Every test takes one path from data to result: the cells are resampled
+once by :func:`_cell_resample_matrices`, each consumer turns the resample
+matrices into a (B, Q) matrix of replicate differences (one column per
+quantile), and :func:`_quantile_rows` reduces that matrix to rows with a
+percentile confidence interval, a signed-count p-value with its tie term
+and an adjusted p-value.  The simulation reduces the same matrix with the
+column-wise :func:`signed_pvalue`.  All randomness is addressed through
 :mod:`qshift.rng`, so results are reproducible and independent of any
 parallel execution schedule.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .design import QuantileTestRow
+from .multcomp import adjust_pvalues
 from .rng import stream
 
 __all__ = [
     "DECILES",
     "BootstrapConfig",
-    "BootstrapDistribution",
     "InferenceResult",
-    "NonFiniteStatisticError",
-    "resample",
     "signed_pvalue",
     "percentile_ci",
-    "bootstrap_statistic",
 ]
 
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -30,22 +33,13 @@ DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 _CELL_STREAM = "cell"
 
 
-class NonFiniteStatisticError(ArithmeticError):
-    """A bootstrap statistic evaluated to NaN or infinity."""
-
-    def __init__(self, replicate: int, value: float):
-        super().__init__(f"statistic returned non-finite value {value!r} on replicate {replicate}")
-        self.replicate = replicate
-        self.value = value
-
-
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Settings shared by every percentile-bootstrap test.
 
     ``n_boot`` must satisfy n_boot >= 2/alpha so the confidence-interval
-    order statistics exist.  ``shared_samples`` keeps one set of cell
-    resamples for every quantile tested (the only supported mode).
+    order statistics exist.  One set of cell resamples serves every
+    quantile tested.
     """
 
     n_boot: int = 2000
@@ -53,7 +47,6 @@ class BootstrapConfig:
     seed: int = 0
     estimator: str = "hd"
     quantiles: tuple = DECILES
-    shared_samples: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "quantiles", tuple(float(q) for q in self.quantiles))
@@ -77,19 +70,6 @@ class BootstrapConfig:
 
 
 @dataclass(frozen=True)
-class BootstrapDistribution:
-    """Replicate statistics, stored sorted ascending."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.sort(np.asarray(self.values, dtype=float)))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class InferenceResult:
     """Point estimate with percentile CI and signed-count p-value."""
 
@@ -99,106 +79,86 @@ class InferenceResult:
     p_value: float
 
 
-def resample(sample, rng: np.random.Generator) -> np.ndarray:
-    """One bootstrap resample: n draws with replacement from the sample."""
-    xs = np.asarray(sample, dtype=float)
-    if xs.size == 0:
-        raise ValueError("cannot resample an empty sample")
-    return xs[rng.integers(0, xs.size, size=xs.size)]
-
-
-def _resample_matrix(sample: np.ndarray, n_boot: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_boot, n) matrix of resampled values; row b is replicate b."""
-    if sample.size == 0:
-        raise ValueError("cannot resample an empty sample")
-    idx = rng.integers(0, sample.size, size=(n_boot, sample.size))
-    return sample[idx]
-
-
 def _cell_resample_matrices(cells, config: BootstrapConfig) -> list:
-    """One resample matrix per cell, each from its own (seed, cell) stream.
+    """One (n_boot, n) resample matrix per cell, each from its own (seed, cell) stream.
 
     This is the single source of resampling randomness for every bootstrap
     path in the package: replicate b of cell i is row b of matrix i,
     regardless of which engine consumes it.
     """
-    if not config.shared_samples:
-        raise NotImplementedError(
-            "separate bootstrap samples per quantile are not supported; "
-            "use shared_samples=True"
-        )
-    return [
-        _resample_matrix(np.asarray(c, dtype=float), config.n_boot, stream(config.seed, _CELL_STREAM, i))
-        for i, c in enumerate(cells)
-    ]
+    mats = []
+    for i, c in enumerate(cells):
+        sample = np.asarray(c, dtype=float)
+        if sample.size == 0:
+            raise ValueError("cannot resample an empty sample")
+        rng = stream(config.seed, _CELL_STREAM, i)
+        mats.append(sample[rng.integers(0, sample.size, size=(config.n_boot, sample.size))])
+    return mats
 
 
-def _values_of(dist) -> np.ndarray:
-    if isinstance(dist, BootstrapDistribution):
-        return dist.values
-    return np.asarray(dist, dtype=float)
-
-
-def signed_pvalue(dist) -> float:
-    """Two-sided sign-count p-value of a bootstrap distribution.
+def signed_pvalue(values):
+    """Two-sided sign-count p-value of bootstrap replicates.
 
     With A replicates below zero and D exactly zero out of B, computes
     P = A/B + 0.5 D/B and returns 2 min(P, 1 - P).  The D term keeps the
-    p-value calibrated when tied values make exact zeros likely.
+    p-value calibrated when tied values make exact zeros likely.  A 1-D
+    input gives a float; a (B, Q) matrix gives one p-value per column.
     """
-    values = _values_of(dist)
+    values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("bootstrap distribution is empty")
-    b = values.size
-    a = int(np.count_nonzero(values < 0.0))
-    d = int(np.count_nonzero(values == 0.0))
+    b = values.shape[0]
+    a = np.count_nonzero(values < 0.0, axis=0)
+    d = np.count_nonzero(values == 0.0, axis=0)
     # 2*min(P, 1-P) with exact integer numerators 2A+D and 2(B-A-D)+D,
     # so negating every replicate gives a bit-identical p-value
-    return min(2 * a + d, 2 * (b - a) - d) / b
+    p = np.minimum(2 * a + d, 2 * (b - a) - d) / b
+    return float(p) if values.ndim == 1 else p
 
 
-def percentile_ci(dist, alpha: float) -> tuple:
-    """Percentile confidence interval from sorted bootstrap replicates.
+def percentile_ci(values, alpha: float) -> tuple:
+    """Percentile confidence interval from bootstrap replicates.
 
     With l = alpha*B/2 rounded to the nearest integer (ties to even) and
     u = B - l, returns the (l+1)-th and u-th order statistics of the
-    replicate values.
+    replicate values: floats for a 1-D input, one bound per column for a
+    (B, Q) matrix.
     """
-    values = np.sort(_values_of(dist))
-    b = values.size
+    values = np.sort(np.asarray(values, dtype=float), axis=0)
+    b = values.shape[0]
     ell = round(alpha * b / 2.0)
     if ell < 1:
         raise ValueError(f"n_boot={b} is too small for alpha={alpha} (need alpha*B/2 >= 1)")
     if 2 * ell > b - 1:
         raise ValueError(f"alpha={alpha} is too large for n_boot={b}")
-    return float(values[ell]), float(values[b - ell - 1])
+    lo, hi = values[ell], values[b - ell - 1]
+    if values.ndim == 1:
+        return float(lo), float(hi)
+    return lo, hi
 
 
-def bootstrap_statistic(cells, statistic, config: BootstrapConfig) -> BootstrapDistribution:
-    """Bootstrap a scalar statistic of jointly resampled cells.
+def _quantile_rows(quantiles, point, replicates: np.ndarray, alpha: float,
+                   correction: str) -> list:
+    """One QuantileTestRow per quantile from point estimates and replicates.
 
-    Parameters
-    ----------
-    cells : FactorialSample or sequence of 1-D samples
-        The groups to resample.  Each replicate resamples every cell
-        independently; one set of resamples serves any number of
-        statistics derived from it.
-    statistic : callable
-        Receives the tuple of resampled cell arrays and returns a float.
-    config : BootstrapConfig
-
-    Raises
-    ------
-    NonFiniteStatisticError
-        If the statistic returns NaN or infinity; carries the replicate
-        index.
+    ``point`` is (lev1, lev2, dif), each with one value per quantile;
+    column i of the (B, Q) ``replicates`` holds the bootstrap
+    distribution of dif[i].
     """
-    arrays = cells.flat_cells() if hasattr(cells, "flat_cells") else tuple(cells)
-    mats = _cell_resample_matrices(arrays, config)
-    out = np.empty(config.n_boot)
-    for b in range(config.n_boot):
-        value = float(statistic(tuple(m[b] for m in mats)))
-        if not math.isfinite(value):
-            raise NonFiniteStatisticError(b, value)
-        out[b] = value
-    return BootstrapDistribution(out)
+    lev1, lev2, dif = point
+    pvals = signed_pvalue(replicates)
+    adjusted = adjust_pvalues(pvals, correction)
+    lo, hi = percentile_ci(replicates, alpha)
+    return [
+        QuantileTestRow(
+            q=q,
+            est_lev1=float(lev1[i]),
+            est_lev2=float(lev2[i]),
+            dif=float(dif[i]),
+            ci_low=float(lo[i]),
+            ci_high=float(hi[i]),
+            p_value=float(pvals[i]),
+            p_adjusted=float(adjusted[i]),
+        )
+        for i, q in enumerate(quantiles)
+    ]

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .bootstrap import DECILES, BootstrapConfig
-from .contrasts import decinter
+from .contrasts import _contrast_tests, decinter
 from .data import DataError, parse_level_order, read_long_csv
 from .design import INTERACTION, MAIN_A, MAIN_B
 from .pairwise import IBAND_QUANTILES, iband, pairwise_differences, ph_probability
@@ -75,8 +75,6 @@ def _add_analysis_flags(sub: argparse.ArgumentParser, default_quantiles) -> None
     sub.add_argument("--correction", choices=("bh", "hochberg", "none"), default="bh")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    sub.add_argument("--threads", type=int, default=os.cpu_count(),
-                     help="worker processes (analysis output never depends on this)")
     sub.add_argument("--progress", action="store_true",
                      help="report progress on stderr")
 
@@ -187,14 +185,13 @@ def _plot_rows(sample, args):
         "a": estimate_quantiles(np.concatenate([x11, x12]), config.quantiles, config.estimator),
         "b": estimate_quantiles(np.concatenate([x11, x21]), config.quantiles, config.estimator),
     }
+    inter, main_a, main_b = _contrast_tests(
+        sample, (INTERACTION, MAIN_A, MAIN_B), config, args.correction)
     out = []
-
-    inter = decinter(sample, INTERACTION, config, args.correction)
     for row, x in zip(inter, pooled["a"]):
         out.append(("interaction", row.q, float(x), row.dif, row.ci_low, row.ci_high))
 
-    for kind, tag, pool_key in ((MAIN_A, "main-a", "a"), (MAIN_B, "main-b", "b")):
-        rows = decinter(sample, kind, config, args.correction)
+    for rows, tag, pool_key in ((main_a, "main-a", "a"), (main_b, "main-b", "b")):
         for row in rows:
             out.append((f"{tag}-averaged", row.q, row.est_lev1, row.dif, row.ci_low, row.ci_high))
         for row, x in zip(rows, pooled[pool_key]):

@@ -5,19 +5,18 @@ linear contrast is bootstrapped: the interaction contrast is
 (theta_11 - theta_12) - (theta_21 - theta_22); main effects compare the
 per-level means of the cell quantiles, so the reported difference stays
 on the data scale.  One set of bootstrap cell resamples is shared by
-every quantile tested.
+every quantile tested, and by every contrast tested together.
 """
 
 import warnings
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _cell_resample_matrices, percentile_ci, signed_pvalue
-from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B, QuantileTestRow
-from .multcomp import adjust_pvalues
+from .bootstrap import BootstrapConfig, _cell_resample_matrices, _quantile_rows
+from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
 from .quantiles import _from_sorted_rows, estimate_quantiles
 
-__all__ = ["contrast_value", "decinter", "contrast_pvalues"]
+__all__ = ["contrast_value", "decinter"]
 
 # extreme quantiles need larger cells before their bootstrap is trustworthy
 _EXTREME_MIN_N = 30
@@ -58,27 +57,39 @@ def _warn_extreme_quantiles(data, quantiles) -> None:
             f"quantiles outside [0.1, 0.9] requested with smallest cell "
             f"n={data.min_n()} < {_EXTREME_MIN_N}; estimates will be unstable",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of decinter
         )
 
 
-def _bootstrap_thetas(data, config: BootstrapConfig) -> list:
+def _cell_thetas(cells, config: BootstrapConfig) -> list:
     """Per-cell (n_boot, n_quantiles) bootstrap quantile estimates."""
-    mats = _cell_resample_matrices(data.flat_cells(), config)
+    mats = _cell_resample_matrices(cells, config)
     for m in mats:
         m.sort(axis=1)
     return [_from_sorted_rows(m, config.quantiles, config.estimator) for m in mats]
 
 
-def _psi_star(data, kind: str, config: BootstrapConfig) -> np.ndarray:
-    _, _, psi = contrast_value(_bootstrap_thetas(data, config), kind)
-    return psi
+def _psi_star(cells, kind: str, config: BootstrapConfig) -> np.ndarray:
+    """(n_boot, n_quantiles) bootstrap replicates of the contrast."""
+    return contrast_value(_cell_thetas(cells, config), kind)[2]
 
 
-def contrast_pvalues(data, kind: str, config: BootstrapConfig) -> np.ndarray:
-    """Unadjusted signed-count p-values, one per configured quantile."""
-    psi = _psi_star(data, kind, config)
-    return np.array([signed_pvalue(psi[:, i]) for i in range(psi.shape[1])])
+def _contrast_tests(data, kinds, config: BootstrapConfig, correction: str) -> list:
+    """decinter rows for each contrast in ``kinds``, all from one bootstrap.
+
+    Every contrast is linear in the same per-cell replicate quantiles, so
+    testing several together gives the rows of separate decinter calls.
+    """
+    _warn_extreme_quantiles(data, config.quantiles)
+    cells = data.flat_cells()
+    estimates = [estimate_quantiles(c, config.quantiles, config.estimator) for c in cells]
+    points = [contrast_value(estimates, kind) for kind in kinds]
+    thetas = _cell_thetas(cells, config)
+    return [
+        _quantile_rows(config.quantiles, point, contrast_value(thetas, kind)[2],
+                       config.alpha, correction)
+        for kind, point in zip(kinds, points)
+    ]
 
 
 def decinter(data, kind: str = INTERACTION, config: BootstrapConfig | None = None,
@@ -100,24 +111,4 @@ def decinter(data, kind: str = INTERACTION, config: BootstrapConfig | None = Non
     list of QuantileTestRow, one per quantile in order.
     """
     config = config if config is not None else BootstrapConfig()
-    _warn_extreme_quantiles(data, config.quantiles)
-    estimates = [estimate_quantiles(c, config.quantiles, config.estimator)
-                 for c in data.flat_cells()]
-    lev1, lev2, dif = contrast_value(estimates, kind)
-    psi = _psi_star(data, kind, config)
-    pvals = np.array([signed_pvalue(psi[:, i]) for i in range(psi.shape[1])])
-    adjusted = adjust_pvalues(pvals, correction)
-    rows = []
-    for i, q in enumerate(config.quantiles):
-        lo, hi = percentile_ci(psi[:, i], config.alpha)
-        rows.append(QuantileTestRow(
-            q=q,
-            est_lev1=float(lev1[i]),
-            est_lev2=float(lev2[i]),
-            dif=float(dif[i]),
-            ci_low=lo,
-            ci_high=hi,
-            p_value=float(pvals[i]),
-            p_adjusted=float(adjusted[i]),
-        ))
-    return rows
+    return _contrast_tests(data, (kind,), config, correction)[0]

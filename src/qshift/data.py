@@ -59,7 +59,7 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
     groups = {}
     seen_a, seen_b = set(), set()
     dropped = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: file is empty")

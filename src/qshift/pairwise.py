@@ -17,11 +17,10 @@ from .bootstrap import (
     BootstrapConfig,
     InferenceResult,
     _cell_resample_matrices,
+    _quantile_rows,
     percentile_ci,
     signed_pvalue,
 )
-from .design import QuantileTestRow
-from .multcomp import adjust_pvalues
 from .quantiles import _from_sorted_rows, estimate_quantiles
 
 __all__ = [
@@ -85,6 +84,13 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     return out
 
 
+def _iband_star(cells, config: BootstrapConfig) -> np.ndarray:
+    """(n_boot, n_quantiles) replicates of the level-1 minus level-2 quantiles."""
+    m11, m12, m21, m22 = _cell_resample_matrices(cells, config)
+    return (_diff_quantiles_by_block(m11, m12, config.quantiles, config.estimator)
+            - _diff_quantiles_by_block(m21, m22, config.quantiles, config.estimator))
+
+
 def iband(data, config: BootstrapConfig | None = None, correction: str = "bh") -> list:
     """Interaction test comparing quantiles of the two difference distributions.
 
@@ -97,44 +103,12 @@ def iband(data, config: BootstrapConfig | None = None, correction: str = "bh") -
     (.1, .25, .5, .75, .9).
     """
     config = config if config is not None else BootstrapConfig(quantiles=IBAND_QUANTILES)
-    x11, x12, x21, x22 = data.flat_cells()
-    d1 = pairwise_differences(x11, x12)
-    d2 = pairwise_differences(x21, x22)
-    est1 = estimate_quantiles(d1, config.quantiles, config.estimator)
-    est2 = estimate_quantiles(d2, config.quantiles, config.estimator)
-
-    m11, m12, m21, m22 = _cell_resample_matrices(data.flat_cells(), config)
-    q1_star = _diff_quantiles_by_block(m11, m12, config.quantiles, config.estimator)
-    q2_star = _diff_quantiles_by_block(m21, m22, config.quantiles, config.estimator)
-    dif_star = q1_star - q2_star
-
-    pvals = np.array([signed_pvalue(dif_star[:, i]) for i in range(dif_star.shape[1])])
-    adjusted = adjust_pvalues(pvals, correction)
-    rows = []
-    for i, q in enumerate(config.quantiles):
-        lo, hi = percentile_ci(dif_star[:, i], config.alpha)
-        rows.append(QuantileTestRow(
-            q=q,
-            est_lev1=float(est1[i]),
-            est_lev2=float(est2[i]),
-            dif=float(est1[i] - est2[i]),
-            ci_low=lo,
-            ci_high=hi,
-            p_value=float(pvals[i]),
-            p_adjusted=float(adjusted[i]),
-        ))
-    return rows
-
-
-def iband_pvalues(data, config: BootstrapConfig) -> np.ndarray:
-    """Unadjusted p-values of the pairwise-difference interaction test."""
-    x11, x12, x21, x22 = data.flat_cells()
-    m11, m12, m21, m22 = _cell_resample_matrices(data.flat_cells(), config)
-    dif_star = (
-        _diff_quantiles_by_block(m11, m12, config.quantiles, config.estimator)
-        - _diff_quantiles_by_block(m21, m22, config.quantiles, config.estimator)
-    )
-    return np.array([signed_pvalue(dif_star[:, i]) for i in range(dif_star.shape[1])])
+    cells = data.flat_cells()
+    x11, x12, x21, x22 = cells
+    est1 = estimate_quantiles(pairwise_differences(x11, x12), config.quantiles, config.estimator)
+    est2 = estimate_quantiles(pairwise_differences(x21, x22), config.quantiles, config.estimator)
+    return _quantile_rows(config.quantiles, (est1, est2, est1 - est2),
+                          _iband_star(cells, config), config.alpha, correction)
 
 
 def median_diff_test(x, y, config: BootstrapConfig | None = None) -> InferenceResult:

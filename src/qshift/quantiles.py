@@ -22,7 +22,6 @@ __all__ = [
     "regularized_incomplete_beta",
     "hd_weights",
     "hd_quantile",
-    "type7_quantile",
     "estimate_quantiles",
     "HARRELL_DAVIS",
     "TYPE7",
@@ -171,23 +170,6 @@ def hd_quantile(values, q: float) -> float:
     xs = _as_sorted_sample(values)
     w = _hd_weights_cached(xs.size, _check_quantile(q))
     return float(w @ xs)
-
-
-def type7_quantile(values, q: float) -> float:
-    """Linear-interpolation quantile estimate (Hyndman-Fan definition 7).
-
-    With h = (n-1)q + 1, returns X_(floor(h)) + (h - floor(h)) *
-    (X_(floor(h)+1) - X_(floor(h))); an exact order statistic when h is
-    integral.
-    """
-    xs = _as_sorted_sample(values)
-    q = _check_quantile(q)
-    if xs.size == 1:
-        return float(xs[0])
-    h = (xs.size - 1) * q
-    j = int(h)
-    g = h - j
-    return float(xs[j] + g * (xs[j + 1] - xs[j]))
 
 
 def estimate_quantiles(values, quantiles, estimator: str = HARRELL_DAVIS) -> np.ndarray:

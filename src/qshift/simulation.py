@@ -8,9 +8,9 @@ iterations with at least one rejection.  Iterations draw from streams
 addressed by (seed, iteration), so results are identical no matter how
 the work is split across processes.
 
-The classic two-way ANOVA F test on means is included as a baseline.  A
-method tag is reserved for an externally computed trimmed-means ANOVA so
-merged reports can carry both.
+The classic two-way ANOVA F test on means is included as a baseline.
+Iterations reduce the same bootstrap replicates as the analysis
+functions, through the column-wise signed-count p-value.
 """
 
 import json
@@ -21,12 +21,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bootstrap import DECILES, BootstrapConfig
-from .contrasts import contrast_pvalues
-from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B, FactorialSample
+from .bootstrap import DECILES, BootstrapConfig, signed_pvalue
+from .contrasts import _psi_star
+from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
 from .distributions import DistributionSpec, generate
 from .multcomp import CORRECTIONS, bh_reject, hochberg_reject
-from .pairwise import IBAND_QUANTILES, iband_pvalues
+from .pairwise import IBAND_QUANTILES, _iband_star
 from .quantiles import regularized_incomplete_beta
 from .rng import derive_seed, stream
 
@@ -47,7 +47,7 @@ __all__ = [
     "DESIGN_FLAGS",
 ]
 
-METHODS = ("decinter_hd", "decinter_t7", "iband_hd", "iband_t7", "anova_means", "anova_tm20")
+METHODS = ("decinter_hd", "decinter_t7", "iband_hd", "iband_t7", "anova_means")
 
 # implementation choices a reader of the numbers needs to know; written
 # into every simulation metadata block
@@ -206,10 +206,6 @@ class SimulationReport:
 
 
 def _validate_condition(cond: SimCondition) -> None:
-    if cond.method == "anova_tm20":
-        raise NotImplementedError(
-            "anova_tm20 is a reserved tag for externally computed results"
-        )
     if not 0.0 < cond.alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {cond.alpha}")
     if cond.method != "anova_means":
@@ -225,17 +221,16 @@ def _iterate(cond: SimCondition, i: int):
         generate(spec, cond.n_per_group, stream(cond.seed, "data", i, c))
         for c, spec in enumerate(cond.cell_specs)
     ]
-    sample = FactorialSample.from_cells(*cells)
     if cond.method == "anova_means":
-        p = anova_f_test(sample)[_CONTRAST_INDEX[cond.contrast]]
+        p = anova_f_test(cells)[_CONTRAST_INDEX[cond.contrast]]
         rejected = p <= cond.alpha
         return rejected, rejected, np.zeros(0, dtype=bool)
 
     config = cond.bootstrap_config(seed=derive_seed(cond.seed, "boot", i))
     if cond.method.startswith("decinter"):
-        pvals = contrast_pvalues(sample, cond.contrast, config)
+        pvals = signed_pvalue(_psi_star(cells, cond.contrast, config))
     else:
-        pvals = iband_pvalues(sample, config)
+        pvals = signed_pvalue(_iband_star(cells, config))
     per_q = pvals <= cond.alpha
     if cond.correction == "none":
         corrected = per_q
@@ -394,7 +389,7 @@ def load_experiment(source) -> list:
     if isinstance(source, dict):
         obj = source
     else:
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             try:
                 obj = json.load(fh)
             except json.JSONDecodeError as exc:

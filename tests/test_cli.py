@@ -7,7 +7,16 @@ import json
 
 import pytest
 
-from qshift import BootstrapConfig, INTERACTION, decinter, stream
+from qshift import (
+    INTERACTION,
+    MAIN_A,
+    MAIN_B,
+    BootstrapConfig,
+    decinter,
+    load_experiment,
+    read_long_csv,
+    stream,
+)
 from qshift.cli import main
 
 
@@ -89,12 +98,15 @@ class TestDecinterCommand:
         rows = decinter(sample, INTERACTION, BootstrapConfig(n_boot=300, seed=9), "bh")
         assert payload["rows"] == [dataclasses.asdict(r) for r in rows]
 
-    def test_bitwise_determinism_across_threads(self, capsys, normal_csv):
+    def test_bitwise_determinism_across_runs(self, capsys, normal_csv):
         args = ("decinter", "--input", normal_csv, "--nboot", "500", "--seed", "4")
-        _, out1, _ = _run(capsys, *args, "--threads", "1")
-        _, out2, _ = _run(capsys, *args, "--threads", "4")
-        _, out3, _ = _run(capsys, *args, "--threads", "1")
-        assert out1 == out2 == out3
+        outs = [_run(capsys, *args)[1] for _ in range(3)]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_threads_flag_only_on_simulate(self, capsys, normal_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["decinter", "--input", normal_csv, "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_level_order_flips_sign(self, capsys, tmp_path):
         rng = stream(31, "lv")
@@ -172,6 +184,31 @@ class TestPlotdataCommand:
             avg = [r[3] for r in panels[f"{tag}-averaged"]]
             pool = [r[3] for r in panels[f"{tag}-pooled"]]
             assert avg == pool
+
+    @pytest.mark.parametrize("estimator", ["hd", "t7"])
+    def test_rows_equal_separate_decinter_calls(self, capsys, normal_csv, estimator):
+        """One shared bootstrap gives the numbers of three decinter calls."""
+        code, out, _ = _run(capsys, "plotdata", "--input", normal_csv, "--nboot", "300",
+                            "--seed", "5", "--estimator", estimator)
+        assert code == 0
+        panels = {}
+        for row in list(csv.reader(io.StringIO(out)))[1:]:
+            panels.setdefault(row[0], []).append(row[1:])
+        sample, _ = read_long_csv(normal_csv, "a", "b", "y")
+        config = BootstrapConfig(n_boot=300, seed=5, estimator=estimator)
+
+        def fmt(*values):
+            return [f"{v:.6g}" for v in values]
+
+        for kind, names in ((INTERACTION, ["interaction"]),
+                            (MAIN_A, ["main-a-averaged", "main-a-pooled"]),
+                            (MAIN_B, ["main-b-averaged", "main-b-pooled"])):
+            rows = decinter(sample, kind, config)
+            for name in names:
+                assert [[p[0], *p[2:]] for p in panels[name]] == [
+                    fmt(r.q, r.dif, r.ci_low, r.ci_high) for r in rows]
+            if kind != INTERACTION:
+                assert [p[1] for p in panels[names[0]]] == [fmt(r.est_lev1)[0] for r in rows]
 
     def test_constant_cells_zero_differences(self, capsys, constant_csv):
         code, out, _ = _run(capsys, "plotdata", "--input", constant_csv,
@@ -251,3 +288,24 @@ def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decinter", "--input", "x.csv", "--bogus"])
     assert exc.value.code == 2
+
+
+def _csv_sample(path):
+    sample, dropped = read_long_csv(path, "a", "b", "y")
+    return [c.tolist() for c in sample.flat_cells()], sample.factor_a, sample.factor_b, dropped
+
+
+@pytest.mark.parametrize("load, body", [
+    (_csv_sample, "a,b,y\na1,b1,1.5\na1,b2,2\na2,b1,\na2,b1,3\na2,b2,4.25\n"),
+    (load_experiment, json.dumps({"seed": 3, "conditions": [{
+        "method": "anova_means", "n_per_group": 10, "cells": {"kind": "normal"}}]})),
+], ids=["csv", "experiment"])
+@pytest.mark.filterwarnings("ignore:smallest cell:UserWarning")
+def test_bom_prefixed_input_matches_plain_file(tmp_path, load, body):
+    """Spreadsheet exports often start with a UTF-8 byte-order mark."""
+    plain = tmp_path / "plain"
+    bom = tmp_path / "bom"
+    plain.write_text(body, encoding="utf-8")
+    bom.write_text(body, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load(str(bom)) == load(str(plain))

@@ -1,11 +1,12 @@
 """Tests for the cell-quantile contrast tests (interaction and main effects)."""
 
-import warnings
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qshift.contrasts as contrasts_mod
+import qshift.pairwise as pairwise_mod
 from qshift import (
     BootstrapConfig,
     FactorialSample,
@@ -13,15 +14,25 @@ from qshift import (
     MAIN_A,
     MAIN_B,
     bh_reject,
-    bootstrap_statistic,
-    contrast_pvalues,
     contrast_value,
     decinter,
     hd_quantile,
+    pairwise_differences,
     stream,
 )
 from qshift.bootstrap import _cell_resample_matrices
 from qshift.rng import derive_seed
+
+from oracles import bootstrap_statistic, type7_quantile
+
+_SCALAR_ESTIMATORS = {"hd": hd_quantile, "t7": type7_quantile}
+
+# rounded values from a short range, or a handful of integers: ties are common
+_tied_cell = st.lists(
+    st.one_of(st.integers(0, 3).map(float),
+              st.floats(-5.0, 5.0, allow_nan=False).map(lambda v: round(v, 1))),
+    min_size=3, max_size=12,
+).map(np.array)
 
 
 def _random_sample(seed, n=30, shifts=(0.0, 0.0, 0.0, 0.0)):
@@ -148,23 +159,33 @@ class TestDecinter:
     def test_extreme_quantile_warning_small_cells(self):
         sample = _random_sample(13, n=25)
         config = BootstrapConfig(n_boot=200, seed=7, quantiles=(0.05, 0.5))
-        with pytest.warns(UserWarning, match="outside"):
+        with pytest.warns(UserWarning, match="outside") as record:
             decinter(sample, INTERACTION, config)
+        assert record[0].filename == __file__  # names the caller's line
 
-    def test_loop_engine_agrees_with_vectorized_path(self):
-        """The generic per-replicate engine reproduces the fast path."""
-        sample = _random_sample(14, n=20)
-        config = BootstrapConfig(n_boot=150, seed=8, quantiles=(0.5,))
+    @pytest.mark.parametrize("estimator", ["hd", "t7"])
+    @pytest.mark.parametrize("kind", [INTERACTION, MAIN_A, MAIN_B, "iband"])
+    @settings(max_examples=20, deadline=None)
+    @given(cells=st.tuples(_tied_cell, _tied_cell, _tied_cell, _tied_cell))
+    def test_loop_engine_agrees_with_vectorized_path(self, kind, estimator, cells):
+        """The generic per-replicate engine reproduces the replicates that
+        decinter, iband and the simulation reduce."""
+        est = _SCALAR_ESTIMATORS[estimator]
+        q = 0.5 if kind == "iband" else 0.3
+        config = BootstrapConfig(n_boot=40, seed=8, estimator=estimator, quantiles=(q,))
+        if kind == "iband":
+            def statistic(c):
+                return (est(pairwise_differences(c[0], c[1]), q)
+                        - est(pairwise_differences(c[2], c[3]), q))
 
-        def interaction_of_medians(cells):
-            t = [hd_quantile(c, 0.5) for c in cells]
-            return t[0] - t[1] - t[2] + t[3]
+            fast = pairwise_mod._iband_star(cells, config)[:, 0]
+        else:
+            def statistic(c):
+                return contrast_value([est(x, q) for x in c], kind)[2]
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            dist = bootstrap_statistic(sample, interaction_of_medians, config)
-            psi = contrasts_mod._psi_star(sample, INTERACTION, config)[:, 0]
-        np.testing.assert_allclose(np.sort(psi), dist.values, atol=1e-12)
+            fast = contrasts_mod._psi_star(cells, kind, config)[:, 0]
+        dist = bootstrap_statistic(cells, statistic, config)
+        np.testing.assert_allclose(np.sort(fast), dist.values, rtol=0, atol=1e-12)
 
     def test_main_effect_power_at_median(self):
         """A 5-sigma factor-A shift is detected at the median decile."""
@@ -177,6 +198,6 @@ class TestDecinter:
                 rng.normal(size=50) + 5.0, rng.normal(size=50) + 5.0,
             )
             config = BootstrapConfig(n_boot=600, seed=derive_seed(2000 + s, "pboot"))
-            pvals = contrast_pvalues(sample, MAIN_A, config)
+            pvals = [row.p_value for row in decinter(sample, MAIN_A, config, "none")]
             hits += bool(bh_reject(pvals, 0.05)[4])  # the median decile
         assert hits / n_runs >= 0.95

@@ -12,9 +12,10 @@ from qshift import (
     pairwise_differences,
     ph_probability,
     stream,
-    type7_quantile,
 )
 from qshift.rng import derive_seed
+
+from oracles import type7_quantile
 
 
 class TestPairwiseDifferences:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift import hd_quantile, hd_weights, regularized_incomplete_beta, type7_quantile
+from qshift import hd_quantile, hd_weights, regularized_incomplete_beta
 from qshift.quantiles import _from_sorted_rows
 
-from oracles import beta_cdf_quad, hd_quantile_quad
+from oracles import beta_cdf_quad, hd_quantile_quad, type7_quantile
 
 # computed with oracles.beta_cdf_quad (adaptive quadrature of the density)
 BETAINC_ORACLE_X03_A255_B255 = 0.0015007606871103277

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness and the ANOVA baseline."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +101,9 @@ class TestConditions:
             _null_condition(method="iband_hd", contrast="main_a")
 
     def test_reserved_trimmed_means_tag(self):
-        with pytest.raises(NotImplementedError):
-            run_fwer(_null_condition(method="anova_tm20"))
+        """The trimmed-means tag, once reserved, is now an unknown method."""
+        with pytest.raises(ValueError, match="unknown method"):
+            _null_condition(method="anova_tm20")
 
     def test_empty_quantiles_fail_validation_before_execution(self):
         cond = _null_condition(quantiles=())
@@ -110,6 +112,12 @@ class TestConditions:
 
 
 class TestRuns:
+    def test_small_cells_do_not_warn_per_iteration(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_fwer(_null_condition(n_per_group=10, n_sims=20))
+        assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == []
+
     def test_report_shape(self):
         rep = run_fwer(_null_condition(n_sims=30))
         assert 0.0 <= rep.rate <= 1.0

@@ -25,7 +25,6 @@ from .design import INTERACTION, MAIN_A, MAIN_B
 from .pairwise import IBAND_QUANTILES, iband, pairwise_differences, ph_probability
 from .quantiles import estimate_quantiles
 from .simulation import (
-    ExperimentError,
     REPORT_COLUMNS,
     load_experiment,
     report_csv_rows,
@@ -124,18 +123,17 @@ def _result_payload(command: str, args, sample, rows, extra=None) -> dict:
     return payload
 
 
-def _emit_table(rows, args, payload, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit_table(rows, args, payload) -> None:
     if args.format == "json":
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
         return
-    print("\t".join(_TABLE_HEADER), file=out)
+    print("\t".join(_TABLE_HEADER))
     for r in rows:
         print("\t".join(_fmt(v) for v in (
             r.q, r.est_lev1, r.est_lev2, r.dif, r.ci_low, r.ci_high,
             r.p_value, r.p_adjusted,
-        )), file=out)
+        )))
 
 
 def _cmd_decinter(args) -> int:
@@ -297,10 +295,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError) as exc:  # ExperimentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantiles import _as_sample
+
 __all__ = [
     "FactorialSample",
     "QuantileTestRow",
@@ -21,15 +23,6 @@ CONTRASTS = (INTERACTION, MAIN_A, MAIN_B)
 
 # below this per-cell size the extreme deciles are unreliable
 RECOMMENDED_MIN_N = 20
-
-
-def _as_cell(values, name: str) -> np.ndarray:
-    xs = np.asarray(values, dtype=float).ravel()
-    if xs.size == 0:
-        raise ValueError(f"cell {name} is empty")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError(f"cell {name} contains NaN or infinite values")
-    return xs
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class FactorialSample:
         if len(self.cells) != 2 or any(len(row) != 2 for row in self.cells):
             raise ValueError("cells must be a 2x2 arrangement of samples")
         norm = tuple(
-            tuple(_as_cell(self.cells[j][k], f"({j + 1},{k + 1})") for k in range(2))
+            tuple(_as_sample(self.cells[j][k], f"cell ({j + 1},{k + 1})") for k in range(2))
             for j in range(2)
         )
         object.__setattr__(self, "cells", norm)

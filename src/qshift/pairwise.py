@@ -21,7 +21,7 @@ from .bootstrap import (
     percentile_ci,
     signed_pvalue,
 )
-from .quantiles import _from_sorted_rows, estimate_quantiles
+from .quantiles import _as_sample, _from_sorted_rows
 
 __all__ = [
     "IBAND_QUANTILES",
@@ -35,15 +35,6 @@ IBAND_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 # cap on elements per pairwise scratch block, ~32 MB of float64
 _BLOCK_ELEMENTS = 1 << 22
-
-
-def _as_sample(values, name: str) -> np.ndarray:
-    xs = np.asarray(values, dtype=float).ravel()
-    if xs.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError(f"{name} contains NaN or infinite values")
-    return xs
 
 
 def pairwise_differences(x, y) -> np.ndarray:
@@ -69,7 +60,8 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     """Quantile estimates of the pairwise-difference set for each replicate.
 
     ``mx`` and ``my`` are (B, n1) and (B, n2) resample matrices; replicate
-    b pairs row b of each.  Work proceeds in blocks of replicates so the
+    b pairs row b of each.  The point estimate passes each cell as a
+    one-row matrix.  Work proceeds in blocks of replicates so the
     pairwise scratch buffer stays bounded.
     """
     n_boot = mx.shape[0]
@@ -104,9 +96,9 @@ def iband(data, config: BootstrapConfig | None = None, correction: str = "bh") -
     """
     config = config if config is not None else BootstrapConfig(quantiles=IBAND_QUANTILES)
     cells = data.flat_cells()
-    x11, x12, x21, x22 = cells
-    est1 = estimate_quantiles(pairwise_differences(x11, x12), config.quantiles, config.estimator)
-    est2 = estimate_quantiles(pairwise_differences(x21, x22), config.quantiles, config.estimator)
+    x11, x12, x21, x22 = (c[None, :] for c in cells)
+    est1 = _diff_quantiles_by_block(x11, x12, config.quantiles, config.estimator)[0]
+    est2 = _diff_quantiles_by_block(x21, x22, config.quantiles, config.estimator)[0]
     return _quantile_rows(config.quantiles, (est1, est2, est1 - est2),
                           _iband_star(cells, config), config.alpha, correction)
 
@@ -119,9 +111,10 @@ def median_diff_test(x, y, config: BootstrapConfig | None = None) -> InferenceRe
     bootstrap that resamples the two source samples.
     """
     config = config if config is not None else BootstrapConfig()
-    diffs = pairwise_differences(x, y)
-    estimate = float(estimate_quantiles(diffs, (0.5,), config.estimator)[0])
-    mx, my = _cell_resample_matrices((_as_sample(x, "x"), _as_sample(y, "y")), config)
+    xs, ys = _as_sample(x, "x"), _as_sample(y, "y")
+    estimate = float(_diff_quantiles_by_block(xs[None, :], ys[None, :], (0.5,),
+                                              config.estimator)[0, 0])
+    mx, my = _cell_resample_matrices((xs, ys), config)
     med_star = _diff_quantiles_by_block(mx, my, (0.5,), config.estimator)[:, 0]
     lo, hi = percentile_ci(med_star, config.alpha)
     return InferenceResult(estimate, lo, hi, signed_pvalue(med_star))

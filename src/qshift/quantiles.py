@@ -9,8 +9,8 @@ order statistics bracketing h = (n-1)q + 1.
 The regularized incomplete beta function is evaluated with the standard
 continued-fraction expansion (modified Lentz), switching to the symmetry
 relation I_x(a,b) = 1 - I_{1-x}(b,a) for x above (a+1)/(a+b+2) where the
-fraction converges slowly.  Weights for a given (n, q) are cached and
-reused across bootstrap replicates.
+fraction converges slowly.  Weights for a given n and quantile set are
+cached and reused across bootstrap replicates.
 """
 
 import math
@@ -122,19 +122,6 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return float(_betainc_grid(np.atleast_1d(np.float64(x)), float(a), float(b))[0])
 
 
-@lru_cache(maxsize=4096)
-def _hd_weights_cached(n: int, q: float) -> np.ndarray:
-    a = (n + 1.0) * q
-    b = (n + 1.0) * (1.0 - q)
-    cdf = _betainc_grid(np.arange(n + 1, dtype=float) / n, a, b)
-    w = np.diff(cdf)
-    # adjacent CDF values can round to differences of about -1e-16 in the
-    # far tails; clamp so the weights stay a probability vector
-    np.clip(w, 0.0, None, out=w)
-    w.setflags(write=False)
-    return w
-
-
 def _check_quantile(q: float) -> float:
     q = float(q)
     if not 0.0 < q < 1.0 or math.isnan(q):
@@ -151,36 +138,46 @@ def hd_weights(n: int, q: float) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    return _hd_weights_cached(n, _check_quantile(q)).copy()
+    return _hd_weight_matrix(n, (_check_quantile(q),))[:, 0].copy()
 
 
-def _as_sorted_sample(values) -> np.ndarray:
-    xs = np.asarray(values, dtype=float)
-    if xs.ndim != 1:
-        xs = xs.ravel()
+def _as_sample(values, name: str) -> np.ndarray:
+    """``values`` as a flat float array; rejects an empty or non-finite sample."""
+    xs = np.asarray(values, dtype=float).ravel()
     if xs.size == 0:
-        raise ValueError("sample must be non-empty")
+        raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(xs)):
-        raise ValueError("sample contains NaN or infinite values")
-    return np.sort(xs)
+        raise ValueError(f"{name} contains NaN or infinite values")
+    return xs
 
 
 def hd_quantile(values, q: float) -> float:
     """Harrell-Davis estimate of the q-th quantile of a sample."""
-    xs = _as_sorted_sample(values)
-    w = _hd_weights_cached(xs.size, _check_quantile(q))
+    xs = np.sort(_as_sample(values, "sample"))
+    w = _hd_weight_matrix(xs.size, (_check_quantile(q),))[:, 0]
     return float(w @ xs)
 
 
 def estimate_quantiles(values, quantiles, estimator: str = HARRELL_DAVIS) -> np.ndarray:
     """Estimate several quantiles of one sample; returns one value per level."""
-    xs = _as_sorted_sample(values)
-    return _from_sorted_rows(xs[None, :], tuple(quantiles), estimator)[0]
+    xs = np.sort(_as_sample(values, "sample"))
+    quantiles = tuple(quantiles)
+    if not quantiles:
+        raise ValueError("quantile set must be non-empty")
+    return _from_sorted_rows(xs[None, :], quantiles, estimator)[0]
 
 
 @lru_cache(maxsize=512)
 def _hd_weight_matrix(n: int, quantiles: tuple) -> np.ndarray:
-    w = np.column_stack([_hd_weights_cached(n, _check_quantile(q)) for q in quantiles])
+    """(n, Q) Harrell-Davis weights of an n-sample, one column per level."""
+    grid = np.arange(n + 1, dtype=float) / n
+    w = np.empty((n, len(quantiles)))
+    for j, q in enumerate(quantiles):
+        q = _check_quantile(q)
+        w[:, j] = np.diff(_betainc_grid(grid, (n + 1.0) * q, (n + 1.0) * (1.0 - q)))
+    # adjacent CDF values can round to differences of about -1e-16 in the
+    # far tails; clamp so each column stays a probability vector
+    np.clip(w, 0.0, None, out=w)
     w.setflags(write=False)
     return w
 

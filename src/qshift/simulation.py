@@ -17,7 +17,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -160,8 +160,14 @@ class SimCondition:
             raise ValueError(f"n_sims must be at least 1, got {self.n_sims}")
         if self.n_per_group < 1:
             raise ValueError(f"n_per_group must be at least 1, got {self.n_per_group}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.method.startswith("iband") and self.contrast != INTERACTION:
             raise ValueError("the pairwise-difference test supports the interaction only")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.method != "anova_means":
+            self.bootstrap_config()  # raises on bad n_boot / alpha / quantiles
 
     @property
     def mode(self) -> str:
@@ -203,13 +209,6 @@ class SimulationReport:
     n_sims: int
     wall_time: float = field(compare=False)
     error: str | None = None
-
-
-def _validate_condition(cond: SimCondition) -> None:
-    if not 0.0 < cond.alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {cond.alpha}")
-    if cond.method != "anova_means":
-        cond.bootstrap_config()  # raises on bad n_boot / alpha / quantiles
 
 
 _CONTRAST_INDEX = {MAIN_A: 0, MAIN_B: 1, INTERACTION: 2}
@@ -256,7 +255,6 @@ def _run_chunk(args):
 
 
 def _run_condition(cond: SimCondition, workers: int | None = None) -> SimulationReport:
-    _validate_condition(cond)
     t0 = time.perf_counter()
     workers = 1 if workers is None else max(1, int(workers))
     workers = min(workers, cond.n_sims)
@@ -305,16 +303,14 @@ def run_power(cond: SimCondition, workers: int | None = None) -> SimulationRepor
 def sweep(conditions, workers: int | None = None, progress=None) -> list:
     """Run every condition, collecting per-condition failures instead of raising.
 
-    All conditions are validated before any executes; validation problems
-    raise immediately.  Runtime failures are recorded on the report's
+    Conditions validate themselves when built, so a sweep never starts on
+    an invalid one.  Runtime failures are recorded on the report's
     ``error`` field with NaN rates.  ``progress(i, condition, report)`` is
     called after each condition when given.
     """
     conditions = list(conditions)
     if not conditions:
         raise ValueError("sweep needs at least one condition")
-    for cond in conditions:
-        _validate_condition(cond)
     reports = []
     for i, cond in enumerate(conditions):
         try:
@@ -339,11 +335,15 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
 
 # --- experiment files -------------------------------------------------
 
-_SPEC_FIELDS = {"kind", "mean", "r", "s", "nbin", "g", "h", "shift"}
+_SPEC_FIELDS = {f.name for f in fields(DistributionSpec)}
 _COND_FIELDS = {
     "name", "method", "contrast", "correction", "n_per_group", "cells", "shifts",
     "n_sims", "n_boot", "alpha", "seed", "quantiles", "mode",
 }
+# optional SimCondition fields with their JSON-to-Python conversion; a field
+# an entry leaves out keeps the SimCondition default
+_CONVERTERS = {"contrast": str, "correction": str, "n_sims": int, "n_boot": int,
+               "alpha": float}
 
 
 def _parse_spec(obj, where: str) -> DistributionSpec:
@@ -374,6 +374,13 @@ def _parse_cells(merged: dict, where: str) -> tuple:
             raise ExperimentError(f"{where}: 'shifts' must list four numbers")
         specs = [replace(s, shift=s.shift + float(d)) for s, d in zip(specs, shifts)]
     return tuple(specs)
+
+
+def _grid_values(merged: dict, key: str, where: str) -> list:
+    values = merged.get(key)
+    if values is None or values == []:
+        raise ExperimentError(f"{where}: missing or empty {key!r}")
+    return values if isinstance(values, list) else [values]
 
 
 def load_experiment(source) -> list:
@@ -418,16 +425,8 @@ def load_experiment(source) -> list:
             raise ExperimentError(f"{where}: unknown fields {sorted(unknown)}")
         name = str(merged.get("name", f"cond{idx}"))
         specs = _parse_cells(merged, where)
-        n_values = merged.get("n_per_group")
-        if n_values is None:
-            raise ExperimentError(f"{where}: missing 'n_per_group'")
-        if not isinstance(n_values, list):
-            n_values = [n_values]
-        methods = merged.get("method")
-        if methods is None:
-            raise ExperimentError(f"{where}: missing 'method'")
-        if not isinstance(methods, list):
-            methods = [methods]
+        n_values = _grid_values(merged, "n_per_group", where)
+        methods = _grid_values(merged, "method", where)
         for method in methods:
             for n in n_values:
                 suffix = ""
@@ -440,15 +439,10 @@ def load_experiment(source) -> list:
                         cell_specs=specs,
                         n_per_group=int(n),
                         method=str(method),
-                        contrast=str(merged.get("contrast", INTERACTION)),
-                        correction=str(merged.get("correction", "bh")),
-                        n_sims=int(merged.get("n_sims", 2000)),
-                        n_boot=int(merged.get("n_boot", 600)),
-                        alpha=float(merged.get("alpha", 0.05)),
                         seed=int(merged.get("seed", master)),
-                        quantiles=(tuple(merged["quantiles"])
-                                   if merged.get("quantiles") is not None else None),
+                        quantiles=merged.get("quantiles"),
                         name=name + suffix,
+                        **{k: conv(merged[k]) for k, conv in _CONVERTERS.items() if k in merged},
                     )
                 except (TypeError, ValueError) as exc:
                     raise ExperimentError(f"{where}: {exc}") from exc

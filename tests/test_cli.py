@@ -238,6 +238,18 @@ class TestSimulateCommand:
         assert code == 2
         assert "conditions" in err
 
+    def test_negative_seed_is_experiment_error(self, capsys, tmp_path):
+        path = self._experiment(tmp_path, {
+            "seed": -1,
+            "conditions": [{
+                "name": "neg", "method": "anova_means", "n_per_group": 10,
+                "cells": {"kind": "normal"}, "n_sims": 2,
+            }],
+        })
+        code, _, err = _run(capsys, "simulate", path)
+        assert code == 2
+        assert "seed must be non-negative" in err
+
     def test_deterministic_csv_bytes(self, capsys, tmp_path):
         path = self._experiment(tmp_path, {
             "seed": 3,

@@ -43,6 +43,18 @@ class TestPairwiseDifferences:
         assert sorted(d_swapped.tolist()) == sorted((-d).tolist())
 
 
+@pytest.mark.parametrize("bad", [[], [1.0, np.nan], [np.inf, 1.0]], ids=["empty", "nan", "inf"])
+@pytest.mark.parametrize("test", [
+    pairwise_differences,
+    lambda x, y: median_diff_test(x, y, BootstrapConfig(n_boot=40)),
+], ids=["pairwise_differences", "median_diff_test"])
+def test_rejects_empty_or_non_finite_sample(test, bad):
+    with pytest.raises(ValueError, match=r"^x (must be non-empty|contains NaN)"):
+        test(bad, [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^y (must be non-empty|contains NaN)"):
+        test([1.0, 2.0], bad)
+
+
 class TestPHProbability:
     def test_all_below(self):
         assert ph_probability(pairwise_differences([1, 2], [3, 4])) == 1.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift import hd_quantile, hd_weights, regularized_incomplete_beta
+from qshift import estimate_quantiles, hd_quantile, hd_weights, regularized_incomplete_beta
 from qshift.quantiles import _from_sorted_rows
 
 from oracles import beta_cdf_quad, hd_quantile_quad, type7_quantile
@@ -126,6 +126,9 @@ class TestHDQuantile:
             hd_quantile([1.0, np.nan, 2.0], 0.5)
         with pytest.raises(ValueError):
             hd_quantile([1.0, np.inf], 0.5)
+        for estimator in ("hd", "t7"):
+            with pytest.raises(ValueError, match="quantile set must be non-empty"):
+                estimate_quantiles([1.0, 2.0], (), estimator)
 
 
 class TestType7Quantile:

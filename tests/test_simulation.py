@@ -106,9 +106,19 @@ class TestConditions:
             _null_condition(method="anova_tm20")
 
     def test_empty_quantiles_fail_validation_before_execution(self):
-        cond = _null_condition(quantiles=())
         with pytest.raises(ValueError, match="non-empty"):
-            sweep([cond])
+            sweep([_null_condition(quantiles=())])
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"alpha": 1.5}, "alpha"),
+        ({"n_boot": 20, "alpha": 0.05}, "n_boot"),
+        ({"seed": -1}, "seed"),
+        ({"seed": -1, "method": "anova_means"}, "seed"),
+        ({"alpha": 1.5, "method": "anova_means"}, "alpha"),
+    ])
+    def test_invalid_settings_fail_when_built(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            _null_condition(**kwargs)
 
 
 class TestRuns:
@@ -219,10 +229,35 @@ class TestExperimentFiles:
                          "cells": {"kind": "normal"}, "bogus": 1}]},
         {"mystery": 1, "conditions": [{"method": "decinter_hd", "n_per_group": 10,
                                        "cells": {"kind": "normal"}}]},
+        {"conditions": [{"method": [], "n_per_group": 10, "cells": {"kind": "normal"}}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": [],
+                         "cells": {"kind": "normal"}}]},
+        # settings SimCondition rejects when built
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "alpha": 1.5}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "n_boot": 20, "alpha": 0.05}]},
+        {"conditions": [{"method": "anova_means", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "seed": -1}]},
+        {"seed": -1, "conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                                     "cells": {"kind": "normal"}}]},
     ])
     def test_invalid_experiments(self, bad):
         with pytest.raises(ExperimentError):
             load_experiment(bad)
+
+    def test_empty_grid_list_names_its_entry(self):
+        good = {"method": "anova_means", "n_per_group": 10, "cells": {"kind": "normal"}}
+        with pytest.raises(ExperimentError, match=r"conditions\[1\].*'method'"):
+            load_experiment({"conditions": [good, {**good, "method": []}, good]})
+
+    def test_omitted_fields_take_condition_defaults(self):
+        conds = load_experiment({"conditions": [{
+            "name": "d", "method": "iband_t7", "n_per_group": 12,
+            "cells": {"kind": "poisson", "mean": 3.0}}]})
+        assert conds == [SimCondition(
+            cell_specs=(DistributionSpec("poisson", mean=3.0),) * 4,
+            n_per_group=12, method="iband_t7", name="d")]
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

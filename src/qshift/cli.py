@@ -9,6 +9,7 @@ experiment-file error, 3 data-file error.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -22,8 +23,9 @@ from .bootstrap import DECILES, BootstrapConfig
 from .contrasts import _contrast_tests, decinter
 from .data import DataError, parse_level_order, read_long_csv
 from .design import INTERACTION, MAIN_A, MAIN_B
+from .multcomp import CORRECTIONS
 from .pairwise import IBAND_QUANTILES, iband, pairwise_differences, ph_probability
-from .quantiles import estimate_quantiles
+from .quantiles import ESTIMATORS, estimate_quantiles
 from .simulation import (
     REPORT_COLUMNS,
     load_experiment,
@@ -66,12 +68,12 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_analysis_flags(sub: argparse.ArgumentParser, default_quantiles) -> None:
-    sub.add_argument("--estimator", choices=("hd", "t7"), default="hd")
+    sub.add_argument("--estimator", choices=ESTIMATORS, default="hd")
     sub.add_argument("--quantiles", type=_parse_quantiles, default=default_quantiles,
                      metavar="Q1,Q2,...", help="quantile levels, each strictly in (0,1)")
     sub.add_argument("--nboot", type=int, default=2000, help="bootstrap replicates")
     sub.add_argument("--alpha", type=float, default=0.05)
-    sub.add_argument("--correction", choices=("bh", "hochberg", "none"), default="bh")
+    sub.add_argument("--correction", choices=CORRECTIONS, default="bh")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
     sub.add_argument("--progress", action="store_true",
@@ -197,21 +199,19 @@ def _plot_rows(sample, args):
     return out
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV to ``path``, or to stdout without one."""
+    with (open(path, "w", encoding="utf-8", newline="") if path
+          else contextlib.nullcontext(sys.stdout)) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _cmd_plotdata(args) -> int:
     sample = _load_sample(args)
-    rows = _plot_rows(sample, args)
-
-    def write(out):
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_PLOT_HEADER)
-        for panel, quant, x, dif, lo, hi in rows:
-            writer.writerow([panel, _fmt(quant), _fmt(x), _fmt(dif), _fmt(lo), _fmt(hi)])
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+    rows = [(panel, *map(_fmt, values)) for panel, *values in _plot_rows(sample, args)]
+    _write_csv(args.output, _PLOT_HEADER, rows)
     return 0
 
 
@@ -228,17 +228,7 @@ def _cmd_simulate(args) -> int:
                   f"({report.wall_time:.1f}s)", file=sys.stderr)
 
     reports = sweep(conditions, workers=args.threads, progress=progress)
-
-    def write_csv(out):
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(report_csv_rows(reports))
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh)
-    else:
-        write_csv(sys.stdout)
+    _write_csv(args.output, REPORT_COLUMNS, report_csv_rows(reports))
 
     meta = json.dumps(report_metadata(reports), indent=2)
     if args.metadata:
@@ -295,7 +285,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, NotImplementedError) as exc:  # ExperimentError included
+    except ValueError as exc:  # ExperimentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

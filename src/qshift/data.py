@@ -26,17 +26,17 @@ def parse_level_order(text: str) -> tuple:
     return a, b
 
 
-def _ordered_levels(found: set, requested, factor: str, column: str) -> tuple:
+def _ordered_levels(path, found: set, requested, factor: str, column: str) -> tuple:
     if len(found) != 2:
         raise DataError(
-            f"column {column!r} must have exactly two distinct levels, "
+            f"{path}: column {column!r} must have exactly two distinct levels, "
             f"found {sorted(found)}"
         )
     if requested is None:
         return tuple(sorted(found))
     if set(requested) != found:
         raise DataError(
-            f"requested {factor} level order {list(requested)} does not match "
+            f"{path}: requested {factor} level order {list(requested)} does not match "
             f"levels {sorted(found)} in column {column!r}"
         )
     return tuple(requested)
@@ -94,8 +94,8 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
     if not groups:
         raise DataError(f"{path}: no usable data rows")
     want_a, want_b = level_order if level_order is not None else (None, None)
-    levels_a = _ordered_levels(seen_a, want_a, "factor A", factor_a)
-    levels_b = _ordered_levels(seen_b, want_b, "factor B", factor_b)
+    levels_a = _ordered_levels(path, seen_a, want_a, "factor A", factor_a)
+    levels_b = _ordered_levels(path, seen_b, want_b, "factor B", factor_b)
     cells = []
     for la in levels_a:
         row_cells = []

@@ -17,6 +17,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -129,7 +130,13 @@ def anova_f_test(data) -> tuple:
 
 @dataclass(frozen=True)
 class SimCondition:
-    """One simulation condition of the error-rate / power study."""
+    """One simulation condition of the error-rate / power study.
+
+    ``quantiles`` holds, once built, the levels the method tests: the
+    given ones, else the deciles for ``decinter_*`` and
+    ``IBAND_QUANTILES`` for ``iband_*``; it is always empty for
+    ``anova_means``.
+    """
 
     cell_specs: tuple
     n_per_group: int
@@ -148,10 +155,19 @@ class SimCondition:
         if len(specs) != 4 or not all(isinstance(s, DistributionSpec) for s in specs):
             raise ValueError("cell_specs must hold exactly four DistributionSpec entries")
         object.__setattr__(self, "cell_specs", specs)
-        if self.quantiles is not None:
-            object.__setattr__(self, "quantiles", tuple(float(q) for q in self.quantiles))
+        for name in ("n_per_group", "n_sims", "n_boot", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.method == "anova_means":
+            quantiles = ()  # the ANOVA tests means
+        elif self.quantiles is not None:
+            quantiles = self.quantiles
+        else:
+            quantiles = IBAND_QUANTILES if self.method.startswith("iband") else DECILES
+        object.__setattr__(self, "quantiles", tuple(float(q) for q in quantiles))
         if self.contrast not in CONTRASTS:
             raise ValueError(f"unknown contrast {self.contrast!r}; expected one of {CONTRASTS}")
         if self.correction not in CORRECTIONS:
@@ -174,11 +190,6 @@ class SimCondition:
         """'fwer' when all four populations are identical, else 'power'."""
         return "fwer" if all(s == self.cell_specs[0] for s in self.cell_specs) else "power"
 
-    def effective_quantiles(self) -> tuple:
-        if self.quantiles is not None:
-            return self.quantiles
-        return IBAND_QUANTILES if self.method.startswith("iband") else DECILES
-
     def bootstrap_config(self, seed: int = 0) -> BootstrapConfig:
         estimator = "hd" if self.method.endswith("_hd") else "t7"
         return BootstrapConfig(
@@ -186,7 +197,7 @@ class SimCondition:
             alpha=self.alpha,
             seed=seed,
             estimator=estimator,
-            quantiles=self.effective_quantiles(),
+            quantiles=self.quantiles,
         )
 
 
@@ -242,10 +253,9 @@ def _iterate(cond: SimCondition, i: int):
 
 def _run_chunk(args):
     cond, start, stop = args
-    n_q = 0 if cond.method == "anova_means" else len(cond.effective_quantiles())
     n_corr = 0
     n_uncorr = 0
-    per_q = np.zeros(n_q, dtype=np.int64)
+    per_q = np.zeros(len(cond.quantiles), dtype=np.int64)
     for i in range(start, stop):
         corr, uncorr, q_mask = _iterate(cond, i)
         n_corr += corr
@@ -258,25 +268,18 @@ def _run_condition(cond: SimCondition, workers: int | None = None) -> Simulation
     t0 = time.perf_counter()
     workers = 1 if workers is None else max(1, int(workers))
     workers = min(workers, cond.n_sims)
-    if workers == 1:
-        n_corr, n_uncorr, per_q = _run_chunk((cond, 0, cond.n_sims))
-    else:
-        step = math.ceil(cond.n_sims / (workers * 4))
-        tasks = [(cond, s, min(s + step, cond.n_sims)) for s in range(0, cond.n_sims, step)]
-        n_corr = n_uncorr = 0
-        per_q = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for c, u, q in pool.map(_run_chunk, tasks):
-                n_corr += c
-                n_uncorr += u
-                per_q = per_q + q
+    step = math.ceil(cond.n_sims / (workers * 4))
+    tasks = [(cond, s, min(s + step, cond.n_sims)) for s in range(0, cond.n_sims, step)]
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
+        n_corr, n_uncorr, per_q = (sum(parts) for parts in zip(*chunks))
     rate = n_corr / cond.n_sims
     return SimulationReport(
         condition=cond,
         rate=rate,
         se=math.sqrt(rate * (1.0 - rate) / cond.n_sims),
         rate_uncorrected=n_uncorr / cond.n_sims,
-        per_quantile_rates=tuple((np.asarray(per_q, dtype=float) / cond.n_sims).tolist()),
+        per_quantile_rates=tuple((per_q / cond.n_sims).tolist()),
         n_sims=cond.n_sims,
         wall_time=time.perf_counter() - t0,
     )
@@ -316,13 +319,12 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
         try:
             report = _run_condition(cond, workers)
         except Exception as exc:  # noqa: BLE001 - aggregate without aborting the sweep
-            nq = 0 if cond.method == "anova_means" else len(cond.effective_quantiles())
             report = SimulationReport(
                 condition=cond,
                 rate=float("nan"),
                 se=float("nan"),
                 rate_uncorrected=float("nan"),
-                per_quantile_rates=(float("nan"),) * nq,
+                per_quantile_rates=(float("nan"),) * len(cond.quantiles),
                 n_sims=cond.n_sims,
                 wall_time=0.0,
                 error=f"{type(exc).__name__}: {exc}",
@@ -336,14 +338,10 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
 # --- experiment files -------------------------------------------------
 
 _SPEC_FIELDS = {f.name for f in fields(DistributionSpec)}
-_COND_FIELDS = {
-    "name", "method", "contrast", "correction", "n_per_group", "cells", "shifts",
-    "n_sims", "n_boot", "alpha", "seed", "quantiles", "mode",
-}
-# optional SimCondition fields with their JSON-to-Python conversion; a field
-# an entry leaves out keeps the SimCondition default
-_CONVERTERS = {"contrast": str, "correction": str, "n_sims": int, "n_boot": int,
-               "alpha": float}
+# an entry passes SimCondition fields through as given, except cell_specs,
+# which it builds from 'cells' and 'shifts'; a field it leaves out keeps
+# the SimCondition default
+_COND_FIELDS = {f.name for f in fields(SimCondition)} - {"cell_specs"}
 
 
 def _parse_spec(obj, where: str) -> DistributionSpec:
@@ -420,13 +418,14 @@ def load_experiment(source) -> list:
             raise ExperimentError(f"conditions[{idx}] must be an object")
         merged = {**defaults, **entry}
         where = f"conditions[{idx}]"
-        unknown = set(merged) - _COND_FIELDS
+        unknown = set(merged) - _COND_FIELDS - {"cells", "shifts", "mode"}
         if unknown:
             raise ExperimentError(f"{where}: unknown fields {sorted(unknown)}")
-        name = str(merged.get("name", f"cond{idx}"))
         specs = _parse_cells(merged, where)
         n_values = _grid_values(merged, "n_per_group", where)
         methods = _grid_values(merged, "method", where)
+        settings = {"seed": master, "name": f"cond{idx}",
+                    **{k: v for k, v in merged.items() if k in _COND_FIELDS}}
         for method in methods:
             for n in n_values:
                 suffix = ""
@@ -435,15 +434,10 @@ def load_experiment(source) -> list:
                 if len(n_values) > 1:
                     suffix += f"-n{n}"
                 try:
-                    cond = SimCondition(
-                        cell_specs=specs,
-                        n_per_group=int(n),
-                        method=str(method),
-                        seed=int(merged.get("seed", master)),
-                        quantiles=merged.get("quantiles"),
-                        name=name + suffix,
-                        **{k: conv(merged[k]) for k, conv in _CONVERTERS.items() if k in merged},
-                    )
+                    cond = SimCondition(**{
+                        **settings, "cell_specs": specs, "n_per_group": n,
+                        "method": method, "name": settings["name"] + suffix,
+                    })
                 except (TypeError, ValueError) as exc:
                     raise ExperimentError(f"{where}: {exc}") from exc
                 declared = merged.get("mode")
@@ -478,10 +472,10 @@ def report_csv_rows(reports) -> list:
             cond.correction,
             str(cond.n_per_group),
             str(cond.n_sims),
-            str(cond.n_boot),
+            "" if cond.method == "anova_means" else str(cond.n_boot),
             repr(cond.alpha),
             str(cond.seed),
-            " ".join(f"{q:g}" for q in cond.effective_quantiles()),
+            " ".join(f"{q:g}" for q in cond.quantiles),
             repr(rep.rate),
             repr(rep.se),
             repr(rep.rate_uncorrected),

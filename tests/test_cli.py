@@ -136,6 +136,37 @@ class TestDecinterCommand:
         assert "dropped 4 rows" in err
 
 
+_ROWS = "a,b,y\na1,b1,1\na1,b2,2\na2,b1,3\na2,b2,4\n"
+
+
+@pytest.mark.parametrize("body, extra, code, message", [
+    (_ROWS + "a1,b1,abc\n", (), 3, "non-numeric value"),
+    (_ROWS + "a1,b1,inf\n", (), 3, "not finite"),
+    (_ROWS + ",b1,5\n", (), 3, "missing factor label"),
+    (_ROWS + "a3,b1,5\n", (), 3, "exactly two distinct levels"),
+    (_ROWS, ("--level-order", "x1,x2:b1,b2"), 3, "does not match"),
+    ("a,b,y\na1,b1,1\na1,b2,2\na2,b1,3\n", (), 3, "no rows for cell"),
+    ("", (), 3, "file is empty"),
+    ("a,b,y\na1,b1,\na2,b2,NA\n", (), 3, "no usable data rows"),
+    (_ROWS, ("--level-order", "a1,a2"), 2, "level order must look like"),
+    (_ROWS, ("--quantiles", "0.1,half"), 2, "cannot parse quantile list"),
+], ids=["non-numeric", "inf", "missing-label", "three-levels", "level-order-mismatch",
+        "missing-cell", "empty-file", "all-missing", "bad-level-order", "bad-quantiles"])
+def test_malformed_input_exit_codes(capsys, tmp_path, body, extra, code, message):
+    """Data-file errors exit 3 and name the file; malformed flags exit 2."""
+    path = tmp_path / "malformed.csv"
+    path.write_text(body)
+    try:
+        got = main(["decinter", "--input", str(path), "--nboot", "200", *extra])
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert message in err
+    if code == 3:
+        assert f"error: {path}: " in err
+
+
 class TestIbandCommand:
     def test_default_quantiles_and_ph(self, capsys, normal_csv):
         code, out, _ = _run(capsys, "iband", "--input", normal_csv,

@@ -147,6 +147,10 @@ class TestType7Quantile:
         with pytest.raises(ValueError):
             type7_quantile([], 0.5)
 
+    def test_single_observation_at_every_level(self):
+        levels = (0.01, 0.1, 0.5, 0.9, 0.99)
+        assert estimate_quantiles([4.25], levels, "t7").tolist() == [4.25] * len(levels)
+
 
 @st.composite
 def sample_and_quantile(draw):

@@ -8,6 +8,8 @@ import pytest
 import scipy.stats
 
 from qshift import (
+    DECILES,
+    IBAND_QUANTILES,
     DegenerateDataError,
     DistributionSpec,
     ExperimentError,
@@ -21,7 +23,7 @@ from qshift import (
     stream,
     sweep,
 )
-from qshift.simulation import report_csv_rows, report_metadata
+from qshift.simulation import REPORT_COLUMNS, report_csv_rows, report_metadata
 
 from oracles import anova_f_textbook
 
@@ -115,10 +117,35 @@ class TestConditions:
         ({"seed": -1}, "seed"),
         ({"seed": -1, "method": "anova_means"}, "seed"),
         ({"alpha": 1.5, "method": "anova_means"}, "alpha"),
+        ({"n_per_group": 10.7}, "n_per_group must be an integer"),
+        ({"n_sims": 10.0}, "n_sims must be an integer"),
+        ({"n_boot": "600"}, "n_boot must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"n_per_group": 10.7, "method": "anova_means"}, "n_per_group"),
     ])
     def test_invalid_settings_fail_when_built(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             _null_condition(**kwargs)
+
+    def test_numpy_integer_counts_pass(self):
+        cond = _null_condition(n_per_group=np.int64(25), n_sims=np.int32(40),
+                               n_boot=np.int64(400), seed=np.uint32(5))
+        assert cond == _null_condition()
+
+    @pytest.mark.parametrize("method, given, expected", [
+        ("decinter_hd", None, DECILES),
+        ("decinter_t7", None, DECILES),
+        ("iband_hd", None, IBAND_QUANTILES),
+        ("iband_t7", None, IBAND_QUANTILES),
+        ("anova_means", None, ()),
+        ("anova_means", [0.25, 0.75], ()),
+        ("decinter_t7", [0.25, 0.75], (0.25, 0.75)),
+        ("iband_hd", (1 / 3, 0.5), (1 / 3, 0.5)),
+    ])
+    def test_quantile_family_resolved_when_built(self, method, given, expected):
+        cond = _null_condition(method=method, quantiles=given)
+        assert cond.quantiles == expected
+        assert all(type(q) is float for q in cond.quantiles)
 
 
 class TestRuns:
@@ -160,6 +187,28 @@ class TestRuns:
         reports = sweep([good, good], workers=2)
         assert reports[0] == reports[1]
         assert not any(r.error for r in reports)
+
+    def test_sweep_isolates_a_failing_condition(self):
+        good = _null_condition(n_sims=20)
+        baseline = _null_condition(method="anova_means", n_sims=20, name="anova")
+        # every beta-binomial draw lands in the top bin: zero within-cell
+        # variance, so the ANOVA fails at run time
+        degenerate = _null_condition(
+            cell_specs=(DistributionSpec("beta_binomial", r=200.0, s=0.01, nbin=2),) * 4,
+            method="anova_means", n_per_group=10, n_sims=3, name="degenerate")
+        before, failed, after = sweep([good, degenerate, baseline], workers=2)
+        assert failed.error.startswith("DegenerateDataError")
+        assert np.isnan(failed.rate) and np.isnan(failed.se)
+        assert failed.per_quantile_rates == ()
+        assert before == run_fwer(good)
+        assert after == run_fwer(baseline)
+
+    def test_uncorrected_family_needs_no_correction(self):
+        shifted = _null_condition(
+            cell_specs=(NORMAL,) * 3 + (DistributionSpec("normal", shift=1.0),),
+            correction="none", n_sims=30)
+        rep = run_power(shifted)
+        assert rep.rate == rep.rate_uncorrected > 0.0
 
     def test_per_decile_rates_narrow_with_n(self):
         """Uncorrected per-decile rates approach the nominal level as cells grow.
@@ -241,6 +290,17 @@ class TestExperimentFiles:
                          "cells": {"kind": "normal"}, "seed": -1}]},
         {"seed": -1, "conditions": [{"method": "decinter_hd", "n_per_group": 10,
                                      "cells": {"kind": "normal"}}]},
+        # counts must be JSON integers
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10.7,
+                         "cells": {"kind": "normal"}}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "n_sims": 2.9}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "n_boot": "600"}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "seed": True}]},
+        {"seed": 1.5, "conditions": [{"method": "anova_means", "n_per_group": 10,
+                                      "cells": {"kind": "normal"}}]},
     ])
     def test_invalid_experiments(self, bad):
         with pytest.raises(ExperimentError):
@@ -293,3 +353,15 @@ class TestReportSerialization:
         assert meta["schema_version"] == 1
         assert "mixed_normal_form" in meta["design_flags"]
         assert meta["failed_conditions"] == []
+
+    def test_anova_rows_leave_bootstrap_cells_empty(self):
+        conditions = load_experiment({
+            "defaults": {"n_sims": 4, "n_boot": 600},
+            "conditions": [{"name": "null", "method": ["decinter_hd", "anova_means"],
+                            "n_per_group": 20, "cells": {"kind": "normal"}}],
+        })
+        rows = [dict(zip(REPORT_COLUMNS, row)) for row in report_csv_rows(sweep(conditions))]
+        assert [(r["method"], r["n_boot"], r["quantiles"]) for r in rows] == [
+            ("decinter_hd", "600", "0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9"),
+            ("anova_means", "", ""),
+        ]

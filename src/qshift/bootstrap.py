@@ -12,12 +12,13 @@ parallel execution schedule.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .design import QuantileTestRow
 from .multcomp import adjust_pvalues
+from .quantiles import ESTIMATORS
 from .rng import stream
 
 __all__ = [
@@ -33,23 +34,33 @@ DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 _CELL_STREAM = "cell"
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a count or seed that is not an integer (bools, floats, strings)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Settings shared by every percentile-bootstrap test.
 
     ``n_boot`` must satisfy n_boot >= 2/alpha so the confidence-interval
-    order statistics exist.  One set of cell resamples serves every
-    quantile tested.
+    order statistics exist; ``n_boot`` and ``seed`` must be integers.
+    ``quantiles`` of None means the family of the test the config is
+    used with: the deciles for :func:`~qshift.decinter` and
+    ``IBAND_QUANTILES`` for :func:`~qshift.iband`.  One set of cell
+    resamples serves every quantile tested.
     """
 
     n_boot: int = 2000
     alpha: float = 0.05
     seed: int = 0
     estimator: str = "hd"
-    quantiles: tuple = DECILES
+    quantiles: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "quantiles", tuple(float(q) for q in self.quantiles))
+        _check_integer("n_boot", self.n_boot)
+        _check_integer("seed", self.seed)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.n_boot * self.alpha < 2.0:
@@ -59,14 +70,23 @@ class BootstrapConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.estimator not in ("hd", "t7"):
-            raise ValueError(f"estimator must be 'hd' or 't7', got {self.estimator!r}")
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
+        if self.quantiles is None:
+            return
+        object.__setattr__(self, "quantiles", tuple(float(q) for q in self.quantiles))
         if len(self.quantiles) == 0:
             raise ValueError("quantile set must be non-empty")
         if any(not 0.0 < q < 1.0 for q in self.quantiles):
             raise ValueError(f"quantiles must lie strictly in (0, 1), got {self.quantiles}")
         if any(q2 <= q1 for q1, q2 in zip(self.quantiles, self.quantiles[1:])):
             raise ValueError(f"quantiles must be strictly increasing, got {self.quantiles}")
+
+
+def _with_family(config: BootstrapConfig | None, family) -> BootstrapConfig:
+    """``config`` (default settings when None) testing ``family`` unless it names quantiles."""
+    config = config if config is not None else BootstrapConfig()
+    return config if config.quantiles is not None else replace(config, quantiles=family)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ import time
 
 import numpy as np
 
-from .bootstrap import DECILES, BootstrapConfig
+from .bootstrap import BootstrapConfig
 from .contrasts import _contrast_tests, decinter
 from .data import DataError, parse_level_order, read_long_csv
 from .design import INTERACTION, MAIN_A, MAIN_B
 from .multcomp import CORRECTIONS
-from .pairwise import IBAND_QUANTILES, iband, pairwise_differences, ph_probability
+from .pairwise import iband, pairwise_differences, ph_probability
 from .quantiles import ESTIMATORS, estimate_quantiles
 from .simulation import (
     REPORT_COLUMNS,
@@ -67,9 +67,9 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
                      help="explicit level ordering (default: lexicographic)")
 
 
-def _add_analysis_flags(sub: argparse.ArgumentParser, default_quantiles) -> None:
+def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--estimator", choices=ESTIMATORS, default="hd")
-    sub.add_argument("--quantiles", type=_parse_quantiles, default=default_quantiles,
+    sub.add_argument("--quantiles", type=_parse_quantiles, default=None,
                      metavar="Q1,Q2,...", help="quantile levels, each strictly in (0,1)")
     sub.add_argument("--nboot", type=int, default=2000, help="bootstrap replicates")
     sub.add_argument("--alpha", type=float, default=0.05)
@@ -96,13 +96,13 @@ def _load_sample(args):
     return sample
 
 
-def _config(args, quantiles) -> BootstrapConfig:
+def _config(args) -> BootstrapConfig:
     return BootstrapConfig(
         n_boot=args.nboot,
         alpha=args.alpha,
         seed=args.seed,
         estimator=args.estimator,
-        quantiles=quantiles,
+        quantiles=args.quantiles,
     )
 
 
@@ -140,7 +140,7 @@ def _emit_table(rows, args, payload) -> None:
 
 def _cmd_decinter(args) -> int:
     sample = _load_sample(args)
-    config = _config(args, args.quantiles)
+    config = _config(args)
     kind = _CONTRAST_FLAGS[args.contrast]
     t0 = time.perf_counter()
     rows = decinter(sample, kind, config, args.correction)
@@ -154,7 +154,7 @@ def _cmd_decinter(args) -> int:
 
 def _cmd_iband(args) -> int:
     sample = _load_sample(args)
-    config = _config(args, args.quantiles)
+    config = _config(args)
     t0 = time.perf_counter()
     rows = iband(sample, config, args.correction)
     if args.progress:
@@ -179,14 +179,14 @@ def _cmd_iband(args) -> int:
 
 def _plot_rows(sample, args):
     """Shift-function points for every panel of the 2x2 summary."""
-    config = _config(args, args.quantiles)
+    inter, main_a, main_b = _contrast_tests(
+        sample, (INTERACTION, MAIN_A, MAIN_B), _config(args), args.correction)
+    quantiles = tuple(row.q for row in inter)
     x11, x12, x21, x22 = sample.flat_cells()
     pooled = {
-        "a": estimate_quantiles(np.concatenate([x11, x12]), config.quantiles, config.estimator),
-        "b": estimate_quantiles(np.concatenate([x11, x21]), config.quantiles, config.estimator),
+        "a": estimate_quantiles(np.concatenate([x11, x12]), quantiles, args.estimator),
+        "b": estimate_quantiles(np.concatenate([x11, x21]), quantiles, args.estimator),
     }
-    inter, main_a, main_b = _contrast_tests(
-        sample, (INTERACTION, MAIN_A, MAIN_B), config, args.correction)
     out = []
     for row, x in zip(inter, pooled["a"]):
         out.append(("interaction", row.q, float(x), row.dif, row.ci_low, row.ci_high))
@@ -249,19 +249,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("decinter", help="quantile-by-quantile contrast test")
     _add_data_flags(p)
     p.add_argument("--contrast", choices=tuple(_CONTRAST_FLAGS), default="interaction")
-    _add_analysis_flags(p, DECILES)
+    _add_analysis_flags(p)
     p.set_defaults(func=_cmd_decinter)
 
     p = subs.add_parser("iband", help="all-pairwise-difference quantile interaction test")
     _add_data_flags(p)
     p.add_argument("--ph", action="store_true",
                    help="also report P(X<Y) for each level of factor A")
-    _add_analysis_flags(p, IBAND_QUANTILES)
+    _add_analysis_flags(p)
     p.set_defaults(func=_cmd_iband)
 
     p = subs.add_parser("plotdata", help="export shift-function points as tidy CSV")
     _add_data_flags(p)
-    _add_analysis_flags(p, DECILES)
+    _add_analysis_flags(p)
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_plotdata)
 

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _cell_resample_matrices, _quantile_rows
+from .bootstrap import DECILES, BootstrapConfig, _cell_resample_matrices, _quantile_rows, _with_family
 from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
 from .quantiles import _from_sorted_rows, estimate_quantiles
 
@@ -74,12 +74,14 @@ def _psi_star(cells, kind: str, config: BootstrapConfig) -> np.ndarray:
     return contrast_value(_cell_thetas(cells, config), kind)[2]
 
 
-def _contrast_tests(data, kinds, config: BootstrapConfig, correction: str) -> list:
+def _contrast_tests(data, kinds, config: BootstrapConfig | None, correction: str) -> list:
     """decinter rows for each contrast in ``kinds``, all from one bootstrap.
 
     Every contrast is linear in the same per-cell replicate quantiles, so
     testing several together gives the rows of separate decinter calls.
+    A config without quantiles tests the deciles.
     """
+    config = _with_family(config, DECILES)
     _warn_extreme_quantiles(data, config.quantiles)
     cells = data.flat_cells()
     estimates = [estimate_quantiles(c, config.quantiles, config.estimator) for c in cells]
@@ -102,7 +104,8 @@ def decinter(data, kind: str = INTERACTION, config: BootstrapConfig | None = Non
     kind : 'interaction', 'main_a' or 'main_b'
     config : BootstrapConfig, optional
         Defaults test the deciles .1 ... .9 with the Harrell-Davis
-        estimator and 2000 bootstrap replicates.
+        estimator and 2000 bootstrap replicates; a config without
+        quantiles tests the deciles.
     correction : 'bh', 'hochberg' or 'none'
         Multiplicity correction used for the adjusted p-value column.
 
@@ -110,5 +113,4 @@ def decinter(data, kind: str = INTERACTION, config: BootstrapConfig | None = Non
     -------
     list of QuantileTestRow, one per quantile in order.
     """
-    config = config if config is not None else BootstrapConfig()
     return _contrast_tests(data, (kind,), config, correction)[0]

@@ -18,6 +18,7 @@ from .bootstrap import (
     InferenceResult,
     _cell_resample_matrices,
     _quantile_rows,
+    _with_family,
     percentile_ci,
     signed_pvalue,
 )
@@ -91,10 +92,10 @@ def iband(data, config: BootstrapConfig | None = None, correction: str = "bh") -
     cells (not the difference sets), preserving the dependence structure
     of the pairwise differences within a replicate.
 
-    Returns a list of QuantileTestRow; the default quantile set is
-    (.1, .25, .5, .75, .9).
+    Returns a list of QuantileTestRow; the quantile set is
+    (.1, .25, .5, .75, .9) unless the config names its own.
     """
-    config = config if config is not None else BootstrapConfig(quantiles=IBAND_QUANTILES)
+    config = _with_family(config, IBAND_QUANTILES)
     cells = data.flat_cells()
     x11, x12, x21, x22 = (c[None, :] for c in cells)
     est1 = _diff_quantiles_by_block(x11, x12, config.quantiles, config.estimator)[0]

@@ -18,11 +18,11 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bootstrap import DECILES, BootstrapConfig, signed_pvalue
+from .bootstrap import DECILES, BootstrapConfig, _check_integer, signed_pvalue
 from .contrasts import _psi_star
 from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
 from .distributions import DistributionSpec, generate
@@ -156,9 +156,7 @@ class SimCondition:
             raise ValueError("cell_specs must hold exactly four DistributionSpec entries")
         object.__setattr__(self, "cell_specs", specs)
         for name in ("n_per_group", "n_sims", "n_boot", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.method == "anova_means":
@@ -176,6 +174,8 @@ class SimCondition:
             raise ValueError(f"n_sims must be at least 1, got {self.n_sims}")
         if self.n_per_group < 1:
             raise ValueError(f"n_per_group must be at least 1, got {self.n_per_group}")
+        if self.method == "anova_means" and self.n_per_group < 2:
+            raise ValueError(f"anova_means needs n_per_group >= 2, got {self.n_per_group}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.method.startswith("iband") and self.contrast != INTERACTION:
@@ -337,47 +337,26 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
 
 # --- experiment files -------------------------------------------------
 
-_SPEC_FIELDS = {f.name for f in fields(DistributionSpec)}
-# an entry passes SimCondition fields through as given, except cell_specs,
-# which it builds from 'cells' and 'shifts'; a field it leaves out keeps
-# the SimCondition default
-_COND_FIELDS = {f.name for f in fields(SimCondition)} - {"cell_specs"}
 
-
-def _parse_spec(obj, where: str) -> DistributionSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ExperimentError(f"{where}: each cell spec must be an object with a 'kind'")
-    unknown = set(obj) - _SPEC_FIELDS
-    if unknown:
-        raise ExperimentError(f"{where}: unknown spec fields {sorted(unknown)}")
-    try:
-        return DistributionSpec(**obj)
-    except (TypeError, ValueError) as exc:
-        raise ExperimentError(f"{where}: {exc}") from exc
-
-
-def _parse_cells(merged: dict, where: str) -> tuple:
-    cells = merged.get("cells")
+def _parse_cells(cells, shifts) -> tuple:
     if cells is None:
-        raise ExperimentError(f"{where}: missing 'cells'")
+        raise ValueError("missing 'cells'")
     if isinstance(cells, dict):
-        specs = [_parse_spec(cells, where)] * 4
+        specs = [DistributionSpec(**cells)] * 4
     elif isinstance(cells, list) and len(cells) == 4:
-        specs = [_parse_spec(c, where) for c in cells]
+        specs = [DistributionSpec(**c) for c in cells]
     else:
-        raise ExperimentError(f"{where}: 'cells' must be one spec or a list of four")
-    shifts = merged.get("shifts")
+        raise ValueError("'cells' must be one spec or a list of four")
     if shifts is not None:
         if not (isinstance(shifts, list) and len(shifts) == 4):
-            raise ExperimentError(f"{where}: 'shifts' must list four numbers")
+            raise ValueError("'shifts' must list four numbers")
         specs = [replace(s, shift=s.shift + float(d)) for s, d in zip(specs, shifts)]
     return tuple(specs)
 
 
-def _grid_values(merged: dict, key: str, where: str) -> list:
-    values = merged.get(key)
+def _grid_values(values, key: str) -> list:
     if values is None or values == []:
-        raise ExperimentError(f"{where}: missing or empty {key!r}")
+        raise ValueError(f"missing or empty {key!r}")
     return values if isinstance(values, list) else [values]
 
 
@@ -389,7 +368,8 @@ def load_experiment(source) -> list:
     Within a condition, ``n_per_group`` and ``method`` may be lists; the
     grid is expanded into one condition per combination.  Conditions
     without their own ``seed`` inherit the master seed, so variants that
-    share populations also share simulated data.
+    share populations also share simulated data.  Names must be unique;
+    a bad entry raises an :class:`ExperimentError` naming ``conditions[i]``.
     """
     if isinstance(source, dict):
         obj = source
@@ -413,40 +393,34 @@ def load_experiment(source) -> list:
         raise ExperimentError("experiment file needs a non-empty 'conditions' list")
 
     conditions = []
+    names = set()
     for idx, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ExperimentError(f"conditions[{idx}] must be an object")
-        merged = {**defaults, **entry}
-        where = f"conditions[{idx}]"
-        unknown = set(merged) - _COND_FIELDS - {"cells", "shifts", "mode"}
-        if unknown:
-            raise ExperimentError(f"{where}: unknown fields {sorted(unknown)}")
-        specs = _parse_cells(merged, where)
-        n_values = _grid_values(merged, "n_per_group", where)
-        methods = _grid_values(merged, "method", where)
-        settings = {"seed": master, "name": f"cond{idx}",
-                    **{k: v for k, v in merged.items() if k in _COND_FIELDS}}
-        for method in methods:
-            for n in n_values:
-                suffix = ""
-                if len(methods) > 1:
-                    suffix += f"-{method}"
-                if len(n_values) > 1:
-                    suffix += f"-n{n}"
-                try:
-                    cond = SimCondition(**{
-                        **settings, "cell_specs": specs, "n_per_group": n,
-                        "method": method, "name": settings["name"] + suffix,
-                    })
-                except (TypeError, ValueError) as exc:
-                    raise ExperimentError(f"{where}: {exc}") from exc
-                declared = merged.get("mode")
-                if declared is not None and declared != cond.mode:
-                    raise ExperimentError(
-                        f"{where}: declared mode {declared!r} but the cell "
-                        f"populations imply {cond.mode!r}"
-                    )
-                conditions.append(cond)
+        # the two dataclasses check every field; a stray one is a TypeError naming it
+        try:
+            rest = {"seed": master, "name": f"cond{idx}", **defaults, **entry}
+            specs = _parse_cells(rest.pop("cells", None), rest.pop("shifts", None))
+            declared = rest.pop("mode", None)
+            n_values = _grid_values(rest.pop("n_per_group", None), "n_per_group")
+            methods = _grid_values(rest.pop("method", None), "method")
+            name = rest.pop("name")
+            for method in methods:
+                for n in n_values:
+                    suffix = ""
+                    if len(methods) > 1:
+                        suffix += f"-{method}"
+                    if len(n_values) > 1:
+                        suffix += f"-n{n}"
+                    cond = SimCondition(cell_specs=specs, n_per_group=n, method=method,
+                                        name=name + suffix, **rest)
+                    if declared is not None and declared != cond.mode:
+                        raise ValueError(f"declared mode {declared!r} but the cell "
+                                         f"populations imply {cond.mode!r}")
+                    if cond.name in names:
+                        raise ValueError(f"condition name {cond.name!r} is used twice")
+                    names.add(cond.name)
+                    conditions.append(cond)
+        except (TypeError, ValueError) as exc:
+            raise ExperimentError(f"conditions[{idx}]: {exc}") from exc
     return conditions
 
 

@@ -114,7 +114,7 @@ class TestBootstrapConfig:
     def test_defaults(self):
         config = BootstrapConfig()
         assert config.n_boot == 2000
-        assert config.quantiles == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+        assert config.quantiles is None  # each test supplies its own family
 
     @pytest.mark.parametrize("kwargs", [
         {"n_boot": 30, "alpha": 0.05},           # B < 2/alpha
@@ -125,10 +125,19 @@ class TestBootstrapConfig:
         {"quantiles": (0.5, 0.2)},
         {"estimator": "median"},
         {"seed": -1},
+        {"seed": 1.5},
+        {"seed": "1"},
+        {"seed": True},
+        {"n_boot": 200.0},
+        {"n_boot": "200"},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             BootstrapConfig(**kwargs)
+
+    def test_numpy_integer_counts_pass(self):
+        config = BootstrapConfig(n_boot=np.int64(200), seed=np.uint32(3))
+        assert config == BootstrapConfig(n_boot=200, seed=3)
 
 
 class TestBootstrapStatistic:

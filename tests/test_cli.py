@@ -12,6 +12,7 @@ from qshift import (
     MAIN_A,
     MAIN_B,
     BootstrapConfig,
+    adjust_pvalues,
     decinter,
     load_experiment,
     read_long_csv,
@@ -97,6 +98,25 @@ class TestDecinterCommand:
         )
         rows = decinter(sample, INTERACTION, BootstrapConfig(n_boot=300, seed=9), "bh")
         assert payload["rows"] == [dataclasses.asdict(r) for r in rows]
+
+    @pytest.mark.parametrize("flags", [
+        ("--correction", "none"), ("--correction", "hochberg"), ("--correction", "bh"),
+        ("--alpha", "0.1"),
+    ])
+    def test_alpha_and_correction_flags(self, capsys, normal_csv, flags):
+        correction = dict([flags]).get("--correction", "bh")
+        alpha = float(dict([flags]).get("--alpha", 0.05))
+        code, out, _ = _run(capsys, "decinter", "--input", normal_csv, "--nboot", "300",
+                            "--seed", "9", "--format", "json", *flags)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        adjusted = adjust_pvalues([r["p_value"] for r in rows], correction)
+        assert [r["p_adjusted"] for r in rows] == adjusted.tolist()
+        sample, _ = read_long_csv(normal_csv, "a", "b", "y")
+        expected = decinter(sample, INTERACTION,
+                            BootstrapConfig(n_boot=300, seed=9, alpha=alpha), correction)
+        assert [(r["ci_low"], r["ci_high"]) for r in rows] == [
+            (e.ci_low, e.ci_high) for e in expected]
 
     def test_bitwise_determinism_across_runs(self, capsys, normal_csv):
         args = ("decinter", "--input", normal_csv, "--nboot", "500", "--seed", "4")
@@ -280,6 +300,18 @@ class TestSimulateCommand:
         code, _, err = _run(capsys, "simulate", path)
         assert code == 2
         assert "seed must be non-negative" in err
+
+    def test_null_shift_is_experiment_error(self, capsys, tmp_path):
+        path = self._experiment(tmp_path, {
+            "conditions": [{
+                "name": "null-shift", "method": "anova_means", "n_per_group": 10,
+                "cells": {"kind": "normal"}, "shifts": [0, 0, 0, None], "n_sims": 2,
+            }],
+        })
+        code, _, err = _run(capsys, "simulate", path)
+        assert code == 2
+        assert err.startswith("error: conditions[0]: ")
+        assert "Traceback" not in err
 
     def test_deterministic_csv_bytes(self, capsys, tmp_path):
         path = self._experiment(tmp_path, {

@@ -87,6 +87,12 @@ class TestIband:
         rows = iband(sample)
         assert [row.q for row in rows] == [0.1, 0.25, 0.5, 0.75, 0.9]
 
+    def test_config_without_quantiles_tests_iband_family(self):
+        rng = stream(3, "ib")
+        sample = FactorialSample.from_cells(*(rng.normal(size=25) for _ in range(4)))
+        rows = iband(sample, BootstrapConfig(n_boot=200, seed=1))
+        assert tuple(row.q for row in rows) == IBAND_QUANTILES
+
     def test_estimates_are_diff_quantiles(self):
         rng = stream(4, "ib")
         cells = [rng.normal(size=20) for _ in range(4)]

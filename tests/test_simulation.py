@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness and the ANOVA baseline."""
 
+import re
 import warnings
 from pathlib import Path
 
@@ -122,6 +123,7 @@ class TestConditions:
         ({"n_boot": "600"}, "n_boot must be an integer"),
         ({"seed": True}, "seed must be an integer"),
         ({"n_per_group": 10.7, "method": "anova_means"}, "n_per_group"),
+        ({"n_per_group": 1, "method": "anova_means"}, "n_per_group >= 2"),
     ])
     def test_invalid_settings_fail_when_built(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -301,10 +303,46 @@ class TestExperimentFiles:
                          "cells": {"kind": "normal"}, "seed": True}]},
         {"seed": 1.5, "conditions": [{"method": "anova_means", "n_per_group": 10,
                                       "cells": {"kind": "normal"}}]},
+        {"conditions": [{"method": "anova_means", "n_per_group": 1,
+                         "cells": {"kind": "normal"}}]},
+        # shifts are numbers, names are unique, cell_specs comes from 'cells'
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "shifts": [0, 0, 0, "a"]}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "shifts": [0, 0, 0, None]}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": [10, 10],
+                         "cells": {"kind": "normal"}}]},
+        {"conditions": [{"name": "x", "method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}}] * 2},
+        {"defaults": {"name": "x"},
+         "conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}}] * 2},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "cell_specs": []}]},
     ])
     def test_invalid_experiments(self, bad):
         with pytest.raises(ExperimentError):
             load_experiment(bad)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"bogus": 1}, "unexpected keyword argument 'bogus'"),
+        ({"cell_specs": []}, "multiple values for keyword argument 'cell_specs'"),
+        ({"cells": {"kind": "normal", "spread": 2}}, "unexpected keyword argument 'spread'"),
+        ({"cells": {"mean": 3.0}}, "missing 1 required positional argument: 'kind'"),
+        ({"cells": None}, "missing 'cells'"),
+        ({"shifts": [0, 0, 0, "a"]}, "could not convert string to float"),
+        ({"shifts": [0, 0, 0, None]}, "float"),
+        ({"n_per_group": [10, 10]}, "condition name 'x-n10' is used twice"),
+        ({"name": "good"}, "condition name 'good' is used twice"),
+        ({"mode": "power"}, "declared mode 'power'"),
+    ])
+    def test_bad_entry_names_its_index(self, change, message):
+        good = {"name": "good", "method": "anova_means", "n_per_group": 10,
+                "cells": {"kind": "normal"}}
+        bad = {**good, "name": "x", **change}
+        with pytest.raises(ExperimentError, match=re.escape("conditions[1]: ") + ".*"
+                           + re.escape(message)):
+            load_experiment({"conditions": [good, bad]})
 
     def test_empty_grid_list_names_its_entry(self):
         good = {"method": "anova_means", "n_per_group": 10, "cells": {"kind": "normal"}}

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bootstrap import _check_integer
+
 __all__ = [
     "DistributionSpec",
     "generate",
@@ -60,12 +62,13 @@ class DistributionSpec:
         if self.kind == "beta_binomial":
             if not (self.r > 0 and self.s > 0):
                 raise ValueError(f"beta-binomial needs r, s > 0, got r={self.r}, s={self.s}")
+            _check_integer("nbin", self.nbin)
             if self.nbin < 2:
                 raise ValueError(f"beta-binomial needs nbin >= 2, got {self.nbin}")
         if self.kind == "g_and_h" and self.h < 0:
             raise ValueError(f"g-and-h tail parameter h must be >= 0, got {self.h}")
-        if not math.isfinite(self.shift):
-            raise ValueError(f"shift must be finite, got {self.shift}")
+        if isinstance(self.shift, bool) or not math.isfinite(self.shift):
+            raise ValueError(f"shift must be a finite number, got {self.shift!r}")
 
 
 def _contaminate(base: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -9,6 +9,15 @@ the fraction of strictly negative differences.
 Unlike the cell-quantile contrast, this comparison is not invariant to
 interchanging the rows and columns of the design, because the pairing of
 cells changes.
+
+Each bootstrap replicate needs quantiles of n1*n2 differences.  When the
+two cells hold V1 and V2 distinct values with V1*V2 at most a quarter of
+n1*n2 (counts, ratings, rounded data), the differences are counted
+instead of built and sorted: the histogram of a replicate's differences
+follows from the two cells' value counts, and its cumulative counts give
+the order statistics.  The counting path is exact up to summation order:
+type-7 estimates are bit-identical to the sort, Harrell-Davis estimates
+differ in the last bits.  Continuous cells always take the sort.
 """
 
 import numpy as np
@@ -22,7 +31,7 @@ from .bootstrap import (
     percentile_ci,
     signed_pvalue,
 )
-from .quantiles import _as_sample, _from_sorted_rows
+from .quantiles import _as_sample, _from_cumulative_counts, _from_sorted_rows
 
 __all__ = [
     "IBAND_QUANTILES",
@@ -36,6 +45,11 @@ IBAND_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 # cap on elements per pairwise scratch block, ~32 MB of float64
 _BLOCK_ELEMENTS = 1 << 22
+
+# counting beats sorting once the distinct value pairs are this many times
+# fewer than the pairwise differences: on a 2-core VM it was 2-19x faster
+# at n=100 up to V1*V2 = .34 n1*n2, and even with the sort near .38 at n=30
+_TIE_RATIO = 4
 
 
 def pairwise_differences(x, y) -> np.ndarray:
@@ -62,9 +76,14 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
 
     ``mx`` and ``my`` are (B, n1) and (B, n2) resample matrices; replicate
     b pairs row b of each.  The point estimate passes each cell as a
-    one-row matrix.  Work proceeds in blocks of replicates so the
-    pairwise scratch buffer stays bounded.
+    one-row matrix.  Tied cells are counted (see ``_diff_quantiles_by_count``);
+    otherwise each replicate's differences are built and sorted.  Work
+    proceeds in blocks of replicates so the scratch buffers stay bounded.
     """
+    quantiles = tuple(quantiles)
+    tied = _tied_values(mx, my)
+    if tied is not None:
+        return _diff_quantiles_by_count(*tied, quantiles, estimator)
     n_boot = mx.shape[0]
     n_pairs = mx.shape[1] * my.shape[1]
     out = np.empty((n_boot, len(quantiles)))
@@ -73,7 +92,60 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
         stop = min(start + step, n_boot)
         d = (mx[start:stop, :, None] - my[start:stop, None, :]).reshape(stop - start, n_pairs)
         d.sort(axis=1)
-        out[start:stop] = _from_sorted_rows(d, tuple(quantiles), estimator)
+        out[start:stop] = _from_sorted_rows(d, quantiles, estimator)
+    return out
+
+
+def _tied_values(mx: np.ndarray, my: np.ndarray):
+    """Each matrix's distinct values and the index of every entry among
+    them, or None unless the V1*V2 distinct pairs number at most
+    n1*n2 / _TIE_RATIO.  The index matrices keep each row's entries but
+    not their order.
+    """
+    limit = mx.shape[1] * my.shape[1] // _TIE_RATIO
+    # row 0 holds a subset of each matrix's values, so this rejects
+    # continuous cells without scanning the whole matrices
+    if np.unique(mx[0]).size * np.unique(my[0]).size > limit:
+        return None
+    ux, uy = np.unique(mx), np.unique(my)
+    if ux.size * uy.size > limit:
+        return None
+    # searchsorted resumes from the previous key while keys ascend, so
+    # sorting each row first makes the lookup about 3x faster
+    return (ux, np.searchsorted(ux, np.sort(mx, axis=1)),
+            uy, np.searchsorted(uy, np.sort(my, axis=1)))
+
+
+def _value_counts(index: np.ndarray, n_values: int) -> np.ndarray:
+    """(n_values, rows) occurrences of each value index in each row of ``index``."""
+    rows = index.shape[0]
+    flat = (index + n_values * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=rows * n_values).reshape(rows, n_values).T
+
+
+def _diff_quantiles_by_count(ux, ix, uy, iy, quantiles: tuple, estimator) -> np.ndarray:
+    """The sort path's estimates, from counts of each cell's distinct values.
+
+    A replicate holding ux[i] c_x[i] times and uy[h] c_y[h] times holds
+    the difference ux[i] - uy[h] c_x[i] * c_y[h] times.  Accumulating
+    those products over the pairs in ascending order of their difference
+    gives the exact cumulative counts of the n1*n2 sorted differences
+    without building them.
+    """
+    diffs = (ux[:, None] - uy[None, :]).ravel()
+    order = np.argsort(diffs, kind="stable")
+    i, h = np.divmod(order, uy.size)
+    values, first = np.unique(diffs[order], return_index=True)
+    last = np.append(first[1:], diffs.size) - 1
+    n_boot = ix.shape[0]
+    out = np.empty((n_boot, len(quantiles)))
+    step = max(1, _BLOCK_ELEMENTS // (diffs.size * len(quantiles)))
+    for start in range(0, n_boot, step):
+        stop = min(start + step, n_boot)
+        cx = _value_counts(ix[start:stop], ux.size)
+        cy = _value_counts(iy[start:stop], uy.size)
+        cum = (cx[i] * cy[h]).cumsum(axis=0)[last]
+        out[start:stop] = _from_cumulative_counts(values, cum, quantiles, estimator)
     return out
 
 

@@ -208,3 +208,29 @@ def _from_sorted_rows(rows: np.ndarray, quantiles: tuple, estimator: str) -> np.
         lo = rows[:, j]
         return lo + g * (rows[:, j + 1] - lo)
     raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+
+
+def _from_cumulative_counts(values: np.ndarray, cum: np.ndarray, quantiles: tuple,
+                            estimator: str) -> np.ndarray:
+    """``_from_sorted_rows`` for m rows given as counts over shared values.
+
+    ``values`` holds D ascending distinct values, and ``cum[k, r]`` is how
+    many elements of row r are at most ``values[k]``, so the last line of
+    the (D, m) matrix holds the row length n >= 2.  Type 7 reads the same
+    two order statistics as the sorted rows, so it is bit-identical;
+    Harrell-Davis weighs each value by the weight mass of its order
+    statistics, which changes only the summation order.
+    """
+    n = int(cum[-1, 0])
+    if estimator == HARRELL_DAVIS:
+        table = np.zeros((n + 1, len(quantiles)))
+        np.cumsum(_hd_weight_matrix(n, quantiles), axis=0, out=table[1:])
+        mass = np.diff(table[cum], axis=0, prepend=0.0)
+        # cumsum adds the values strictly in order, so a value of zero mass
+        # leaves the bits of the estimate unchanged
+        return (mass * values[:, None, None]).cumsum(axis=0)[-1]
+    if estimator == TYPE7:
+        j, g = _t7_interp(n, quantiles)
+        lo = values[(cum[:, :, None] <= j).sum(axis=0)]
+        return lo + g * (values[(cum[:, :, None] <= j + 1).sum(axis=0)] - lo)
+    raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")

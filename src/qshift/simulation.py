@@ -350,7 +350,10 @@ def _parse_cells(cells, shifts) -> tuple:
     if shifts is not None:
         if not (isinstance(shifts, list) and len(shifts) == 4):
             raise ValueError("'shifts' must list four numbers")
-        specs = [replace(s, shift=s.shift + float(d)) for s, d in zip(specs, shifts)]
+        offsets = [float(d) for d in shifts]  # names a null or a non-numeric string
+        if any(isinstance(d, (bool, str)) for d in shifts):
+            raise ValueError(f"'shifts' must list four numbers, got {shifts!r}")
+        specs = [replace(s, shift=s.shift + d) for s, d in zip(specs, offsets)]
     return tuple(specs)
 
 

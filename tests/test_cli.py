@@ -313,6 +313,17 @@ class TestSimulateCommand:
         assert err.startswith("error: conditions[0]: ")
         assert "Traceback" not in err
 
+    def test_non_integer_nbin_is_experiment_error(self, capsys, tmp_path):
+        path = self._experiment(tmp_path, {
+            "conditions": [{
+                "name": "half-bin", "method": "anova_means", "n_per_group": 10,
+                "cells": {"kind": "beta_binomial", "nbin": 10.5}, "n_sims": 2,
+            }],
+        })
+        code, _, err = _run(capsys, "simulate", path)
+        assert code == 2
+        assert err.startswith("error: conditions[0]: nbin must be an integer, got 10.5")
+
     def test_deterministic_csv_bytes(self, capsys, tmp_path):
         path = self._experiment(tmp_path, {
             "seed": 3,

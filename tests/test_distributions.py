@@ -76,6 +76,21 @@ class TestGenerate:
         b = generate(spec, 100, stream(11, "det", 3))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("nbin", [10.5, 10.0, True, "10"])
+    def test_beta_binomial_nbin_must_be_integer(self, nbin):
+        with pytest.raises(ValueError, match="nbin must be an integer"):
+            DistributionSpec("beta_binomial", nbin=nbin)
+
+    def test_beta_binomial_numpy_integer_nbin_passes(self):
+        x = generate(DistributionSpec("beta_binomial", r=9.0, s=9.0, nbin=np.int64(10)),
+                     2000, stream(12, "nbin"))
+        assert set(np.unique(x)) == set(range(10))
+
+    @pytest.mark.parametrize("shift", [True, "0.5", float("inf")])
+    def test_shift_must_be_a_finite_number(self, shift):
+        with pytest.raises((TypeError, ValueError)):
+            DistributionSpec("normal", shift=shift)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             DistributionSpec("poisson", mean=0.0)

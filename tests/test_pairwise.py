@@ -1,21 +1,37 @@
 """Tests for the all-pairwise-difference quantile tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import qshift.pairwise as pairwise_mod
 
 from qshift import (
     BootstrapConfig,
     FactorialSample,
     IBAND_QUANTILES,
+    hd_quantile,
     iband,
     median_diff_test,
     pairwise_differences,
     ph_probability,
     stream,
 )
+from qshift.bootstrap import _cell_resample_matrices
 from qshift.rng import derive_seed
 
-from oracles import type7_quantile
+from oracles import bootstrap_statistic, type7_quantile
+
+# 10-20 draws from at most five points of a lattice with step 1 or 0.5,
+# negative values included: V1*V2 <= 25 <= n1*n2/4, so the differences are
+# counted, not sorted
+_lattice_cell = st.tuples(
+    st.sampled_from([1.0, 0.5]),
+    st.lists(st.integers(-2, 2), min_size=10, max_size=20),
+).map(lambda c: c[0] * np.array(c[1], dtype=float))
 
 
 class TestPairwiseDifferences:
@@ -134,8 +150,6 @@ class TestIband:
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         """Replicates processed in tiny blocks give the same rows as one pass."""
-        import qshift.pairwise as pairwise_mod
-
         rng = stream(7, "blocks")
         sample = FactorialSample.from_cells(*(rng.normal(size=24) for _ in range(4)))
         config = BootstrapConfig(n_boot=150, seed=4, quantiles=IBAND_QUANTILES)
@@ -150,8 +164,61 @@ class TestIband:
             assert a.ci_low == pytest.approx(b.ci_low, rel=1e-12, abs=1e-12)
             assert a.ci_high == pytest.approx(b.ci_high, rel=1e-12, abs=1e-12)
 
+        # tied cells are counted, not sorted; the counts of one replicate
+        # never meet another's, so every row is identical
+        tied = FactorialSample.from_cells(*(rng.poisson(3.0, 24).astype(float) for _ in range(4)))
+        cells = tied.flat_cells()
+        assert pairwise_mod._tied_values(cells[0][None], cells[1][None]) is not None
+        full = iband(tied, config)
+        monkeypatch.setattr(pairwise_mod, "_BLOCK_ELEMENTS", 1)  # one replicate per block
+        assert iband(tied, config) == full
+
+
+@pytest.mark.parametrize("estimator", ["hd", "t7"])
+@settings(max_examples=40, deadline=None)
+@given(x=_lattice_cell, y=_lattice_cell)
+@example(x=np.full(12, 1.5), y=np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0] * 3))
+@example(x=np.arange(-2.0, 3.0).repeat(2), y=np.arange(-1.0, 1.5, 0.5).repeat(4))
+def test_counting_path_matches_sort_path_and_oracle(estimator, x, y):
+    """On tied cells the counted quantiles equal the sorted ones: type 7 bit
+    for bit, Harrell-Davis up to summation order, and with the same
+    exact-zero replicates."""
+    config = BootstrapConfig(n_boot=40, seed=9, estimator=estimator,
+                             quantiles=IBAND_QUANTILES)
+    mx, my = _cell_resample_matrices((x, y), config)
+    assert pairwise_mod._tied_values(mx, my) is not None
+    counted = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, estimator)
+    with mock.patch.object(pairwise_mod, "_TIE_RATIO", x.size * y.size + 1):
+        assert pairwise_mod._tied_values(mx, my) is None
+        by_sort = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, estimator)
+    est = {"hd": hd_quantile, "t7": type7_quantile}[estimator]
+    by_oracle = np.column_stack([
+        bootstrap_statistic((x, y), lambda c: est(pairwise_differences(c[0], c[1]), q),
+                            config).values
+        for q in IBAND_QUANTILES
+    ])
+    if estimator == "t7":
+        np.testing.assert_array_equal(counted, by_sort)
+        np.testing.assert_array_equal(np.sort(counted, axis=0), by_oracle)
+    else:
+        scale = np.abs(pairwise_differences(x, y)).max()
+        np.testing.assert_allclose(counted, by_sort, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(np.sort(counted, axis=0), by_oracle,
+                                   rtol=1e-12, atol=1e-12 * scale)
+    zeros = np.count_nonzero(counted == 0.0, axis=0)
+    np.testing.assert_array_equal(zeros, np.count_nonzero(by_sort == 0.0, axis=0))
+    np.testing.assert_array_equal(zeros, np.count_nonzero(by_oracle == 0.0, axis=0))
+
 
 class TestMedianDiffTest:
+    def test_tied_estimate_is_hd_median_of_differences(self):
+        rng = stream(8, "tied-median")
+        x, y = rng.poisson(4.0, 30).astype(float), rng.poisson(5.0, 25).astype(float)
+        assert pairwise_mod._tied_values(x[None], y[None]) is not None
+        result = median_diff_test(x, y, BootstrapConfig(n_boot=200, seed=3))
+        assert result.estimate == pytest.approx(
+            hd_quantile(pairwise_differences(x, y), 0.5), rel=1e-12, abs=1e-12)
+
     def test_identical_constants(self):
         result = median_diff_test([3.0] * 25, [3.0] * 25, BootstrapConfig(n_boot=400, seed=1))
         assert result.estimate == 0.0

@@ -319,6 +319,17 @@ class TestExperimentFiles:
                          "cells": {"kind": "normal"}}] * 2},
         {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
                          "cells": {"kind": "normal"}, "cell_specs": []}]},
+        # shifts are numbers, not bools or numeric strings; nbin is an integer
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "shifts": [0, 0, True, "0.5"]}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "shifts": [0, 0, 0, "0.5"]}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal"}, "shifts": [0, 0, 0, True]}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "beta_binomial", "nbin": 10.5}}]},
+        {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
+                         "cells": {"kind": "normal", "shift": True}}]},
     ])
     def test_invalid_experiments(self, bad):
         with pytest.raises(ExperimentError):

@@ -88,9 +88,13 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     n_pairs = mx.shape[1] * my.shape[1]
     out = np.empty((n_boot, len(quantiles)))
     step = max(1, _BLOCK_ELEMENTS // n_pairs)
+    # one scratch buffer for every block: a fresh block per step would
+    # fault in its pages again
+    buf = np.empty((min(step, n_boot), mx.shape[1], my.shape[1]))
     for start in range(0, n_boot, step):
         stop = min(start + step, n_boot)
-        d = (mx[start:stop, :, None] - my[start:stop, None, :]).reshape(stop - start, n_pairs)
+        d = np.subtract(mx[start:stop, :, None], my[start:stop, None, :], out=buf[:stop - start])
+        d = d.reshape(stop - start, n_pairs)
         d.sort(axis=1)
         out[start:stop] = _from_sorted_rows(d, quantiles, estimator)
     return out

@@ -11,6 +11,26 @@ continued-fraction expansion (modified Lentz), switching to the symmetry
 relation I_x(a,b) = 1 - I_{1-x}(b,a) for x above (a+1)/(a+b+2) where the
 fraction converges slowly.  Weights for a given n and quantile set are
 cached and reused across bootstrap replicates.
+
+Most Harrell-Davis weights of a large sample are negligible: the weight
+of level q sits within about 8.5 standard deviations sqrt(q(1-q)/n) of q.
+So each level reduces only its window, the order statistics left after
+trimming at most ``_HD_TAIL_MASS`` = 1e-17 of weight from each tail (838
+of n = 10^4 for the median).  The dropped weight moves an estimate by at
+most 2e-17 max|x|, below the rounding of the sum itself: windowed and
+dense estimates agree within 1e-14 max|x|.  An estimate that comes out
+exactly zero is summed in full, because the signed p-value counts exact
+zeros as ties and a window of tied values can be all zero where the full
+sum is not.  Windows pay only where they are short.  Where a level set's
+windows hold more than half of its n*Q weights (n below 153 for the
+iband family, 176 for the deciles, 246 for a lone median), the dense
+(n, Q) product is faster and is kept.
+
+Neither reduction depends on the BLAS thread count.  A window is one dot
+product per row, which OpenBLAS sums on one thread below 10^4 elements;
+a window reaches 10^4 only past n = 10^6.  The dense product sums fewer
+than 250 terms per estimate, and OpenBLAS's matrix product (Haswell
+kernels) changed bits with its thread count only from about 400 terms up.
 """
 
 import math
@@ -37,6 +57,9 @@ ESTIMATORS = (HARRELL_DAVIS, TYPE7)
 _CF_EPS = 1e-14
 _CF_TINY = 1e-300
 _CF_MAXITER = 2000
+
+# a window leaves out at most this much Harrell-Davis weight in each tail
+_HD_TAIL_MASS = 1e-17
 
 
 def _betacf(x: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -153,9 +176,7 @@ def _as_sample(values, name: str) -> np.ndarray:
 
 def hd_quantile(values, q: float) -> float:
     """Harrell-Davis estimate of the q-th quantile of a sample."""
-    xs = np.sort(_as_sample(values, "sample"))
-    w = _hd_weight_matrix(xs.size, (_check_quantile(q),))[:, 0]
-    return float(w @ xs)
+    return float(estimate_quantiles(values, (q,), HARRELL_DAVIS)[0])
 
 
 def estimate_quantiles(values, quantiles, estimator: str = HARRELL_DAVIS) -> np.ndarray:
@@ -182,6 +203,45 @@ def _hd_weight_matrix(n: int, quantiles: tuple) -> np.ndarray:
     return w
 
 
+def _tail_windows(w: np.ndarray) -> tuple:
+    """(lo, weights) per column of a weight matrix: the window
+    ``w[lo:lo + weights.size, j]`` leaves out at most ``_HD_TAIL_MASS`` of
+    the column's weight in each tail."""
+    n = w.shape[0]
+    head = np.count_nonzero(np.cumsum(w, axis=0) <= _HD_TAIL_MASS, axis=0)
+    tail = np.count_nonzero(np.cumsum(w[::-1], axis=0) <= _HD_TAIL_MASS, axis=0)
+    return tuple((int(lo), np.ascontiguousarray(w[lo:n - t, j]))
+                 for j, (lo, t) in enumerate(zip(head, tail)))
+
+
+@lru_cache(maxsize=512)
+def _hd_windows(n: int, quantiles: tuple):
+    """The windows of ``_hd_weight_matrix(n, quantiles)``, or None where
+    they hold more than half of its n*Q weights and the dense product is
+    faster (for 600 rows at n=30, deciles: 0.02 against 0.19 ms)."""
+    windows = _tail_windows(_hd_weight_matrix(n, quantiles))
+    if 2 * sum(w.size for _, w in windows) > n * len(quantiles):
+        return None
+    for _, w in windows:
+        w.setflags(write=False)
+    return windows
+
+
+def _windowed_product(rows: np.ndarray, windows: tuple, weights: np.ndarray) -> np.ndarray:
+    """``rows @ weights`` to within the dropped tails, from the windows of
+    its columns.  Each row and window is one dot product, so a row's
+    estimates do not depend on the rows reduced with it."""
+    out = np.empty((rows.shape[0], len(windows)))
+    for j, (lo, w) in enumerate(windows):
+        np.vecdot(rows[:, lo:lo + w.size], w, out=out[:, j])
+    # the signed p-value counts exact zeros as ties, and a window of tied
+    # values can be all zero where the full sum is not: sum those in full
+    r, j = np.nonzero(out == 0.0)
+    if r.size:
+        out[r, j] = np.einsum("kn,nk->k", rows[r], weights[:, j])
+    return out
+
+
 @lru_cache(maxsize=512)
 def _t7_interp(n: int, quantiles: tuple) -> tuple:
     h = (n - 1) * np.array([_check_quantile(q) for q in quantiles])
@@ -200,7 +260,11 @@ def _from_sorted_rows(rows: np.ndarray, quantiles: tuple, estimator: str) -> np.
     """
     n = rows.shape[1]
     if estimator == HARRELL_DAVIS:
-        return rows @ _hd_weight_matrix(n, quantiles)
+        weights = _hd_weight_matrix(n, quantiles)
+        windows = _hd_windows(n, quantiles)
+        if windows is None:
+            return rows @ weights
+        return _windowed_product(rows, windows, weights)
     if estimator == TYPE7:
         if n == 1:
             return np.repeat(rows, len(quantiles), axis=1)

@@ -155,14 +155,9 @@ class TestIband:
         config = BootstrapConfig(n_boot=150, seed=4, quantiles=IBAND_QUANTILES)
         full = iband(sample, config)
         monkeypatch.setattr(pairwise_mod, "_BLOCK_ELEMENTS", 24 * 24)  # one replicate per block
-        blocked = iband(sample, config)
-        for a, b in zip(full, blocked):
-            # block shape changes the BLAS accumulation order, so CI bounds
-            # may move by an ulp; everything else is identical
-            assert (a.q, a.est_lev1, a.est_lev2, a.dif) == (b.q, b.est_lev1, b.est_lev2, b.dif)
-            assert a.p_value == b.p_value
-            assert a.ci_low == pytest.approx(b.ci_low, rel=1e-12, abs=1e-12)
-            assert a.ci_high == pytest.approx(b.ci_high, rel=1e-12, abs=1e-12)
+        # each replicate's estimates are reduced on their own, in an order
+        # fixed by the window, so the block shape changes no bit
+        assert iband(sample, config) == full
 
         # tied cells are counted, not sorted; the counts of one replicate
         # never meet another's, so every row is identical

@@ -1,12 +1,33 @@
 """Tests for the quantile estimators and the incomplete-beta numerics."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift import estimate_quantiles, hd_quantile, hd_weights, regularized_incomplete_beta
-from qshift.quantiles import _from_sorted_rows
+import qshift
+from qshift import (
+    DECILES,
+    IBAND_QUANTILES,
+    estimate_quantiles,
+    hd_quantile,
+    hd_weights,
+    regularized_incomplete_beta,
+)
+from qshift.quantiles import (
+    _HD_TAIL_MASS,
+    _from_sorted_rows,
+    _hd_weight_matrix,
+    _hd_windows,
+    _tail_windows,
+    _windowed_product,
+)
 
 from oracles import beta_cdf_quad, hd_quantile_quad, type7_quantile
 
@@ -119,6 +140,13 @@ class TestHDQuantile:
             q = float(rng.choice(np.arange(1, 10) / 10))
             assert hd_quantile(xs, q) == pytest.approx(hd_quantile_quad(xs, q), abs=1e-8)
 
+    def test_is_the_batch_estimate(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 17, 245, 246, 3000):
+            xs = rng.lognormal(size=n)
+            for q in (0.01, 0.3, 0.5, 0.9):
+                assert hd_quantile(xs, q) == estimate_quantiles(xs, (q,), "hd")[0]
+
     def test_rejects_empty_and_nan(self):
         with pytest.raises(ValueError):
             hd_quantile([], 0.5)
@@ -203,3 +231,86 @@ def test_sorted_rows_fast_path_matches_scalar_api():
     for i, q in enumerate(quantiles):
         assert hd_row[i] == pytest.approx(hd_quantile(xs, q), abs=1e-12)
         assert t7_row[i] == pytest.approx(type7_quantile(xs, q), abs=1e-12)
+
+
+_LEVEL_SETS = (DECILES, IBAND_QUANTILES, (0.5,), (0.01, 0.99), (0.05, 0.5, 0.95))
+
+
+@st.composite
+def hd_reduction_case(draw):
+    """Sorted rows and a level set on one chosen side of the coverage rule:
+    every set keeps the dense product up to n = 52 and windows from 246."""
+    windowed = draw(st.booleans())
+    if windowed:
+        n = int(10 ** draw(st.floats(min_value=math.log10(246), max_value=math.log10(30_000))))
+    else:
+        n = draw(st.integers(min_value=1, max_value=52))
+    levels = draw(st.sampled_from(_LEVEL_SETS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("normal", "lognormal", "rounded")))
+    rows = {"normal": rng.normal, "lognormal": rng.lognormal,
+            "rounded": lambda size: np.round(rng.normal(size=size), 1)}[kind](size=(3, n))
+    loc = draw(st.floats(min_value=-1e6, max_value=1e6))
+    scale = draw(st.floats(min_value=1e-3, max_value=1e3))
+    return windowed, levels, np.sort(loc + scale * rows, axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hd_reduction_case())
+def test_windowed_reduction_matches_dense_product(case):
+    """Each window drops at most the tail mass it names and no more, its
+    estimates agree with the dense product within 1e-14 of the largest
+    |x|, and the coverage rule picks the side the case was drawn for."""
+    windowed, levels, rows = case
+    n = rows.shape[1]
+    weights = _hd_weight_matrix(n, levels)
+    windows = _tail_windows(weights)
+    for j, (lo, w) in enumerate(windows):
+        hi = lo + w.size
+        assert math.fsum(weights[:lo, j]) <= _HD_TAIL_MASS
+        assert math.fsum(weights[hi:, j]) <= _HD_TAIL_MASS
+        # the window is no longer than the bound needs
+        assert math.fsum(weights[:lo + 1, j]) > _HD_TAIL_MASS
+        assert math.fsum(weights[hi - 1:, j]) > _HD_TAIL_MASS
+    dense = rows @ weights
+    by_window = _windowed_product(rows, windows, weights)
+    floor = 1e-14 * np.max(np.abs(rows), axis=1, keepdims=True)
+    assert np.all(np.abs(by_window - dense) <= np.maximum(1e-14 * np.abs(dense), floor))
+    assert (_hd_windows(n, levels) is not None) == windowed
+    chosen = by_window if windowed else dense
+    assert _from_sorted_rows(rows, levels, "hd").tobytes() == chosen.tobytes()
+
+
+_REPLICATES_SCRIPT = """
+import sys
+from qshift import DECILES, IBAND_QUANTILES, BootstrapConfig
+from qshift.contrasts import _psi_star
+from qshift.pairwise import _iband_star
+from qshift.rng import stream
+
+with open(sys.argv[1], "wb") as fh:
+    for seed in range(6):
+        cells = [stream(seed, "blas", c).normal(size=30) for c in range(4)]
+        config = BootstrapConfig(n_boot=600, seed=seed, quantiles=IBAND_QUANTILES)
+        fh.write(_iband_star(cells, config).tobytes())
+    cells = [stream(6, "blas", c).lognormal(size=100) for c in range(4)]
+    config = BootstrapConfig(n_boot=2000, seed=6, quantiles=DECILES)
+    fh.write(_psi_star(cells, "interaction", config).tobytes())
+"""
+
+
+def test_replicates_do_not_depend_on_blas_threads(tmp_path):
+    """Harrell-Davis replicates of iband (windowed, n1*n2 = 900) and of
+    decinter (dense, n = 100) are byte-equal at 1 and 2 OpenBLAS threads."""
+    src = str(Path(qshift.__file__).resolve().parents[1])
+    replicates = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.bin"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-c", _REPLICATES_SCRIPT, str(out)],
+                       env=env, check=True, timeout=120)
+        replicates.append(np.fromfile(out))
+    one, two = replicates
+    assert one.size == 6 * 600 * len(IBAND_QUANTILES) + 2000 * len(DECILES)
+    assert one.tobytes() == two.tobytes(), f"{np.count_nonzero(one != two)} of {one.size} replicates differ"

@@ -11,13 +11,7 @@ from .bootstrap import DECILES, BootstrapConfig, InferenceResult, percentile_ci,
 from .contrasts import contrast_value, decinter
 from .data import DataError, read_long_csv
 from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B, FactorialSample, QuantileTestRow
-from .distributions import (
-    KINDS,
-    DistributionSpec,
-    generate,
-    lognormal_kurtosis,
-    sample_kurtosis,
-)
+from .distributions import KINDS, DistributionSpec, generate
 from .multcomp import (
     CORRECTIONS,
     adjust_pvalues,
@@ -33,13 +27,7 @@ from .pairwise import (
     pairwise_differences,
     ph_probability,
 )
-from .quantiles import (
-    ESTIMATORS,
-    estimate_quantiles,
-    hd_quantile,
-    hd_weights,
-    regularized_incomplete_beta,
-)
+from .quantiles import ESTIMATORS, estimate_quantiles, hd_quantile
 from .rng import derive_seed, stream
 from .simulation import (
     METHODS,
@@ -89,21 +77,17 @@ __all__ = [
     "estimate_quantiles",
     "generate",
     "hd_quantile",
-    "hd_weights",
     "hochberg_adjust",
     "hochberg_reject",
     "iband",
-    "lognormal_kurtosis",
     "load_experiment",
     "median_diff_test",
     "pairwise_differences",
     "percentile_ci",
     "ph_probability",
     "read_long_csv",
-    "regularized_incomplete_beta",
     "run_fwer",
     "run_power",
-    "sample_kurtosis",
     "signed_pvalue",
     "stream",
     "sweep",

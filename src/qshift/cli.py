@@ -106,6 +106,16 @@ def _config(args) -> BootstrapConfig:
     )
 
 
+def _timed(args, analysis, *params):
+    """``analysis(*params)``; under ``--progress`` its wall time goes to stderr."""
+    t0 = time.perf_counter()
+    result = analysis(*params)
+    if args.progress:
+        print(f"bootstrap of {args.nboot} replicates took "
+              f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    return result
+
+
 def _result_payload(command: str, args, sample, rows, extra=None) -> dict:
     payload = {
         "schema_version": 1,
@@ -142,11 +152,7 @@ def _cmd_decinter(args) -> int:
     sample = _load_sample(args)
     config = _config(args)
     kind = _CONTRAST_FLAGS[args.contrast]
-    t0 = time.perf_counter()
-    rows = decinter(sample, kind, config, args.correction)
-    if args.progress:
-        print(f"bootstrap of {args.nboot} replicates took "
-              f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    rows = _timed(args, decinter, sample, kind, config, args.correction)
     payload = _result_payload("decinter", args, sample, rows, {"contrast": kind})
     _emit_table(rows, args, payload)
     return 0
@@ -155,11 +161,7 @@ def _cmd_decinter(args) -> int:
 def _cmd_iband(args) -> int:
     sample = _load_sample(args)
     config = _config(args)
-    t0 = time.perf_counter()
-    rows = iband(sample, config, args.correction)
-    if args.progress:
-        print(f"bootstrap of {args.nboot} replicates took "
-              f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    rows = _timed(args, iband, sample, config, args.correction)
     extra = {"contrast": INTERACTION}
     ph = None
     if args.ph:
@@ -210,7 +212,8 @@ def _write_csv(path, header, rows) -> None:
 
 def _cmd_plotdata(args) -> int:
     sample = _load_sample(args)
-    rows = [(panel, *map(_fmt, values)) for panel, *values in _plot_rows(sample, args)]
+    points = _timed(args, _plot_rows, sample, args)
+    rows = [(panel, *map(_fmt, values)) for panel, *values in points]
     _write_csv(args.output, _PLOT_HEADER, rows)
     return 0
 

@@ -1,4 +1,4 @@
-"""Random generators for the simulation populations, plus a kurtosis diagnostic.
+"""Random generators for the simulation populations.
 
 The continuous populations include two scale-contaminated mixtures: the
 mixed normal draws N(0,1) with probability .9 and N(0,10^2) otherwise,
@@ -18,8 +18,6 @@ from .bootstrap import _check_integer
 __all__ = [
     "DistributionSpec",
     "generate",
-    "sample_kurtosis",
-    "lognormal_kurtosis",
     "KINDS",
 ]
 
@@ -57,6 +55,11 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; expected one of {KINDS}")
+        # json.load reads NaN and Infinity, which would generate NaN cells
+        for name in ("mean", "r", "s", "g", "h", "shift"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.kind == "poisson" and not self.mean > 0:
             raise ValueError(f"poisson mean must be positive, got {self.mean}")
         if self.kind == "beta_binomial":
@@ -67,8 +70,6 @@ class DistributionSpec:
                 raise ValueError(f"beta-binomial needs nbin >= 2, got {self.nbin}")
         if self.kind == "g_and_h" and self.h < 0:
             raise ValueError(f"g-and-h tail parameter h must be >= 0, got {self.h}")
-        if isinstance(self.shift, bool) or not math.isfinite(self.shift):
-            raise ValueError(f"shift must be a finite number, got {self.shift!r}")
 
 
 def _contaminate(base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -109,29 +110,3 @@ def generate(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.nda
     else:  # pragma: no cover - guarded by DistributionSpec
         raise ValueError(f"unknown distribution kind {kind!r}")
     return x + spec.shift
-
-
-def sample_kurtosis(x) -> float:
-    """Moment-ratio kurtosis m4 / m2^2 (non-excess; 3 for a normal).
-
-    m_k is the k-th central sample moment.  Requires n >= 4 and nonzero
-    variance.
-    """
-    xs = np.asarray(x, dtype=float).ravel()
-    if xs.size < 4:
-        raise ValueError(f"kurtosis needs at least 4 observations, got {xs.size}")
-    centered = xs - xs.mean()
-    m2 = np.mean(centered * centered)
-    if m2 == 0.0:
-        raise ValueError("kurtosis is undefined for a zero-variance sample")
-    m4 = np.mean(centered ** 4)
-    return float(m4 / (m2 * m2))
-
-
-def lognormal_kurtosis(sigma: float = 1.0) -> float:
-    """Exact kurtosis of a lognormal distribution with log-scale sigma.
-
-    For sigma = 1 this evaluates to e^4 + 2 e^3 + 3 e^2 - 3, about 113.94.
-    """
-    w = math.exp(sigma * sigma)
-    return w ** 4 + 2.0 * w ** 3 + 3.0 * w ** 2 - 3.0

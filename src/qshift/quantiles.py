@@ -9,8 +9,17 @@ order statistics bracketing h = (n-1)q + 1.
 The regularized incomplete beta function is evaluated with the standard
 continued-fraction expansion (modified Lentz), switching to the symmetry
 relation I_x(a,b) = 1 - I_{1-x}(b,a) for x above (a+1)/(a+b+2) where the
-fraction converges slowly.  Weights for a given n and quantile set are
-cached and reused across bootstrap replicates.
+fraction converges slowly.  The same evaluator gives the ANOVA baseline
+its F tails.  Weights for a given n and quantile set are cached and
+reused across bootstrap replicates.
+
+Measured against scipy.special.betainc over the whole Harrell-Davis grid
+i/n of the deciles and the iband levels (.25, .75), the evaluator is off
+by at most 5.2e-13 absolute at n = 900 and 1.0e-11 at n = 10^4 (6.5e-12
+at q = .1, 8.6e-12 at q = .25, 1.0e-11 at the median), where scipy and
+mpmath agree to about 1e-15.  The error grows with the shape parameters,
+which points at the cancellation in lgamma(a+b) - lgamma(a) - lgamma(b)
+of the prefactor.
 
 Most Harrell-Davis weights of a large sample are negligible: the weight
 of level q sits within about 8.5 standard deviations sqrt(q(1-q)/n) of q.
@@ -39,8 +48,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "regularized_incomplete_beta",
-    "hd_weights",
     "hd_quantile",
     "estimate_quantiles",
     "HARRELL_DAVIS",
@@ -101,7 +108,7 @@ def _betacf(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def _betainc_grid(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """I_x(a, b) for an array of x values and scalar shapes a, b."""
+    """I_x(a, b) for an array of x values in [0, 1] and scalar shapes a, b > 0."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
     lo = x == 0.0
@@ -111,38 +118,17 @@ def _betainc_grid(x: np.ndarray, a: float, b: float) -> np.ndarray:
     out[hi] = 1.0
     if np.any(mid):
         xm = x[mid]
-        res = np.empty(xm.shape)
         lbeta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        front = np.exp(lbeta + a * np.log(xm) + b * np.log1p(-xm))
+        res = np.empty(xm.shape)
         direct = xm < (a + 1.0) / (a + b + 2.0)
         if np.any(direct):
-            xs = xm[direct]
-            front = np.exp(lbeta + a * np.log(xs) + b * np.log1p(-xs))
-            res[direct] = front * _betacf(xs, a, b) / a
+            res[direct] = front[direct] * _betacf(xm[direct], a, b) / a
         swapped = ~direct
         if np.any(swapped):
-            xs = xm[swapped]
-            front = np.exp(lbeta + a * np.log(xs) + b * np.log1p(-xs))
-            res[swapped] = 1.0 - front * _betacf(1.0 - xs, b, a) / b
+            res[swapped] = 1.0 - front[swapped] * _betacf(1.0 - xm[swapped], b, a) / b
         out[mid] = res
     return out
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """Beta(a, b) CDF at x, i.e. the regularized incomplete beta I_x(a, b).
-
-    Parameters
-    ----------
-    x : float in [0, 1]
-    a, b : positive shape parameters
-
-    Accurate to roughly 1e-13 relative error over the parameter ranges
-    produced by sample sizes up to 10,000.
-    """
-    if not (a > 0.0 and b > 0.0) or math.isnan(a) or math.isnan(b):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return float(_betainc_grid(np.atleast_1d(np.float64(x)), float(a), float(b))[0])
 
 
 def _check_quantile(q: float) -> float:
@@ -150,18 +136,6 @@ def _check_quantile(q: float) -> float:
     if not 0.0 < q < 1.0 or math.isnan(q):
         raise ValueError(f"quantile level must lie strictly in (0, 1), got {q}")
     return q
-
-
-def hd_weights(n: int, q: float) -> np.ndarray:
-    """Order-statistic weights of the Harrell-Davis estimate of quantile q.
-
-    Returns a length-n vector of non-negative weights summing to one:
-    w[i] = P((i-1)/n <= U <= i/n) for U ~ Beta((n+1)q, (n+1)(1-q)).
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
-    return _hd_weight_matrix(n, (_check_quantile(q),))[:, 0].copy()
 
 
 def _as_sample(values, name: str) -> np.ndarray:

@@ -28,7 +28,7 @@ from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
 from .distributions import DistributionSpec, generate
 from .multcomp import CORRECTIONS, bh_reject, hochberg_reject
 from .pairwise import IBAND_QUANTILES, _iband_star
-from .quantiles import regularized_incomplete_beta
+from .quantiles import _as_sample, _betainc_grid
 from .rng import derive_seed, stream
 
 __all__ = [
@@ -71,21 +71,13 @@ class ExperimentError(ValueError):
     """An experiment file failed validation."""
 
 
-def _f_sf(f: float, d1: int, d2: int) -> float:
-    """Upper tail probability of the F(d1, d2) distribution."""
-    if f <= 0.0:
-        return 1.0
-    x = d2 / (d2 + d1 * f)
-    return regularized_incomplete_beta(x, d2 / 2.0, d1 / 2.0)
-
-
 def anova_f_statistics(data) -> tuple:
     """Balanced two-way ANOVA F statistics ((FA, FB, FAB), df_within).
 
     Each F has 1 numerator degree of freedom and 4(n-1) within degrees.
     """
     cells = data.flat_cells() if hasattr(data, "flat_cells") else tuple(
-        np.asarray(c, dtype=float) for c in data
+        _as_sample(c, f"cell ({i // 2 + 1},{i % 2 + 1})") for i, c in enumerate(data)
     )
     sizes = {c.size for c in cells}
     if len(sizes) != 1:
@@ -125,7 +117,8 @@ def anova_f_test(data) -> tuple:
         If the within-cell variance is zero.
     """
     stats, df_w = anova_f_statistics(data)
-    return tuple(_f_sf(f, 1, df_w) for f in stats)
+    # P(F(1, d) > f) = I_x(d/2, 1/2) at x = d/(d + f), so f = 0 gives p = 1
+    return tuple(_betainc_grid(df_w / (df_w + np.array(stats)), df_w / 2.0, 0.5).tolist())
 
 
 @dataclass(frozen=True)

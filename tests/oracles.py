@@ -6,7 +6,8 @@ continued fraction), quantile weights are integrated interval by
 interval, the ANOVA F statistics come from explicit textbook sums
 computed with plain Python floats, the type-7 quantile is read off one
 sorted sample at a time, and the generic bootstrap calls a scalar
-statistic once per replicate on the library's own resamples.
+statistic once per replicate on the library's own resamples.  The
+kurtosis helpers back the heavy-tail diagnostics of the population tests.
 """
 
 import math
@@ -110,6 +111,32 @@ def anova_f_textbook(cells) -> tuple:
             ss_w += (float(v) - m) ** 2
     ms_w = ss_w / (4 * (n - 1))
     return ss_a / ms_w, ss_b / ms_w, ss_ab / ms_w
+
+
+def sample_kurtosis(x) -> float:
+    """Moment-ratio kurtosis m4 / m2^2 (non-excess; 3 for a normal).
+
+    m_k is the k-th central sample moment.  Requires n >= 4 and nonzero
+    variance.
+    """
+    xs = np.asarray(x, dtype=float).ravel()
+    if xs.size < 4:
+        raise ValueError(f"kurtosis needs at least 4 observations, got {xs.size}")
+    centered = xs - xs.mean()
+    m2 = np.mean(centered * centered)
+    if m2 == 0.0:
+        raise ValueError("kurtosis is undefined for a zero-variance sample")
+    m4 = np.mean(centered ** 4)
+    return float(m4 / (m2 * m2))
+
+
+def lognormal_kurtosis(sigma: float = 1.0) -> float:
+    """Exact kurtosis of a lognormal distribution with log-scale sigma.
+
+    For sigma = 1 this evaluates to e^4 + 2 e^3 + 3 e^2 - 3, about 113.94.
+    """
+    w = math.exp(sigma * sigma)
+    return w ** 4 + 2.0 * w ** 3 + 3.0 * w ** 2 - 3.0
 
 
 def mc_margin(p: float, n: int, sigmas: float = 4.0) -> float:

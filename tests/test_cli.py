@@ -324,6 +324,22 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error: conditions[0]: nbin must be an integer, got 10.5")
 
+    @pytest.mark.parametrize("param", [{"h": float("nan")}, {"g": float("inf")}],
+                             ids=["h-nan", "g-inf"])
+    def test_non_finite_population_is_experiment_error(self, capsys, tmp_path, param):
+        # json.load reads NaN and Infinity; such a population draws NaN cells,
+        # whose p-values all come out 0
+        path = self._experiment(tmp_path, {
+            "conditions": [{
+                "name": "nan-cells", "method": "decinter_t7", "n_per_group": 10,
+                "cells": {"kind": "g_and_h", **param}, "n_sims": 2, "n_boot": 100,
+            }],
+        })
+        code, _, err = _run(capsys, "simulate", path)
+        assert code == 2
+        assert err.startswith("error: conditions[0]: ")
+        assert "must be a finite number" in err
+
     def test_deterministic_csv_bytes(self, capsys, tmp_path):
         path = self._experiment(tmp_path, {
             "seed": 3,
@@ -368,6 +384,22 @@ class TestSimulateCommand:
         assert code == 0
         assert "[1/1] tiny" in err
         assert "tiny" in out
+
+
+@pytest.mark.parametrize("command", [
+    ("decinter",), ("iband", "--ph"), ("plotdata",),
+])
+def test_progress_goes_to_stderr_only(capsys, normal_csv, command):
+    argv = (*command, "--input", normal_csv, "--nboot", "200", "--seed", "4")
+    code, quiet, quiet_err = _run(capsys, *argv)
+    code_p, out, err = _run(capsys, *argv, "--progress")
+    assert code == code_p == 0
+    assert out == quiet
+    assert quiet_err == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("loaded cells ((30, 30), (30, 30))")
+    assert lines[1].startswith("bootstrap of 200 replicates took ")
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from qshift import DistributionSpec, generate, lognormal_kurtosis, sample_kurtosis, stream
+from qshift import DistributionSpec, generate, stream
+
+from oracles import lognormal_kurtosis, sample_kurtosis
 
 
 def _skewness(x):
@@ -50,6 +52,7 @@ class TestGenerate:
         assert abs(_skewness(x)) <= 0.05
         assert sample_kurtosis(x) > 10.0  # far beyond the normal value of 3
 
+    @pytest.mark.slow
     def test_mixed_lognormal_kurtosis_explodes(self):
         estimates = [
             sample_kurtosis(generate(DistributionSpec("mixed_lognormal"), 1_000_000,
@@ -90,6 +93,13 @@ class TestGenerate:
     def test_shift_must_be_a_finite_number(self, shift):
         with pytest.raises((TypeError, ValueError)):
             DistributionSpec("normal", shift=shift)
+
+    @pytest.mark.parametrize("field", ["mean", "r", "s", "g", "h"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_population_parameters_must_be_finite(self, field, value):
+        for kind in ("poisson", "beta_binomial", "g_and_h", "normal"):
+            with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+                DistributionSpec(kind, **{field: value})
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

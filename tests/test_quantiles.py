@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 import qshift
 from qshift import (
@@ -17,11 +18,10 @@ from qshift import (
     IBAND_QUANTILES,
     estimate_quantiles,
     hd_quantile,
-    hd_weights,
-    regularized_incomplete_beta,
 )
 from qshift.quantiles import (
     _HD_TAIL_MASS,
+    _betainc_grid,
     _from_sorted_rows,
     _hd_weight_matrix,
     _hd_windows,
@@ -37,18 +37,22 @@ BETAINC_ORACLE_X03_A255_B255 = 0.0015007606871103277
 HD_ORACLE_1_TO_20_Q03 = 6.5000002471016565
 
 
+def _hd_weights(n: int, q: float) -> np.ndarray:
+    return _hd_weight_matrix(n, (q,))[:, 0]
+
+
 class TestRegularizedIncompleteBeta:
     def test_lower_endpoint(self):
-        assert regularized_incomplete_beta(0.0, 2.0, 3.0) == 0.0
+        assert _betainc_grid([0.0], 2.0, 3.0)[0] == 0.0
 
     def test_upper_endpoint(self):
-        assert regularized_incomplete_beta(1.0, 2.0, 3.0) == 1.0
+        assert _betainc_grid([1.0], 2.0, 3.0)[0] == 1.0
 
     def test_beta11_is_uniform(self):
-        assert regularized_incomplete_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+        assert _betainc_grid([0.5], 1.0, 1.0)[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_against_quadrature_oracle(self):
-        value = regularized_incomplete_beta(0.3, 25.5, 25.5)
+        value = _betainc_grid([0.3], 25.5, 25.5)[0]
         assert value == pytest.approx(BETAINC_ORACLE_X03_A255_B255, abs=1e-10)
 
     @pytest.mark.parametrize("x,a,b", [
@@ -58,38 +62,42 @@ class TestRegularizedIncompleteBeta:
         (0.12, 1001.0, 9009.0),
     ])
     def test_random_regimes_vs_oracle(self, x, a, b):
-        assert regularized_incomplete_beta(x, a, b) == pytest.approx(
-            beta_cdf_quad(x, a, b), abs=1e-10
-        )
+        assert _betainc_grid([x], a, b)[0] == pytest.approx(beta_cdf_quad(x, a, b), abs=1e-10)
 
     def test_symmetry_relation(self):
         # I_x(a,b) + I_{1-x}(b,a) = 1
-        v1 = regularized_incomplete_beta(0.73, 12.0, 5.0)
-        v2 = regularized_incomplete_beta(0.27, 5.0, 12.0)
+        v1 = _betainc_grid([0.73], 12.0, 5.0)[0]
+        v2 = _betainc_grid([0.27], 5.0, 12.0)[0]
         assert v1 + v2 == pytest.approx(1.0, abs=1e-13)
 
-    @pytest.mark.parametrize("x,a,b", [(-0.1, 1, 1), (1.1, 1, 1), (0.5, 0, 1), (0.5, 1, -2)])
-    def test_domain_violations(self, x, a, b):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(x, a, b)
+    @pytest.mark.parametrize("n,bound", [(900, 1e-12), (10_000, 2e-11)])
+    def test_hd_grid_against_scipy(self, n, bound):
+        """Every CDF value behind the HD weights of the iband levels and the
+        deciles at n, within twice the largest error measured there."""
+        grid = np.arange(n + 1) / n
+        worst = 0.0
+        for q in sorted(set(IBAND_QUANTILES) | set(DECILES)):
+            a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+            worst = max(worst, float(np.max(np.abs(_betainc_grid(grid, a, b) - betainc(a, b, grid)))))
+        assert worst <= bound
 
 
 class TestHDWeights:
     def test_single_observation(self):
-        assert hd_weights(1, 0.5).tolist() == [1.0]
+        assert _hd_weights(1, 0.5).tolist() == [1.0]
 
     def test_sum_to_one(self):
         for n in (2, 7, 50, 333, 1000):
             for q in (0.1, 0.5, 0.9):
-                assert abs(hd_weights(n, q).sum() - 1.0) < 1e-10
+                assert abs(_hd_weights(n, q).sum() - 1.0) < 1e-10
 
     def test_median_weights_symmetric(self):
-        w = hd_weights(50, 0.5)
+        w = _hd_weights(50, 0.5)
         assert np.max(np.abs(w - w[::-1])) < 1e-10
 
     def test_first_decile_peak_location(self):
         # unimodal profile peaking near i = 5 for n = 50, q = .1
-        w = hd_weights(50, 0.1)
+        w = _hd_weights(50, 0.1)
         peak = int(np.argmax(w)) + 1  # 1-based order-statistic index
         assert peak in (4, 5, 6)
         rising = np.diff(w[: peak - 1])
@@ -98,7 +106,7 @@ class TestHDWeights:
 
     def test_non_negative(self):
         for q in (0.05, 0.5, 0.95):
-            assert np.all(hd_weights(200, q) >= 0.0)
+            assert np.all(_hd_weights(200, q) >= 0.0)
 
     @pytest.mark.parametrize("n,q", [
         (10_000, 0.0005), (10_000, 0.9999), (5_000, 0.999), (200, 0.001),
@@ -106,17 +114,14 @@ class TestHDWeights:
     def test_extreme_levels_at_large_n(self, n, q):
         # shape parameters in the thousands push the continued fraction to
         # its slowest-converging regime near the symmetry split
-        w = hd_weights(n, q)
+        w = _hd_weights(n, q)
         assert abs(w.sum() - 1.0) < 1e-10
         assert np.all(w >= 0.0)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            hd_weights(0, 0.5)
-        with pytest.raises(ValueError):
-            hd_weights(10, 0.0)
-        with pytest.raises(ValueError):
-            hd_weights(10, 1.0)
+        for q in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="strictly in"):
+                _hd_weight_matrix(10, (q,))
 
 
 class TestHDQuantile:

@@ -73,6 +73,11 @@ class TestAnova:
         with pytest.raises(ValueError, match="balanced"):
             anova_f_test([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_cell_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"cell \(2,1\) contains NaN or infinite"):
+            anova_f_test([[1.0, 2.0], [1.0, 3.0], [bad, 2.0], [0.0, 2.0]])
+
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateDataError):
             anova_f_test([[1.0, 1.0]] * 4)

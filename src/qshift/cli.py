@@ -51,6 +51,23 @@ def _parse_quantiles(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"cannot parse quantile list {text!r}") from None
 
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parse_levels(text: str):
     try:
         return parse_level_order(text)
@@ -233,7 +250,7 @@ def _cmd_simulate(args) -> int:
     reports = sweep(conditions, workers=args.threads, progress=progress)
     _write_csv(args.output, REPORT_COLUMNS, report_csv_rows(reports))
 
-    meta = json.dumps(report_metadata(reports), indent=2)
+    meta = json.dumps(report_metadata(reports, workers=args.threads), indent=2)
     if args.metadata:
         with open(args.metadata, "w", encoding="utf-8") as fh:
             fh.write(meta + "\n")
@@ -273,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     p.add_argument("--metadata", default=None,
                    help="metadata JSON path (default: stderr)")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker processes (results never depend on this)")
+    p.add_argument("--threads", type=_worker_count, default=_usable_cpus(),
+                   help="worker processes in the run's one pool "
+                        "(default: usable CPUs; results never depend on this)")
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 

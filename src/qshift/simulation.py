@@ -15,9 +15,10 @@ functions, through the column-wise signed-count p-value.
 
 import json
 import math
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -202,7 +203,12 @@ class SimulationReport:
     after the configured correction (the FWER under a null condition,
     the familywise power otherwise); ``rate_uncorrected`` ignores the
     correction.  ``se`` is the binomial standard error of ``rate``.
-    Wall time is informational and excluded from equality.
+
+    ``wall_time`` runs from the start of the condition to its last
+    chunk's result.  In a sweep the first condition on a process pool
+    also pays the workers' start-up, and no condition pays the pool's
+    shutdown; a failed condition reports 0.  Wall time is informational
+    and excluded from equality.
     """
 
     condition: SimCondition
@@ -257,15 +263,13 @@ def _run_chunk(args):
     return n_corr, n_uncorr, per_q
 
 
-def _run_condition(cond: SimCondition, workers: int | None = None) -> SimulationReport:
+def _run_condition(cond: SimCondition, workers: int, pool) -> SimulationReport:
+    """Run one condition's chunks on ``pool`` (in this process when None)."""
     t0 = time.perf_counter()
-    workers = 1 if workers is None else max(1, int(workers))
-    workers = min(workers, cond.n_sims)
-    step = math.ceil(cond.n_sims / (workers * 4))
+    step = math.ceil(cond.n_sims / (min(workers, cond.n_sims) * 4))
     tasks = [(cond, s, min(s + step, cond.n_sims)) for s in range(0, cond.n_sims, step)]
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
-        n_corr, n_uncorr, per_q = (sum(parts) for parts in zip(*chunks))
+    chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
+    n_corr, n_uncorr, per_q = (sum(parts) for parts in zip(*chunks))
     rate = n_corr / cond.n_sims
     return SimulationReport(
         condition=cond,
@@ -278,6 +282,57 @@ def _run_condition(cond: SimCondition, workers: int | None = None) -> Simulation
     )
 
 
+def _failed_report(cond: SimCondition, exc: Exception) -> SimulationReport:
+    return SimulationReport(
+        condition=cond,
+        rate=float("nan"),
+        se=float("nan"),
+        rate_uncorrected=float("nan"),
+        per_quantile_rates=(float("nan"),) * len(cond.quantiles),
+        n_sims=cond.n_sims,
+        wall_time=0.0,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _run(conditions, workers, isolate: bool, progress=None) -> list:
+    """Run the conditions in order on at most one process pool.
+
+    ``workers`` is capped at the largest ``n_sims``; above one, the pool
+    is started with the first condition and shut down once after the last
+    report.  With ``isolate``, a condition that raises gets a failed
+    report and the run goes on; a worker that dies breaks the pool, so
+    the next condition starts a fresh one.  Without it, the error
+    propagates.
+    """
+    workers = 1 if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, max(cond.n_sims for cond in conditions))
+    pool = None
+    reports = []
+    try:
+        for i, cond in enumerate(conditions):
+            if pool is None and workers > 1:
+                pool = ProcessPoolExecutor(max_workers=workers)
+            try:
+                report = _run_condition(cond, workers, pool)
+            except Exception as exc:  # noqa: BLE001 - aggregate without aborting the sweep
+                if isinstance(exc, BrokenProcessPool):
+                    pool.shutdown()
+                    pool = None
+                if not isolate:
+                    raise
+                report = _failed_report(cond, exc)
+            reports.append(report)
+            if progress is not None:
+                progress(i, cond, report)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return reports
+
+
 def run_fwer(cond: SimCondition, workers: int | None = None) -> SimulationReport:
     """Estimate the familywise Type I error rate of a null condition.
 
@@ -286,46 +341,31 @@ def run_fwer(cond: SimCondition, workers: int | None = None) -> SimulationReport
     """
     if cond.mode != "fwer":
         raise ValueError("FWER conditions need four identical cell populations")
-    return _run_condition(cond, workers)
+    return _run([cond], workers, isolate=False)[0]
 
 
 def run_power(cond: SimCondition, workers: int | None = None) -> SimulationReport:
     """Estimate familywise power for a condition with unequal populations."""
     if cond.mode != "power":
         raise ValueError("power conditions need at least one differing cell population")
-    return _run_condition(cond, workers)
+    return _run([cond], workers, isolate=False)[0]
 
 
 def sweep(conditions, workers: int | None = None, progress=None) -> list:
     """Run every condition, collecting per-condition failures instead of raising.
 
     Conditions validate themselves when built, so a sweep never starts on
-    an invalid one.  Runtime failures are recorded on the report's
-    ``error`` field with NaN rates.  ``progress(i, condition, report)`` is
-    called after each condition when given.
+    an invalid one.  All conditions share one pool of ``workers``
+    processes, capped at the largest ``n_sims``; ``workers = 1`` runs in
+    this process.  Runtime failures, a dead worker included, are recorded
+    on the report's ``error`` field with NaN rates.
+    ``progress(i, condition, report)`` is called after each condition
+    when given.
     """
     conditions = list(conditions)
     if not conditions:
         raise ValueError("sweep needs at least one condition")
-    reports = []
-    for i, cond in enumerate(conditions):
-        try:
-            report = _run_condition(cond, workers)
-        except Exception as exc:  # noqa: BLE001 - aggregate without aborting the sweep
-            report = SimulationReport(
-                condition=cond,
-                rate=float("nan"),
-                se=float("nan"),
-                rate_uncorrected=float("nan"),
-                per_quantile_rates=(float("nan"),) * len(cond.quantiles),
-                n_sims=cond.n_sims,
-                wall_time=0.0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        reports.append(report)
-        if progress is not None:
-            progress(i, cond, report)
-    return reports
+    return _run(conditions, workers, isolate=True, progress=progress)
 
 
 # --- experiment files -------------------------------------------------
@@ -455,11 +495,36 @@ def report_csv_rows(reports) -> list:
     return rows
 
 
-def report_metadata(reports) -> dict:
-    """JSON-ready metadata block for a batch of reports."""
+def _blas_name():
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    return deps.get("blas", {}).get("name")
+
+
+def report_metadata(reports, workers: int | None = None) -> dict:
+    """JSON-ready metadata block for a batch of reports.
+
+    The ``run`` block holds the facts of the run that do not change the
+    numbers: versions, BLAS, the worker count the sweep was given, and
+    each condition's wall time and iterations per second (null for a
+    failed condition).
+    """
+    from . import __version__
+
     return {
         "schema_version": 1,
         "design_flags": dict(DESIGN_FLAGS),
         "n_conditions": len(reports),
         "failed_conditions": [r.condition.name for r in reports if r.error],
+        "run": {
+            "qshift_version": __version__,
+            "numpy_version": np.__version__,
+            "python_version": platform.python_version(),
+            "blas": _blas_name(),
+            "workers": workers,
+            "conditions": [{
+                "name": r.condition.name,
+                "wall_time_s": r.wall_time,
+                "iters_per_s": None if r.error or r.wall_time <= 0 else r.n_sims / r.wall_time,
+            } for r in reports],
+        },
     }

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 
 import pytest
 
@@ -18,7 +19,7 @@ from qshift import (
     read_long_csv,
     stream,
 )
-from qshift.cli import main
+from qshift.cli import build_parser, main
 
 
 def _write_long_csv(path, cells, labels_a=("a1", "a2"), labels_b=("b1", "b2"),
@@ -358,6 +359,20 @@ class TestSimulateCommand:
         assert out1_path.read_bytes() == out2_path.read_bytes()
         meta = json.loads(meta_path.read_text())
         assert meta["design_flags"]["beta_binomial_trials"].startswith("nbin - 1")
+        assert meta["run"]["workers"] == 1
+        assert [c["name"] for c in meta["run"]["conditions"]] == ["null"]
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "1.5"])
+    def test_threads_must_be_a_positive_integer(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate", "exp.json", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_threads_default_to_usable_cpus(self):
+        args = build_parser().parse_args(["simulate", "exp.json"])
+        assert args.threads == len(os.sched_getaffinity(0))
 
     def test_failing_condition_exits_one(self, capsys, tmp_path):
         # Beta(200, .01) pushes every draw to the top bin: zero variance,

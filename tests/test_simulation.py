@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness and the ANOVA baseline."""
 
+import os
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from qshift import (
     stream,
     sweep,
 )
+import qshift.simulation
 from qshift.simulation import REPORT_COLUMNS, report_csv_rows, report_metadata
 
 from oracles import anova_f_textbook
@@ -38,6 +41,28 @@ def _null_condition(**kwargs):
     )
     base.update(kwargs)
     return SimCondition(**base)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every process pool the simulation module builds."""
+    sizes = []
+
+    class CountingPool(qshift.simulation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sizes.append(kwargs.get("max_workers"))
+
+    monkeypatch.setattr(qshift.simulation, "ProcessPoolExecutor", CountingPool)
+    return sizes
+
+
+def _degenerate_anova():
+    # every beta-binomial draw lands in the top bin: zero within-cell
+    # variance, so the ANOVA fails at run time
+    return _null_condition(
+        cell_specs=(DistributionSpec("beta_binomial", r=200.0, s=0.01, nbin=2),) * 4,
+        method="anova_means", n_per_group=10, n_sims=3, name="degenerate")
 
 
 class TestAnova:
@@ -198,17 +223,68 @@ class TestRuns:
     def test_sweep_isolates_a_failing_condition(self):
         good = _null_condition(n_sims=20)
         baseline = _null_condition(method="anova_means", n_sims=20, name="anova")
-        # every beta-binomial draw lands in the top bin: zero within-cell
-        # variance, so the ANOVA fails at run time
-        degenerate = _null_condition(
-            cell_specs=(DistributionSpec("beta_binomial", r=200.0, s=0.01, nbin=2),) * 4,
-            method="anova_means", n_per_group=10, n_sims=3, name="degenerate")
+        degenerate = _degenerate_anova()
         before, failed, after = sweep([good, degenerate, baseline], workers=2)
         assert failed.error.startswith("DegenerateDataError")
         assert np.isnan(failed.rate) and np.isnan(failed.se)
         assert failed.per_quantile_rates == ()
         assert before == run_fwer(good)
         assert after == run_fwer(baseline)
+
+    def test_parallel_sweep_equals_serial(self):
+        conditions = [
+            _null_condition(n_sims=9, name="decinter"),
+            _null_condition(cell_specs=(DistributionSpec("poisson", mean=9.0),) * 4,
+                            method="iband_t7", n_sims=7, name="iband-poisson"),
+            _null_condition(method="anova_means", n_sims=11, name="anova"),
+            _degenerate_anova(),
+        ]
+        serial = sweep(conditions, workers=1)
+        t0 = time.perf_counter()
+        parallel = sweep(conditions, workers=2)
+        elapsed = time.perf_counter() - t0
+        assert [r.error is None for r in parallel] == [True, True, True, False]
+        assert parallel[:3] == serial[:3]  # NaN rates compare unequal; the rows do not
+        assert report_csv_rows(parallel) == report_csv_rows(serial)
+        assert all(r.wall_time >= 0.0 for r in parallel)
+        assert sum(r.wall_time for r in parallel) <= elapsed
+
+    def test_one_pool_per_sweep(self, pools):
+        conditions = [_null_condition(n_sims=4, name=f"c{i}", seed=i) for i in range(3)]
+        sweep(conditions, workers=1)
+        assert pools == []
+        sweep(conditions, workers=2)
+        assert pools == [2]
+
+    def test_pool_never_exceeds_largest_n_sims(self, pools):
+        sweep([_null_condition(n_sims=1, name="one")], workers=2)
+        assert pools == []
+        sweep([_null_condition(n_sims=1, name="one"), _null_condition(n_sims=2)], workers=3)
+        assert pools == [2]
+
+    def test_dead_worker_fails_only_its_condition(self, monkeypatch):
+        iterate = qshift.simulation._iterate
+
+        def dying_iterate(cond, i):
+            if cond.name == "dies":
+                os._exit(1)  # a worker killed mid-chunk, as by the OOM killer
+            return iterate(cond, i)
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(qshift.simulation, "_iterate", dying_iterate)
+        before = _null_condition(n_sims=6, name="before")
+        dies = _null_condition(method="anova_means", n_sims=6, name="dies")
+        after = _null_condition(method="anova_means", n_sims=6, name="after")
+        reports = sweep([before, dies, after], workers=2)
+        assert reports[1].error.startswith("BrokenProcessPool")
+        assert np.isnan(reports[1].rate)
+        assert reports[0] == run_fwer(before)
+        assert reports[2] == run_fwer(after)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            sweep([_null_condition(n_sims=2)], workers=workers)
 
     def test_uncorrected_family_needs_no_correction(self):
         shifted = _null_condition(
@@ -407,6 +483,19 @@ class TestReportSerialization:
         assert meta["schema_version"] == 1
         assert "mixed_normal_form" in meta["design_flags"]
         assert meta["failed_conditions"] == []
+
+    def test_metadata_run_block(self):
+        reports = sweep([_null_condition(n_sims=4), _degenerate_anova()], workers=2)
+        run = report_metadata(reports, workers=2)["run"]
+        assert run["qshift_version"] == qshift.__version__
+        assert run["numpy_version"] == np.__version__
+        assert re.fullmatch(r"3\.\d+\.\d+.*", run["python_version"])
+        assert run["blas"] is None or isinstance(run["blas"], str)
+        assert run["workers"] == 2
+        ok, failed = run["conditions"]
+        assert ok["name"] == "null" and ok["wall_time_s"] == reports[0].wall_time > 0
+        assert ok["iters_per_s"] == pytest.approx(4 / reports[0].wall_time)
+        assert failed == {"name": "degenerate", "wall_time_s": 0.0, "iters_per_s": None}
 
     def test_anova_rows_leave_bootstrap_cells_empty(self):
         conditions = load_experiment({

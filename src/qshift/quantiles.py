@@ -1,49 +1,59 @@
 """Quantile estimators and the incomplete-beta numerics behind them.
 
 Two estimators are provided.  The Harrell-Davis estimator is a weighted
-average of all order statistics, with weights given by the probability
+average of the order statistics, with weights given by the probability
 that a Beta((n+1)q, (n+1)(1-q)) variate falls in ((i-1)/n, i/n].  The
 "type 7" estimator (the R default) linearly interpolates between the two
 order statistics bracketing h = (n-1)q + 1.
 
-The regularized incomplete beta function is evaluated with the standard
-continued-fraction expansion (modified Lentz), switching to the symmetry
-relation I_x(a,b) = 1 - I_{1-x}(b,a) for x above (a+1)/(a+b+2) where the
-fraction converges slowly.  The same evaluator gives the ANOVA baseline
-its F tails.  Weights for a given n and quantile set are cached and
-reused across bootstrap replicates.
+The beta tails come from the standard continued fraction (modified
+Lentz), one vectorized pass over every point and level a build needs,
+each element leaving the loop at its own convergence.  Below the split
+point (a+1)/(a+b+2) it gives the lower CDF I_x(a, b); above it, the upper
+tail I_{1-x}(b, a) directly, from the complement argument as the caller
+computes it ((n-i)/n for the weights, f/(d+f) for the ANOVA F tails), so
+neither tail is a difference of numbers near 1 (DiDonato & Morris 1992,
+ACM TOMS 18, 360-373).  Weights are lower-CDF differences below the split
+and upper-tail differences above it; the one interval across the split
+takes 1 minus both tails, so each column sums to 1.  The median's column
+is its own mirror image bit for bit.
 
-Measured against scipy.special.betainc over the whole Harrell-Davis grid
-i/n of the deciles and the iband levels (.25, .75), the evaluator is off
-by at most 5.2e-13 absolute at n = 900 and 1.0e-11 at n = 10^4 (6.5e-12
-at q = .1, 8.6e-12 at q = .25, 1.0e-11 at the median), where scipy and
-mpmath agree to about 1e-15.  The error grows with the shape parameters,
-which points at the cancellation in lgamma(a+b) - lgamma(a) - lgamma(b)
-of the prefactor.
+Measured against scipy (betainc below the split, betaincc above) over the
+points a build evaluates for the deciles and the iband levels, the tails
+are off by at most 5.1e-13 absolute at n = 900, 1.0e-11 at n = 10^4 and
+7.0e-11 at n = 9*10^4, the same in both tails.  Against mpmath, weights
+in both tails of every window agree to 5.3e-13 relative at n = 400,
+1.3e-12 at 900 and 5.6e-11 at 10^4.  The error grows with the shape
+parameters: it is the cancellation between lgamma(a+b) - lgamma(a) -
+lgamma(b) and a log x + b log(1-x) in the prefactor.
 
 Most Harrell-Davis weights of a large sample are negligible: the weight
 of level q sits within about 8.5 standard deviations sqrt(q(1-q)/n) of q.
-So each level reduces only its window, the order statistics left after
-trimming at most ``_HD_TAIL_MASS`` = 1e-17 of weight from each tail (838
-of n = 10^4 for the median).  The dropped weight moves an estimate by at
-most 2e-17 max|x|, below the rounding of the sum itself: windowed and
-dense estimates agree within 1e-14 max|x|.  An estimate that comes out
-exactly zero is summed in full, because the signed p-value counts exact
-zeros as ties and a window of tied values can be all zero where the full
-sum is not.  Windows pay only where they are short.  Where a level set's
-windows hold more than half of its n*Q weights (n below 153 for the
-iband family, 176 for the deciles, 246 for a lone median), the dense
-(n, Q) product is faster and is kept.
+So the continued fraction runs only over a bracket of 12 standard
+deviations (plus a skewness margin) around each level, widened wherever
+the tail beyond it exceeds ``_HD_TAIL_MASS`` = 1e-17, and each level
+keeps its window: the order statistics left after trimming at most 1e-17
+of weight from each tail, and no more (848 of n = 10^4 for the median).
+The estimate is the sum over the window on every path: the windowed dot
+products, the dense product below the coverage rule (its columns are
+exactly zero outside the windows), and the counting path of tied
+pairwise differences.  The dropped weight moves an estimate by at most
+2e-17 max|x|.  A window of zeros therefore sums to exactly zero on every
+path, and the signed p-value counts it as a tie; there is no fallback to
+a full sum.  Where a level set's windows hold more than half of its n*Q
+weights (n up to about 157 for the iband family, 178 for the deciles,
+257 for a lone median), the dense (n, Q) product is faster and is kept.
 
 Neither reduction depends on the BLAS thread count.  A window is one dot
 product per row, which OpenBLAS sums on one thread below 10^4 elements;
 a window reaches 10^4 only past n = 10^6.  The dense product sums fewer
-than 250 terms per estimate, and OpenBLAS's matrix product (Haswell
+than 260 terms per estimate, and OpenBLAS's matrix product (Haswell
 kernels) changed bits with its thread count only from about 400 terms up.
 """
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,68 +77,135 @@ _CF_MAXITER = 2000
 
 # a window leaves out at most this much Harrell-Davis weight in each tail
 _HD_TAIL_MASS = 1e-17
+# first guess at a bracket holding a level's window, in standard deviations
+# of its beta distribution; widened where the tail beyond it is too heavy
+_HD_BRACKET_SD = 12.0
 
 
-def _betacf(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Continued fraction for the incomplete beta, elementwise over x.
+def _lentz_step(dc: np.ndarray, h: np.ndarray, aa: np.ndarray) -> np.ndarray:
+    """One modified-Lentz step with coefficient aa on the stacked (d, c)
+    rows; multiplies h by the step's factor and returns it."""
+    d, c = dc
+    d *= aa
+    d += 1.0
+    np.divide(aa, c, out=c)
+    c += 1.0
+    np.copyto(dc, _CF_TINY, where=np.abs(dc) < _CF_TINY)
+    np.divide(1.0, d, out=d)
+    delta = d * c
+    h *= delta
+    return delta
 
-    Modified Lentz recurrence; callers must keep x below the symmetry
-    split point (a+1)/(a+b+2) where convergence is fast.
+
+def _betacf(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta, elementwise over x, a, b.
+
+    Modified Lentz recurrence; callers must keep each x below its split
+    point (a+1)/(a+b+2) where convergence is fast.  Each element leaves
+    the loop at its own convergence, so its value does not depend on the
+    elements evaluated with it.
     """
+    out = np.empty(x.shape)
+    idx = np.arange(x.size)
+    live = np.ones(x.size, dtype=bool)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
+    dc = np.ones((2, x.size))
+    d = dc[0]
+    np.subtract(1.0, qab * x / qap, out=d)
     np.copyto(d, _CF_TINY, where=np.abs(d) < _CF_TINY)
-    d = 1.0 / d
+    np.divide(1.0, d, out=d)
     h = d.copy()
     for m in range(1, _CF_MAXITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_TINY, where=np.abs(d) < _CF_TINY)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_TINY, where=np.abs(c) < _CF_TINY)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_TINY, where=np.abs(d) < _CF_TINY)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_TINY, where=np.abs(c) < _CF_TINY)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < _CF_EPS):
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge (a={a}, b={b})"
-    )
+        am2 = a + m2
+        _lentz_step(dc, h, m * (b - m) * x / ((qam + m2) * am2))
+        delta = _lentz_step(dc, h, -(a + m) * (qab + m) * x / (am2 * (qap + m2)))
+        done = (np.abs(delta - 1.0) < _CF_EPS) & live
+        if done.any():
+            # an element's value is h at its first convergence; elements
+            # that converged keep iterating, unread, until a quarter of
+            # the arrays is dead
+            out[idx[done]] = h[done]
+            live &= ~done
+            alive = np.count_nonzero(live)
+            if alive == 0:
+                return out
+            if 4 * alive <= 3 * live.size:
+                x, a, b, qab, qap, qam, h, idx = (
+                    v[live] for v in (x, a, b, qab, qap, qam, h, idx))
+                dc = dc[:, live]
+                live = np.ones(alive, dtype=bool)
+    raise ArithmeticError("incomplete beta continued fraction failed to converge "
+                          f"(a={a[live][0]}, b={b[live][0]})")
 
 
-def _betainc_grid(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """I_x(a, b) for an array of x values in [0, 1] and scalar shapes a, b > 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    lo = x == 0.0
-    hi = x == 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
+# Stirling-series coefficients of lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2)
+# in odd powers of 1/x; from x = 10 on, the first left out is below 7e-16
+_STIRLING = (1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188, -691.0 / 360360)
+
+
+def _stirling_tail(x: float) -> float:
+    r = 1.0 / (x * x)
+    return sum(c * r ** k for k, c in enumerate(_STIRLING)) / x
+
+
+def _log_beta_norm(a: float, b: float) -> float:
+    """log(1 / B(a, b)).
+
+    With one shape s below 10 and the other, l, at least 10,
+    lgamma(l + s) - lgamma(l) comes from the Stirling series as
+    (l - 1/2) log1p(s/l) + s log(l + s) - s plus the series tails, which
+    avoids subtracting two large lgamma values: for a = 82, b = 1/2 (an
+    ANOVA F tail at d = 164) the plain difference is off by 7e-14, this
+    form by 7e-16.  With both shapes large the cancellation against the
+    powers x^a y^b of the prefactor dominates either way.
+    """
+    small, large = min(a, b), max(a, b)
+    if large < 10.0 or small >= 10.0:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    rise = ((large - 0.5) * math.log1p(small / large) + small * math.log(large + small) - small
+            + (_stirling_tail(large + small) - _stirling_tail(large)))
+    return rise - math.lgamma(small)
+
+
+def _beta_tails(x, y, a, b, lognorm, upper) -> np.ndarray:
+    """A tail of Beta(a, b) at each x, elementwise: I_x(a, b), or where
+    ``upper`` is set, I_y(b, a) = 1 - I_x(a, b).
+
+    ``y`` is 1 - x as the caller computes it exactly, and ``lognorm`` is
+    ``_log_beta_norm(a, b)``; all arguments broadcast against x.  Callers
+    keep each element on its fast side of the split point (a+1)/(a+b+2):
+    at or below it for the lower tail, at or above it for the upper.  Both
+    tails keep their relative accuracy however small they are.
+    """
+    x, y, a, b, lognorm, upper = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x, y, a, b, lognorm)), np.asarray(upper, dtype=bool))
+    t = np.zeros(x.shape)
+    mid = (x > 0.0) & (y > 0.0)
     if np.any(mid):
-        xm = x[mid]
-        lbeta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        front = np.exp(lbeta + a * np.log(xm) + b * np.log1p(-xm))
-        res = np.empty(xm.shape)
-        direct = xm < (a + 1.0) / (a + b + 2.0)
-        if np.any(direct):
-            res[direct] = front[direct] * _betacf(xm[direct], a, b) / a
-        swapped = ~direct
-        if np.any(swapped):
-            res[swapped] = 1.0 - front[swapped] * _betacf(1.0 - xm[swapped], b, a) / b
-        out[mid] = res
-    return out
+        xm, ym, am, bm, up = x[mid], y[mid], a[mid], b[mid], upper[mid]
+        # log of the smaller argument, log1p of its complement: no 1 - x
+        near = xm <= ym
+        s = np.where(near, xm, ym)
+        ls, l1 = np.log(s), np.log1p(-s)
+        front = np.exp(lognorm[mid] + (am * np.where(near, ls, l1) + bm * np.where(near, l1, ls)))
+        p, r = np.where(up, bm, am), np.where(up, am, bm)
+        t[mid] = front * _betacf(np.where(up, ym, xm), p, r) / p
+    return t
+
+
+def _betainc_grid(x, y, a: float, b: float) -> np.ndarray:
+    """I_x(a, b) for arrays x in [0, 1] and y = 1 - x, scalar shapes a, b > 0.
+
+    The caller passes y computed without the subtraction, so the upper
+    tail near x = 1 keeps its digits.
+    """
+    x = np.asarray(x, dtype=float)
+    upper = x >= (a + 1.0) / (a + b + 2.0)
+    t = _beta_tails(x, y, a, b, _log_beta_norm(a, b), upper)
+    return np.where(upper, 1.0 - t, t)
 
 
 def _check_quantile(q: float) -> float:
@@ -162,58 +239,141 @@ def estimate_quantiles(values, quantiles, estimator: str = HARRELL_DAVIS) -> np.
     return _from_sorted_rows(xs[None, :], quantiles, estimator)[0]
 
 
-@lru_cache(maxsize=512)
-def _hd_weight_matrix(n: int, quantiles: tuple) -> np.ndarray:
-    """(n, Q) Harrell-Davis weights of an n-sample, one column per level."""
-    grid = np.arange(n + 1, dtype=float) / n
-    w = np.empty((n, len(quantiles)))
-    for j, q in enumerate(quantiles):
-        q = _check_quantile(q)
-        w[:, j] = np.diff(_betainc_grid(grid, (n + 1.0) * q, (n + 1.0) * (1.0 - q)))
-    # adjacent CDF values can round to differences of about -1e-16 in the
-    # far tails; clamp so each column stays a probability vector
-    np.clip(w, 0.0, None, out=w)
-    w.setflags(write=False)
-    return w
+class _HDWeights(NamedTuple):
+    """Harrell-Davis weights of an n-sample for a level set.
+
+    ``windows[j]`` is (lo, w): level j puts weight w on order statistics
+    lo .. lo + w.size - 1 (0-based) and none on the others.  ``mirrored[j]``
+    says that window is its own mirror image, w == w[::-1] about the middle
+    of the sample (the median's).  ``dense`` is the same weights as an
+    (n, Q) matrix, zero outside the windows, where the coverage rule keeps
+    the dense product; None elsewhere.
+    """
+
+    windows: tuple
+    mirrored: tuple
+    dense: np.ndarray | None
 
 
-def _tail_windows(w: np.ndarray) -> tuple:
-    """(lo, weights) per column of a weight matrix: the window
-    ``w[lo:lo + weights.size, j]`` leaves out at most ``_HD_TAIL_MASS`` of
-    the column's weight in each tail."""
-    n = w.shape[0]
-    head = np.count_nonzero(np.cumsum(w, axis=0) <= _HD_TAIL_MASS, axis=0)
-    tail = np.count_nonzero(np.cumsum(w[::-1], axis=0) <= _HD_TAIL_MASS, axis=0)
-    return tuple((int(lo), np.ascontiguousarray(w[lo:n - t, j]))
-                 for j, (lo, t) in enumerate(zip(head, tail)))
+def _hd_bracket(n: int, q: float, width: float) -> tuple:
+    """Grid indices (j0, j1) around q*n that hold ``width`` standard
+    deviations of Beta((n+1)q, (n+1)(1-q)) on each side, plus its
+    Cornish-Fisher skewness shift at 8.5 of them, clipped to [0, n]."""
+    sd = math.sqrt(q * (1.0 - q) / (n + 2.0))
+    k = math.ceil(n * (width * sd + 24.0 * abs(1.0 - 2.0 * q) / (n + 2.0))) + 1
+    return max(0, math.floor(q * n) - k), min(n, math.ceil(q * n) + k)
 
 
-@lru_cache(maxsize=512)
-def _hd_windows(n: int, quantiles: tuple):
-    """The windows of ``_hd_weight_matrix(n, quantiles)``, or None where
-    they hold more than half of its n*Q weights and the dense product is
-    faster (for 600 rows at n=30, deciles: 0.02 against 0.19 ms)."""
-    windows = _tail_windows(_hd_weight_matrix(n, quantiles))
-    if 2 * sum(w.size for _, w in windows) > n * len(quantiles):
-        return None
-    for _, w in windows:
+def _hd_level_windows(n: int, levels: list, brackets: list) -> list:
+    """The window (lo, w) of each level from the beta tails at the grid
+    points of its bracket, or None where the bracket leaves more than
+    ``_HD_TAIL_MASS`` of weight beyond an edge.  One continued-fraction
+    pass evaluates every level."""
+    js, upper, parts = [], [], []
+    for q, (j0, j1) in zip(levels, brackets):
+        a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+        j = np.arange(j0, j1 + 1)
+        x = j / n
+        split = (a + 1.0) / (a + b + 2.0)
+        # a grid point on the split is evaluated in both tails
+        lo, up = x <= split, x >= split
+        parts.append((x, split, lo, up, a, b, _log_beta_norm(a, b)))
+        js.append(np.concatenate([j[lo], j[up]]))
+        upper.append(np.repeat([False, True], [np.count_nonzero(lo), np.count_nonzero(up)]))
+    sizes = [v.size for v in js]
+    j = np.concatenate(js)
+    a, b, lognorm = (np.repeat([p[k] for p in parts], sizes) for k in (4, 5, 6))
+    # the upper tail takes its own argument (n - j)/n, not 1 - j/n
+    tails = _beta_tails(j / n, (n - j) / n, a, b, lognorm, np.concatenate(upper))
+    out = []
+    for (j0, j1), (x, split, lo, up, *_), t in zip(brackets, parts,
+                                                    np.split(tails, np.cumsum(sizes)[:-1])):
+        cdf = np.full(x.size, np.nan)
+        sf = np.full(x.size, np.nan)
+        n_lo = np.count_nonzero(lo)
+        cdf[lo], sf[up] = t[:n_lo], t[n_lo:]
+        # on the split the two tails must add to 1: scaling them so keeps
+        # the column's sum at 1 despite a common error in their prefactor
+        # (a crossing weight 1 - cdf - sf does the same elsewhere)
+        on = lo & up
+        total = cdf[on] + sf[on]
+        cdf[on] /= total
+        sf[on] /= total
+        # the weight beyond an edge is the tail at that edge
+        if (j0 > 0 and not cdf[0] <= _HD_TAIL_MASS) or (j1 < n and not sf[-1] <= _HD_TAIL_MASS):
+            out.append(None)
+            continue
+        first = int(np.flatnonzero(cdf <= _HD_TAIL_MASS)[-1])
+        last = int(np.flatnonzero(sf <= _HD_TAIL_MASS)[0])
+        x, cdf, sf = x[first:last + 1], cdf[first:last + 1], sf[first:last + 1]
+        # lower-CDF differences below the split, upper-tail differences
+        # above it, and 1 minus both tails across it
+        w = np.where(x[1:] <= split, cdf[1:] - cdf[:-1],
+                     np.where(x[:-1] >= split, sf[:-1] - sf[1:], (1.0 - sf[1:]) - cdf[:-1]))
+        np.maximum(w, 0.0, out=w)
         w.setflags(write=False)
-    return windows
-
-
-def _windowed_product(rows: np.ndarray, windows: tuple, weights: np.ndarray) -> np.ndarray:
-    """``rows @ weights`` to within the dropped tails, from the windows of
-    its columns.  Each row and window is one dot product, so a row's
-    estimates do not depend on the rows reduced with it."""
-    out = np.empty((rows.shape[0], len(windows)))
-    for j, (lo, w) in enumerate(windows):
-        np.vecdot(rows[:, lo:lo + w.size], w, out=out[:, j])
-    # the signed p-value counts exact zeros as ties, and a window of tied
-    # values can be all zero where the full sum is not: sum those in full
-    r, j = np.nonzero(out == 0.0)
-    if r.size:
-        out[r, j] = np.einsum("kn,nk->k", rows[r], weights[:, j])
+        out.append((j0 + first, w))
     return out
+
+
+@lru_cache(maxsize=512)
+def _hd_weight_matrix(n: int, quantiles: tuple) -> _HDWeights:
+    """The Harrell-Davis weights of an n-sample, one window per level.
+
+    A level's window is the order statistics left after trimming at most
+    ``_HD_TAIL_MASS`` of weight from each tail, and no more.  Its weights
+    are bit-identical whatever level set it is built with.  Where the
+    windows hold more than half of the n*Q weights the dense product is
+    faster (for 600 rows at n=30, deciles: 0.02 against 0.19 ms), so the
+    zero-tailed (n, Q) matrix comes along.
+    """
+    levels = [_check_quantile(q) for q in quantiles]
+    windows = [None] * len(levels)
+    todo = list(range(len(levels)))
+    width = _HD_BRACKET_SD
+    while todo:
+        found = _hd_level_windows(n, [levels[i] for i in todo],
+                                  [_hd_bracket(n, levels[i], width) for i in todo])
+        for i, window in zip(todo, found):
+            windows[i] = window
+        todo = [i for i in todo if windows[i] is None]
+        width *= 2.0
+    mirrored = tuple(2 * lo + w.size == n and np.array_equal(w, w[::-1]) for lo, w in windows)
+    dense = None
+    if 2 * sum(w.size for _, w in windows) > n * len(levels):
+        dense = np.zeros((n, len(levels)))
+        for j, (lo, w) in enumerate(windows):
+            dense[lo:lo + w.size, j] = w
+        dense.setflags(write=False)
+    return _HDWeights(tuple(windows), mirrored, dense)
+
+
+def _window_dot(rows: np.ndarray, lo: int, w: np.ndarray, mirrored: bool, out: np.ndarray) -> None:
+    """One level's estimate for every row from its window, one dot product
+    per row, so a row's estimate does not depend on the rows reduced with
+    it.  A mirrored window adds each order statistic to its mirror image
+    first, so a sample symmetric about zero gives exactly zero."""
+    if not mirrored:
+        np.vecdot(rows[:, lo:lo + w.size], w, out=out)
+        return
+    half, hi = w.size // 2, lo + w.size
+    np.vecdot(rows[:, lo:lo + half] + rows[:, hi - half:hi][:, ::-1], w[:half], out=out)
+    if w.size % 2:
+        out += w[half] * rows[:, lo + half]
+
+
+def _window_masses(n: int, lo: int, w: np.ndarray) -> tuple:
+    """(below, above), each of length n + 1: the weight of window
+    (lo, w) on the order statistics below j, and on those from j up, each
+    summed from the window's near end."""
+    hi = lo + w.size
+    below = np.zeros(n + 1)
+    np.cumsum(w, out=below[lo + 1:hi + 1])
+    below[hi + 1:] = below[hi]
+    above = np.zeros(n + 1)
+    above[lo:hi] = np.cumsum(w[::-1])[::-1]
+    above[:lo] = above[lo]
+    return below, above
 
 
 @lru_cache(maxsize=512)
@@ -234,11 +394,17 @@ def _from_sorted_rows(rows: np.ndarray, quantiles: tuple, estimator: str) -> np.
     """
     n = rows.shape[1]
     if estimator == HARRELL_DAVIS:
-        weights = _hd_weight_matrix(n, quantiles)
-        windows = _hd_windows(n, quantiles)
-        if windows is None:
-            return rows @ weights
-        return _windowed_product(rows, windows, weights)
+        hd = _hd_weight_matrix(n, quantiles)
+        if hd.dense is not None:
+            out = rows @ hd.dense
+            reduce = hd.mirrored
+        else:
+            out = np.empty((rows.shape[0], len(quantiles)))
+            reduce = [True] * len(quantiles)
+        for j, ((lo, w), mirrored) in enumerate(zip(hd.windows, hd.mirrored)):
+            if reduce[j]:
+                _window_dot(rows, lo, w, mirrored, out[:, j])
+        return out
     if estimator == TYPE7:
         if n == 1:
             return np.repeat(rows, len(quantiles), axis=1)
@@ -261,12 +427,28 @@ def _from_cumulative_counts(values: np.ndarray, cum: np.ndarray, quantiles: tupl
     """
     n = int(cum[-1, 0])
     if estimator == HARRELL_DAVIS:
-        table = np.zeros((n + 1, len(quantiles)))
-        np.cumsum(_hd_weight_matrix(n, quantiles), axis=0, out=table[1:])
-        mass = np.diff(table[cum], axis=0, prepend=0.0)
-        # cumsum adds the values strictly in order, so a value of zero mass
-        # leaves the bits of the estimate unchanged
-        return (mass * values[:, None, None]).cumsum(axis=0)[-1]
+        bounds = np.concatenate([np.zeros((1, cum.shape[1]), dtype=cum.dtype), cum])
+        # summed from the smallest |value| up, each negative value before
+        # its positive mirror: a sample symmetric about zero under equal
+        # masses sums to exactly zero, and a value of zero mass leaves the
+        # bits of the estimate unchanged
+        order = np.lexsort((values > 0.0, np.abs(values)))
+        terms = values[order, None]
+        out = np.empty((cum.shape[1], len(quantiles)))
+        for j, (lo, w) in enumerate(_hd_weight_matrix(n, quantiles).windows):
+            # value k holds order statistics c0 .. c1 - 1 of each row; its
+            # mass is a difference of the window weight below c1 and c0 in
+            # the lower half of the window and of that from c0 and c1 up in
+            # the upper half, so neither tail loses its digits and mirror-
+            # image runs of a mirrored window get equal masses
+            below, above = (t[bounds] for t in _window_masses(n, lo, w))
+            mass = below[1:] - below[:-1]
+            upper = bounds[:-1] >= lo + w.size - w.size // 2
+            np.subtract(above[:-1], above[1:], out=mass, where=upper)
+            across = ~upper & (bounds[1:] > lo + w.size // 2)
+            np.subtract(above[0] - below[:-1], above[1:], out=mass, where=across)
+            out[:, j] = (mass[order] * terms).cumsum(axis=0)[-1]
+        return out
     if estimator == TYPE7:
         j, g = _t7_interp(n, quantiles)
         lo = values[(cum[:, :, None] <= j).sum(axis=0)]

@@ -61,6 +61,9 @@ DESIGN_FLAGS = {
     "ci_index_rounding": "round half to even",
     "bootstrap_samples": "shared across quantiles",
     "main_effect_scale": "mean of cell quantiles per level",
+    "hd_window": "each level sums its window, dropping at most 1e-17 of "
+                 "Harrell-Davis weight per tail, on every path; a window of "
+                 "zeros gives exactly 0, a tie",
 }
 
 
@@ -118,8 +121,10 @@ def anova_f_test(data) -> tuple:
         If the within-cell variance is zero.
     """
     stats, df_w = anova_f_statistics(data)
-    # P(F(1, d) > f) = I_x(d/2, 1/2) at x = d/(d + f), so f = 0 gives p = 1
-    return tuple(_betainc_grid(df_w / (df_w + np.array(stats)), df_w / 2.0, 0.5).tolist())
+    # P(F(1, d) > f) = I_x(d/2, 1/2) at x = d/(d + f), so f = 0 gives p = 1;
+    # 1 - x is passed as f/(d + f), which keeps its digits for f near 0
+    f = np.array(stats)
+    return tuple(_betainc_grid(df_w / (df_w + f), f / (df_w + f), df_w / 2.0, 0.5).tolist())
 
 
 @dataclass(frozen=True)

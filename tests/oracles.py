@@ -4,7 +4,8 @@ These deliberately take different computational routes than the library:
 the beta CDF comes from adaptive quadrature of the density (not the
 continued fraction), quantile weights are integrated interval by
 interval, the ANOVA F statistics come from explicit textbook sums
-computed with plain Python floats, the type-7 quantile is read off one
+computed with plain Python floats, the multiprecision Harrell-Davis weights
+integrate the density in mpmath interval by interval, the type-7 quantile is read off one
 sorted sample at a time, and the generic bootstrap calls a scalar
 statistic once per replicate on the library's own resamples.  The
 kurtosis helpers back the heavy-tail diagnostics of the population tests.
@@ -13,6 +14,7 @@ kurtosis helpers back the heavy-tail diagnostics of the population tests.
 import math
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -76,6 +78,48 @@ def hd_weights_quad(n: int, q: float) -> np.ndarray:
         else:
             w[i - 1], _ = quad(pdf, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
     return w
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
+def hd_weights_mp(n: int, q: float, lo: int, hi: int) -> list:
+    """Harrell-Davis weights of order statistics lo .. hi - 1 (0-based) as
+    mpmath numbers at 30 digits.
+
+    Each weight integrates the Beta((n+1)q, (n+1)(1-q)) density over
+    (i/n, (i+1)/n], in mpmath, so neither the lgamma cancellation nor the
+    1 - x rounding of the library applies; the shape parameters are the
+    library's float products.  Interior intervals, where the density is
+    smooth, take 12-point Gauss-Legendre (about 1e-16 relative against
+    mpmath.quad); the two end intervals, where a non-integer shape makes it
+    singular, take mpmath's hypergeometric incomplete beta near 0, with the
+    shapes swapped for the upper end.
+    """
+    with mpmath.workdps(30):
+        a = mpmath.mpf((n + 1.0) * q)
+        b = mpmath.mpf((n + 1.0) * (1.0 - q))
+        lnorm = mpmath.loggamma(a + b) - mpmath.loggamma(a) - mpmath.loggamma(b)
+
+        def density(x):
+            return mpmath.exp(lnorm + (a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x))
+
+        out = []
+        for i in range(lo, hi):
+            left, right = mpmath.mpf(i) / n, mpmath.mpf(i + 1) / n
+            if n == 1:
+                out.append(mpmath.mpf(1))
+                continue
+            if i == 0:
+                out.append(mpmath.betainc(a, b, 0, right, regularized=True))
+                continue
+            if i == n - 1:
+                out.append(mpmath.betainc(b, a, 0, 1 - left, regularized=True))
+                continue
+            half = (right - left) / 2
+            out.append(half * sum(g * density(left + half * (1 + mpmath.mpf(t)))
+                                  for t, g in zip(_GL_NODES, _GL_WEIGHTS)))
+        return out
 
 
 def hd_quantile_quad(values, q: float) -> float:

@@ -205,6 +205,27 @@ def test_counting_path_matches_sort_path_and_oracle(estimator, x, y):
     np.testing.assert_array_equal(zeros, np.count_nonzero(by_oracle == 0.0, axis=0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(x=_lattice_cell, y=_lattice_cell)
+@example(x=np.array([0.0] * 9 + [-1.0]), y=np.zeros(10))
+@example(x=np.array([1.0, 0, 0, 0, 0, 0, 0, 0, -1.0, 0]), y=np.zeros(10))
+def test_tied_replicates_share_one_exact_zero_rule(x, y):
+    """On tied cells the counting path, the sort path and the HD quantile
+    of each replicate's differences are exactly zero for the same
+    replicates and levels: a window of zeros, or of values mirrored about
+    zero under the median's mirrored weights, sums to exactly zero on
+    every path."""
+    config = BootstrapConfig(n_boot=40, seed=9, quantiles=IBAND_QUANTILES)
+    mx, my = _cell_resample_matrices((x, y), config)
+    counted = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, "hd")
+    with mock.patch.object(pairwise_mod, "_TIE_RATIO", x.size * y.size + 1):
+        by_sort = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, "hd")
+    by_replicate = np.array([[hd_quantile(pairwise_differences(rx, ry), q) for q in IBAND_QUANTILES]
+                             for rx, ry in zip(mx, my)])
+    np.testing.assert_array_equal(counted == 0.0, by_sort == 0.0)
+    np.testing.assert_array_equal(counted == 0.0, by_replicate == 0.0)
+
+
 class TestMedianDiffTest:
     def test_tied_estimate_is_hd_median_of_differences(self):
         rng = stream(8, "tied-median")

@@ -1,16 +1,19 @@
 """Tests for the quantile estimators and the incomplete-beta numerics."""
 
+import functools
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
+from scipy.special import betainc, betaincc
+from scipy.stats import f as f_dist
 
 import qshift
 from qshift import (
@@ -20,16 +23,18 @@ from qshift import (
     hd_quantile,
 )
 from qshift.quantiles import (
+    _HD_BRACKET_SD,
     _HD_TAIL_MASS,
+    _beta_tails,
     _betainc_grid,
     _from_sorted_rows,
+    _hd_bracket,
     _hd_weight_matrix,
-    _hd_windows,
-    _tail_windows,
-    _windowed_product,
+    _log_beta_norm,
 )
+from qshift.simulation import anova_f_statistics, anova_f_test
 
-from oracles import beta_cdf_quad, hd_quantile_quad, type7_quantile
+from oracles import beta_cdf_quad, hd_quantile_quad, hd_weights_mp, type7_quantile
 
 # computed with oracles.beta_cdf_quad (adaptive quadrature of the density)
 BETAINC_ORACLE_X03_A255_B255 = 0.0015007606871103277
@@ -38,21 +43,29 @@ HD_ORACLE_1_TO_20_Q03 = 6.5000002471016565
 
 
 def _hd_weights(n: int, q: float) -> np.ndarray:
-    return _hd_weight_matrix(n, (q,))[:, 0]
+    """The full weight vector of one level, zero outside its window."""
+    (lo, w), = _hd_weight_matrix(n, (q,)).windows
+    out = np.zeros(n)
+    out[lo:lo + w.size] = w
+    return out
+
+
+def _ibeta(x: float, a: float, b: float) -> float:
+    return _betainc_grid([x], [1.0 - x], a, b)[0]
 
 
 class TestRegularizedIncompleteBeta:
     def test_lower_endpoint(self):
-        assert _betainc_grid([0.0], 2.0, 3.0)[0] == 0.0
+        assert _ibeta(0.0, 2.0, 3.0) == 0.0
 
     def test_upper_endpoint(self):
-        assert _betainc_grid([1.0], 2.0, 3.0)[0] == 1.0
+        assert _ibeta(1.0, 2.0, 3.0) == 1.0
 
     def test_beta11_is_uniform(self):
-        assert _betainc_grid([0.5], 1.0, 1.0)[0] == pytest.approx(0.5, abs=1e-14)
+        assert _ibeta(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_against_quadrature_oracle(self):
-        value = _betainc_grid([0.3], 25.5, 25.5)[0]
+        value = _ibeta(0.3, 25.5, 25.5)
         assert value == pytest.approx(BETAINC_ORACLE_X03_A255_B255, abs=1e-10)
 
     @pytest.mark.parametrize("x,a,b", [
@@ -62,24 +75,50 @@ class TestRegularizedIncompleteBeta:
         (0.12, 1001.0, 9009.0),
     ])
     def test_random_regimes_vs_oracle(self, x, a, b):
-        assert _betainc_grid([x], a, b)[0] == pytest.approx(beta_cdf_quad(x, a, b), abs=1e-10)
+        assert _ibeta(x, a, b) == pytest.approx(beta_cdf_quad(x, a, b), abs=1e-10)
 
     def test_symmetry_relation(self):
         # I_x(a,b) + I_{1-x}(b,a) = 1
-        v1 = _betainc_grid([0.73], 12.0, 5.0)[0]
-        v2 = _betainc_grid([0.27], 5.0, 12.0)[0]
+        v1 = _ibeta(0.73, 12.0, 5.0)
+        v2 = _ibeta(0.27, 5.0, 12.0)
         assert v1 + v2 == pytest.approx(1.0, abs=1e-13)
 
-    @pytest.mark.parametrize("n,bound", [(900, 1e-12), (10_000, 2e-11)])
+    @pytest.mark.parametrize("n,bound", [(900, 1.1e-12), (10_000, 2.1e-11), (90_000, 1.4e-10)])
     def test_hd_grid_against_scipy(self, n, bound):
-        """Every CDF value behind the HD weights of the iband levels and the
-        deciles at n, within twice the largest error measured there."""
-        grid = np.arange(n + 1) / n
+        """Every beta tail behind the HD weights of the iband levels and the
+        deciles at n, over the bracket the build evaluates, within twice the
+        largest error measured there: the lower CDF below each split point
+        against scipy's betainc, the upper tail above it against betaincc."""
         worst = 0.0
         for q in sorted(set(IBAND_QUANTILES) | set(DECILES)):
             a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
-            worst = max(worst, float(np.max(np.abs(_betainc_grid(grid, a, b) - betainc(a, b, grid)))))
+            j0, j1 = _hd_bracket(n, q, _HD_BRACKET_SD)
+            j = np.arange(j0, j1 + 1)
+            x = j / n
+            upper = x >= (a + 1.0) / (a + b + 2.0)
+            tails = _beta_tails(x, (n - j) / n, a, b, _log_beta_norm(a, b), upper)
+            reference = np.where(upper, betaincc(a, b, x), betainc(a, b, x))
+            worst = max(worst, float(np.max(np.abs(tails - reference))))
         assert worst <= bound
+
+
+class TestAnovaFTail:
+    @pytest.mark.parametrize("d", [4, 164, 396])
+    def test_matches_scipy_near_zero_and_beyond(self, d):
+        """P(F(1, d) > f) within 1e-14 absolute of scipy, including f just
+        above 0, where forming 1 - d/(d + f) would lose the digits."""
+        n = d // 4 + 1
+        for f in (0.0, 4.5e-10, 1e-6, 1.0, 10.0, 1e3):
+            x = d / (d + f)
+            p = _betainc_grid([x], [f / (d + f)], d / 2.0, 0.5)[0]
+            assert abs(p - f_dist.sf(f, 1, d)) <= 1e-14, (f, d)
+        # the same tails through the ANOVA itself
+        rng = np.random.default_rng(d)
+        cells = [rng.normal(size=n) for _ in range(4)]
+        stats, df_w = anova_f_statistics(cells)
+        assert df_w == d
+        np.testing.assert_allclose(anova_f_test(cells), [f_dist.sf(v, 1, d) for v in stats],
+                                   rtol=0, atol=1e-14)
 
 
 class TestHDWeights:
@@ -241,13 +280,27 @@ def test_sorted_rows_fast_path_matches_scalar_api():
 _LEVEL_SETS = (DECILES, IBAND_QUANTILES, (0.5,), (0.01, 0.99), (0.05, 0.5, 0.95))
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_weights(n: int, q: float) -> tuple:
+    """(start, weights): the multiprecision weights of every order
+    statistic whose weight exceeds 1e-40, which leaves out less than 1e-39
+    of the level's weight."""
+    (lo, w), = _hd_weight_matrix(n, (q,)).windows
+    start, stop = lo, lo + w.size
+    while start > 0 and hd_weights_mp(n, q, start - 1, start)[0] > 1e-40:
+        start -= 1
+    while stop < n and hd_weights_mp(n, q, stop, stop + 1)[0] > 1e-40:
+        stop += 1
+    return start, tuple(hd_weights_mp(n, q, start, stop))
+
+
 @st.composite
 def hd_reduction_case(draw):
     """Sorted rows and a level set on one chosen side of the coverage rule:
-    every set keeps the dense product up to n = 52 and windows from 246."""
+    every set keeps the dense product up to n = 52 and windows from 258."""
     windowed = draw(st.booleans())
     if windowed:
-        n = int(10 ** draw(st.floats(min_value=math.log10(246), max_value=math.log10(30_000))))
+        n = draw(st.sampled_from((258, 400, 900)))
     else:
         n = draw(st.integers(min_value=1, max_value=52))
     levels = draw(st.sampled_from(_LEVEL_SETS))
@@ -263,27 +316,98 @@ def hd_reduction_case(draw):
 @settings(max_examples=40, deadline=None)
 @given(hd_reduction_case())
 def test_windowed_reduction_matches_dense_product(case):
-    """Each window drops at most the tail mass it names and no more, its
-    estimates agree with the dense product within 1e-14 of the largest
-    |x|, and the coverage rule picks the side the case was drawn for."""
+    """Each window drops at most the tail mass it names and no more, each
+    estimate lies within 2 eps max|x| plus rounding of the sum weighted by
+    the full multiprecision weights, and the coverage rule picks the side
+    the case was drawn for.  The allowance past 2 eps is the weights' own
+    error (the lgamma prefactor), twice the largest L1 distance measured
+    between a level's weights and the multiprecision ones at n, plus
+    rounding."""
     windowed, levels, rows = case
     n = rows.shape[1]
-    weights = _hd_weight_matrix(n, levels)
-    windows = _tail_windows(weights)
-    for j, (lo, w) in enumerate(windows):
+    rounding = {258: 1.5e-12, 400: 1.5e-12, 900: 4e-12}.get(n, 1.1e-13) + 1e-15
+    hd = _hd_weight_matrix(n, levels)
+    assert (hd.dense is None) == windowed
+    estimates = _from_sorted_rows(rows, levels, "hd")
+    for j, (q, (lo, w)) in enumerate(zip(levels, hd.windows)):
         hi = lo + w.size
-        assert math.fsum(weights[:lo, j]) <= _HD_TAIL_MASS
-        assert math.fsum(weights[hi:, j]) <= _HD_TAIL_MASS
-        # the window is no longer than the bound needs
-        assert math.fsum(weights[:lo + 1, j]) > _HD_TAIL_MASS
-        assert math.fsum(weights[hi - 1:, j]) > _HD_TAIL_MASS
-    dense = rows @ weights
-    by_window = _windowed_product(rows, windows, weights)
-    floor = 1e-14 * np.max(np.abs(rows), axis=1, keepdims=True)
-    assert np.all(np.abs(by_window - dense) <= np.maximum(1e-14 * np.abs(dense), floor))
-    assert (_hd_windows(n, levels) is not None) == windowed
-    chosen = by_window if windowed else dense
-    assert _from_sorted_rows(rows, levels, "hd").tobytes() == chosen.tobytes()
+        start, exact = _mp_weights(n, q)
+        with mpmath.workdps(30):
+            below, above = sum(exact[:lo - start], mpmath.mpf(0)), sum(exact[hi - start:], mpmath.mpf(0))
+            assert below <= _HD_TAIL_MASS and above <= _HD_TAIL_MASS
+            # the window is no longer than the bound needs
+            assert below + exact[lo - start] > _HD_TAIL_MASS
+            assert above + exact[hi - 1 - start] > _HD_TAIL_MASS
+            for row, estimate in zip(rows, estimates[:, j]):
+                full = math.fsum(row[start + k] * float(v) for k, v in enumerate(exact))
+                bound = (2 * _HD_TAIL_MASS + rounding) * np.max(np.abs(row))
+                assert abs(estimate - full) <= bound, (n, q, estimate, full)
+
+
+class TestWindows:
+    @pytest.mark.parametrize("n", [400, 900, 10_000])
+    def test_weights_against_multiprecision(self, n):
+        """In-window weights of the iband levels agree with mpmath in both
+        halves of every window, ten at each end, nine spread between and
+        three around the split point: the upper tail, taken from its own
+        argument (n - i)/n, is as accurate as the lower.  The one or two
+        weights whose interval touches the split point take up the common
+        error of the prefactor, so the column sums to 1; they are held to
+        an absolute bound.  Bounds are twice the largest error measured at
+        n (the lgamma prefactor dominates)."""
+        rel_bound, abs_bound = {400: (1.1e-12, 7.4e-13), 900: (2.6e-12, 2e-12),
+                                10_000: (1.2e-10, 3.4e-11)}[n]
+        hd = _hd_weight_matrix(n, IBAND_QUANTILES)
+        for q, (lo, w) in zip(IBAND_QUANTILES, hd.windows):
+            a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+            split = (a + 1.0) / (a + b + 2.0)
+            k = w.size
+            near = math.floor(split * n) - lo
+            picks = {*range(10), *range(k - 10, k), *np.linspace(0, k - 1, 9).astype(int).tolist(),
+                     near - 1, near, near + 1}
+            for i in sorted(picks):
+                exact = hd_weights_mp(n, q, lo + i, lo + i + 1)[0]
+                if (lo + i) / n <= split <= (lo + i + 1) / n:
+                    assert abs(float(w[i] - exact)) <= abs_bound, (q, i, w[i])
+                else:
+                    assert abs(float((w[i] - exact) / exact)) <= rel_bound, (q, i, w[i])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 400, 401, 10_000])
+    def test_median_column_is_its_mirror_image(self, n):
+        hd = _hd_weight_matrix(n, (0.5,))
+        (lo, w), = hd.windows
+        assert 2 * lo + w.size == n
+        assert np.array_equal(w, w[::-1])
+        assert hd.mirrored == (True,)
+
+    @pytest.mark.parametrize("n", [1, 7, 30, 100, 246, 900, 10_000])
+    def test_level_weights_do_not_depend_on_the_level_set(self, n):
+        """A level's window is bit-identical whatever set it is built in,
+        so where both sets reduce by windows the estimates are too."""
+        rng = np.random.default_rng(n)
+        xs = np.sort(rng.lognormal(size=n))
+        deciles = _hd_weight_matrix(n, DECILES)
+        batch = estimate_quantiles(xs, DECILES)
+        for j, q in enumerate(DECILES):
+            (lo, w), = _hd_weight_matrix(n, (q,)).windows
+            assert deciles.windows[j][0] == lo
+            assert deciles.windows[j][1].tobytes() == w.tobytes()
+            if deciles.dense is None and _hd_weight_matrix(n, (q,)).dense is None:
+                assert hd_quantile(xs, q) == batch[j]
+            else:
+                assert hd_quantile(xs, q) == pytest.approx(batch[j], rel=1e-14, abs=1e-14)
+
+    def test_extreme_level_brackets_widen(self):
+        """Skewed levels at small n leave more than the tail mass beyond
+        the first bracket; the build widens it rather than trimming there."""
+        n, q = 126, 0.0005
+        j0, j1 = _hd_bracket(n, q, _HD_BRACKET_SD)
+        a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+        assert j1 < n and betaincc(a, b, j1 / n) > _HD_TAIL_MASS
+        (lo, w), = _hd_weight_matrix(n, (q,)).windows
+        assert lo + w.size > j1
+        assert betaincc(a, b, (lo + w.size) / n) <= _HD_TAIL_MASS
+        assert abs(w.sum() - 1.0) < 1e-12
 
 
 _REPLICATES_SCRIPT = """

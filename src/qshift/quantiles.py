@@ -98,7 +98,8 @@ def _lentz_step(dc: np.ndarray, h: np.ndarray, aa: np.ndarray) -> np.ndarray:
 
 
 def _betacf(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta, elementwise over x, a, b.
+    """Continued fraction for the incomplete beta, elementwise over x and
+    the shapes a, b (arrays like x, or scalars).
 
     Modified Lentz recurrence; callers must keep each x below its split
     point (a+1)/(a+b+2) where convergence is fast.  Each element leaves
@@ -106,6 +107,8 @@ def _betacf(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     elements evaluated with it.
     """
     out = np.empty(x.shape)
+    if x.size == 0:
+        return out
     idx = np.arange(x.size)
     live = np.ones(x.size, dtype=bool)
     qab = a + b
@@ -126,19 +129,19 @@ def _betacf(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if done.any():
             # an element's value is h at its first convergence; elements
             # that converged keep iterating, unread, until a quarter of
-            # the arrays is dead
+            # the arrays (and at least 64 elements) is dead
             out[idx[done]] = h[done]
             live &= ~done
             alive = np.count_nonzero(live)
             if alive == 0:
                 return out
-            if 4 * alive <= 3 * live.size:
+            if live.size - alive >= max(64, live.size // 4):
                 x, a, b, qab, qap, qam, h, idx = (
-                    v[live] for v in (x, a, b, qab, qap, qam, h, idx))
+                    v[live] if np.ndim(v) else v for v in (x, a, b, qab, qap, qam, h, idx))
                 dc = dc[:, live]
                 live = np.ones(alive, dtype=bool)
-    raise ArithmeticError("incomplete beta continued fraction failed to converge "
-                          f"(a={a[live][0]}, b={b[live][0]})")
+    raise ArithmeticError(f"incomplete beta continued fraction failed to converge "
+                          f"(a={np.ravel(a)[0]}, b={np.ravel(b)[0]})")
 
 
 # Stirling-series coefficients of lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2)
@@ -170,30 +173,23 @@ def _log_beta_norm(a: float, b: float) -> float:
     return rise - math.lgamma(small)
 
 
-def _beta_tails(x, y, a, b, lognorm, upper) -> np.ndarray:
-    """A tail of Beta(a, b) at each x, elementwise: I_x(a, b), or where
-    ``upper`` is set, I_y(b, a) = 1 - I_x(a, b).
+def _beta_tails(x, y, a, b, lognorm) -> np.ndarray:
+    """I_x(a, b) for x at or below the split point (a+1)/(a+b+2), keeping
+    its relative accuracy however small it is.
 
     ``y`` is 1 - x as the caller computes it exactly, and ``lognorm`` is
-    ``_log_beta_norm(a, b)``; all arguments broadcast against x.  Callers
-    keep each element on its fast side of the split point (a+1)/(a+b+2):
-    at or below it for the lower tail, at or above it for the upper.  Both
-    tails keep their relative accuracy however small they are.
+    ``_log_beta_norm(a, b)``; a, b and lognorm are scalars or arrays like
+    x.  The upper tail 1 - I_x(a, b) above the split is I_y(b, a), with y
+    below the split of Beta(b, a).
     """
-    x, y, a, b, lognorm, upper = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, y, a, b, lognorm)), np.asarray(upper, dtype=bool))
-    t = np.zeros(x.shape)
-    mid = (x > 0.0) & (y > 0.0)
-    if np.any(mid):
-        xm, ym, am, bm, up = x[mid], y[mid], a[mid], b[mid], upper[mid]
-        # log of the smaller argument, log1p of its complement: no 1 - x
-        near = xm <= ym
-        s = np.where(near, xm, ym)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    # log of the smaller argument, log1p of its complement: no 1 - x
+    near = x <= y
+    s = np.where(near, x, y)
+    with np.errstate(divide="ignore"):  # x = 0 gives exactly 0
         ls, l1 = np.log(s), np.log1p(-s)
-        front = np.exp(lognorm[mid] + (am * np.where(near, ls, l1) + bm * np.where(near, l1, ls)))
-        p, r = np.where(up, bm, am), np.where(up, am, bm)
-        t[mid] = front * _betacf(np.where(up, ym, xm), p, r) / p
-    return t
+    front = np.exp(lognorm + (a * np.where(near, ls, l1) + b * np.where(near, l1, ls)))
+    return front * _betacf(x, a, b) / a
 
 
 def _betainc_grid(x, y, a: float, b: float) -> np.ndarray:
@@ -202,10 +198,13 @@ def _betainc_grid(x, y, a: float, b: float) -> np.ndarray:
     The caller passes y computed without the subtraction, so the upper
     tail near x = 1 keeps its digits.
     """
-    x = np.asarray(x, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     upper = x >= (a + 1.0) / (a + b + 2.0)
-    t = _beta_tails(x, y, a, b, _log_beta_norm(a, b), upper)
-    return np.where(upper, 1.0 - t, t)
+    lognorm = _log_beta_norm(a, b)
+    out = np.empty(x.shape)
+    out[~upper] = _beta_tails(x[~upper], y[~upper], a, b, lognorm)
+    out[upper] = 1.0 - _beta_tails(y[upper], x[upper], b, a, lognorm)
+    return out
 
 
 def _check_quantile(q: float) -> float:
@@ -243,11 +242,11 @@ class _HDWeights(NamedTuple):
     """Harrell-Davis weights of an n-sample for a level set.
 
     ``windows[j]`` is (lo, w): level j puts weight w on order statistics
-    lo .. lo + w.size - 1 (0-based) and none on the others.  ``mirrored[j]``
-    says that window is its own mirror image, w == w[::-1] about the middle
-    of the sample (the median's).  ``dense`` is the same weights as an
-    (n, Q) matrix, zero outside the windows, where the coverage rule keeps
-    the dense product; None elsewhere.
+    lo .. lo + w.size - 1 (0-based) and none on the others.  ``mirrored``
+    lists the levels whose window is its own mirror image, w == w[::-1]
+    about the middle of the sample (the median's).  ``dense`` is the same
+    weights as an (n, Q) matrix, zero outside the windows, where the
+    coverage rule keeps the dense product; None elsewhere.
     """
 
     windows: tuple
@@ -269,7 +268,7 @@ def _hd_level_windows(n: int, levels: list, brackets: list) -> list:
     points of its bracket, or None where the bracket leaves more than
     ``_HD_TAIL_MASS`` of weight beyond an edge.  One continued-fraction
     pass evaluates every level."""
-    js, upper, parts = [], [], []
+    js, shapes, parts = [], [], []
     for q, (j0, j1) in zip(levels, brackets):
         a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
         j = np.arange(j0, j1 + 1)
@@ -277,17 +276,20 @@ def _hd_level_windows(n: int, levels: list, brackets: list) -> list:
         split = (a + 1.0) / (a + b + 2.0)
         # a grid point on the split is evaluated in both tails
         lo, up = x <= split, x >= split
-        parts.append((x, split, lo, up, a, b, _log_beta_norm(a, b)))
-        js.append(np.concatenate([j[lo], j[up]]))
-        upper.append(np.repeat([False, True], [np.count_nonzero(lo), np.count_nonzero(up)]))
+        parts.append((x, split, lo, up))
+        # the upper tail at j is the lower tail of Beta(b, a) at (n - j)/n
+        js += [j[lo], n - j[up]]
+        lognorm = _log_beta_norm(a, b)
+        shapes += [(a, b, lognorm), (b, a, lognorm)]
     sizes = [v.size for v in js]
     j = np.concatenate(js)
-    a, b, lognorm = (np.repeat([p[k] for p in parts], sizes) for k in (4, 5, 6))
-    # the upper tail takes its own argument (n - j)/n, not 1 - j/n
-    tails = _beta_tails(j / n, (n - j) / n, a, b, lognorm, np.concatenate(upper))
+    a, b, lognorm = (np.repeat(v, sizes) for v in zip(*shapes))
+    # each tail takes its own argument j/n and complement (n - j)/n
+    tails = _beta_tails(j / n, (n - j) / n, a, b, lognorm)
+    sizes = [p + q for p, q in zip(sizes[::2], sizes[1::2])]
     out = []
-    for (j0, j1), (x, split, lo, up, *_), t in zip(brackets, parts,
-                                                    np.split(tails, np.cumsum(sizes)[:-1])):
+    for (j0, j1), (x, split, lo, up), t in zip(brackets, parts,
+                                              np.split(tails, np.cumsum(sizes)[:-1])):
         cdf = np.full(x.size, np.nan)
         sf = np.full(x.size, np.nan)
         n_lo = np.count_nonzero(lo)
@@ -338,7 +340,8 @@ def _hd_weight_matrix(n: int, quantiles: tuple) -> _HDWeights:
             windows[i] = window
         todo = [i for i in todo if windows[i] is None]
         width *= 2.0
-    mirrored = tuple(2 * lo + w.size == n and np.array_equal(w, w[::-1]) for lo, w in windows)
+    mirrored = tuple(j for j, (lo, w) in enumerate(windows)
+                     if 2 * lo + w.size == n and np.array_equal(w, w[::-1]))
     dense = None
     if 2 * sum(w.size for _, w in windows) > n * len(levels):
         dense = np.zeros((n, len(levels)))
@@ -348,18 +351,21 @@ def _hd_weight_matrix(n: int, quantiles: tuple) -> _HDWeights:
     return _HDWeights(tuple(windows), mirrored, dense)
 
 
-def _window_dot(rows: np.ndarray, lo: int, w: np.ndarray, mirrored: bool, out: np.ndarray) -> None:
-    """One level's estimate for every row from its window, one dot product
-    per row, so a row's estimate does not depend on the rows reduced with
-    it.  A mirrored window adds each order statistic to its mirror image
-    first, so a sample symmetric about zero gives exactly zero."""
-    if not mirrored:
-        np.vecdot(rows[:, lo:lo + w.size], w, out=out)
-        return
-    half, hi = w.size // 2, lo + w.size
-    np.vecdot(rows[:, lo:lo + half] + rows[:, hi - half:hi][:, ::-1], w[:half], out=out)
-    if w.size % 2:
-        out += w[half] * rows[:, lo + half]
+def _mirror_pairs(rows: np.ndarray, lo: int, w: np.ndarray, out: np.ndarray) -> None:
+    """Re-sum a mirrored window in mirror pairs for the rows whose window
+    ends are mirror images, x_lo = -x_(hi-1): each order statistic is added
+    to its mirror image before weighting, so a window symmetric about zero
+    gives exactly zero, as on the counting path.  The test reads only the
+    row itself, so a row's estimate does not depend on the rows with it."""
+    hi = lo + w.size
+    r = np.flatnonzero(rows[:, lo] == -rows[:, hi - 1])
+    if r.size:
+        half = w.size // 2
+        sub = rows[r]
+        pairs = np.vecdot(sub[:, lo:lo + half] + sub[:, hi - half:hi][:, ::-1], w[:half])
+        if w.size % 2:
+            pairs += w[half] * sub[:, lo + half]
+        out[r] = pairs
 
 
 def _window_masses(n: int, lo: int, w: np.ndarray) -> tuple:
@@ -397,13 +403,14 @@ def _from_sorted_rows(rows: np.ndarray, quantiles: tuple, estimator: str) -> np.
         hd = _hd_weight_matrix(n, quantiles)
         if hd.dense is not None:
             out = rows @ hd.dense
-            reduce = hd.mirrored
         else:
+            # one dot product per row and window: a row's estimates do not
+            # depend on the rows reduced with it
             out = np.empty((rows.shape[0], len(quantiles)))
-            reduce = [True] * len(quantiles)
-        for j, ((lo, w), mirrored) in enumerate(zip(hd.windows, hd.mirrored)):
-            if reduce[j]:
-                _window_dot(rows, lo, w, mirrored, out[:, j])
+            for j, (lo, w) in enumerate(hd.windows):
+                np.vecdot(rows[:, lo:lo + w.size], w, out=out[:, j])
+        for j in hd.mirrored:
+            _mirror_pairs(rows, *hd.windows[j], out[:, j])
         return out
     if estimator == TYPE7:
         if n == 1:
@@ -422,8 +429,9 @@ def _from_cumulative_counts(values: np.ndarray, cum: np.ndarray, quantiles: tupl
     many elements of row r are at most ``values[k]``, so the last line of
     the (D, m) matrix holds the row length n >= 2.  Type 7 reads the same
     two order statistics as the sorted rows, so it is bit-identical;
-    Harrell-Davis weighs each value by the weight mass of its order
-    statistics, which changes only the summation order.
+    Harrell-Davis weighs each value by the window mass of its order
+    statistics, which changes only the summation order, and gives exactly
+    zero where the sorted rows do.
     """
     n = int(cum[-1, 0])
     if estimator == HARRELL_DAVIS:

@@ -3,10 +3,10 @@
 These deliberately take different computational routes than the library:
 the beta CDF comes from adaptive quadrature of the density (not the
 continued fraction), quantile weights are integrated interval by
-interval, the ANOVA F statistics come from explicit textbook sums
-computed with plain Python floats, the multiprecision Harrell-Davis weights
-integrate the density in mpmath interval by interval, the type-7 quantile is read off one
-sorted sample at a time, and the generic bootstrap calls a scalar
+interval (in mpmath for the multiprecision weights), the ANOVA F
+statistics come from explicit textbook sums computed with plain Python
+floats, the type-7 quantile is read off one sorted sample at a time,
+and the generic bootstrap calls a scalar
 statistic once per replicate on the library's own resamples.  The
 kurtosis helpers back the heavy-tail diagnostics of the population tests.
 """
@@ -14,7 +14,6 @@ kurtosis helpers back the heavy-tail diagnostics of the population tests.
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -96,6 +95,8 @@ def hd_weights_mp(n: int, q: float, lo: int, hi: int) -> list:
     singular, take mpmath's hypergeometric incomplete beta near 0, with the
     shapes swapped for the upper end.
     """
+    import mpmath  # only the multiprecision oracle tests need it
+
     with mpmath.workdps(30):
         a = mpmath.mpf((n + 1.0) * q)
         b = mpmath.mpf((n + 1.0) * (1.0 - q))

@@ -79,9 +79,6 @@ def hd_weights_quad(n: int, q: float) -> np.ndarray:
     return w
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
 def hd_weights_mp(n: int, q: float, lo: int, hi: int) -> list:
     """Harrell-Davis weights of order statistics lo .. hi - 1 (0-based) as
     mpmath numbers at 30 digits.
@@ -96,6 +93,8 @@ def hd_weights_mp(n: int, q: float, lo: int, hi: int) -> list:
     shapes swapped for the upper end.
     """
     import mpmath  # only the multiprecision oracle tests need it
+
+    nodes, node_weights = np.polynomial.legendre.leggauss(12)
 
     with mpmath.workdps(30):
         a = mpmath.mpf((n + 1.0) * q)
@@ -119,7 +118,7 @@ def hd_weights_mp(n: int, q: float, lo: int, hi: int) -> list:
                 continue
             half = (right - left) / 2
             out.append(half * sum(g * density(left + half * (1 + mpmath.mpf(t)))
-                                  for t, g in zip(_GL_NODES, _GL_WEIGHTS)))
+                                  for t, g in zip(nodes, node_weights)))
         return out
 
 

@@ -6,6 +6,7 @@ rewritten file whose bytes changed is printed with the largest move of its
 estimates, so the change can be recorded with its oracle.
 """
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -16,7 +17,6 @@ import test_golden as g
 def _largest_move(name: str, new: str, old: str) -> str:
     if not name.endswith(".json"):
         return "bytes differ"
-    import json
     worst = 0.0
     moved_p = 0
     for a, b in zip(json.loads(new)["rows"], json.loads(old)["rows"]):

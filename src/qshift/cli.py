@@ -90,11 +90,15 @@ def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
                      metavar="Q1,Q2,...", help="quantile levels, each strictly in (0,1)")
     sub.add_argument("--nboot", type=int, default=2000, help="bootstrap replicates")
     sub.add_argument("--alpha", type=float, default=0.05)
-    sub.add_argument("--correction", choices=CORRECTIONS, default="bh")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
     sub.add_argument("--progress", action="store_true",
                      help="report progress on stderr")
+
+
+def _add_table_flags(sub: argparse.ArgumentParser) -> None:
+    """Flags of the commands that print a test table with adjusted p-values."""
+    sub.add_argument("--correction", choices=CORRECTIONS, default="bh")
+    sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
 
 def _load_sample(args):
@@ -197,9 +201,10 @@ def _cmd_iband(args) -> int:
 
 
 def _plot_rows(sample, args):
-    """Shift-function points for every panel of the 2x2 summary."""
+    """Shift-function points for every panel of the 2x2 summary.  The
+    points carry no adjusted p-value, so no correction is applied."""
     inter, main_a, main_b = _contrast_tests(
-        sample, (INTERACTION, MAIN_A, MAIN_B), _config(args), args.correction)
+        sample, (INTERACTION, MAIN_A, MAIN_B), _config(args), "none")
     quantiles = tuple(row.q for row in inter)
     x11, x12, x21, x22 = sample.flat_cells()
     pooled = {
@@ -270,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--contrast", choices=tuple(_CONTRAST_FLAGS), default="interaction")
     _add_analysis_flags(p)
+    _add_table_flags(p)
     p.set_defaults(func=_cmd_decinter)
 
     p = subs.add_parser("iband", help="all-pairwise-difference quantile interaction test")
@@ -277,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ph", action="store_true",
                    help="also report P(X<Y) for each level of factor A")
     _add_analysis_flags(p)
+    _add_table_flags(p)
     p.set_defaults(func=_cmd_iband)
 
     p = subs.add_parser("plotdata", help="export shift-function points as tidy CSV")

@@ -31,15 +31,17 @@ lgamma(b) and a log x + b log(1-x) in the prefactor.
 
 Most Harrell-Davis weights of a large sample are negligible: the weight
 of level q sits within about 8.5 standard deviations sqrt(q(1-q)/n) of q.
-So the continued fraction runs only over a bracket of 12 standard
-deviations (plus a skewness margin) around each level, widened wherever
-the tail beyond it exceeds ``_HD_TAIL_MASS`` = 1e-17, and each level
-keeps its window: the order statistics left after trimming at most 1e-17
-of weight from each tail, and no more (848 of n = 10^4 for the median).
-The estimate is the sum over the window on every path: the windowed dot
-products, the dense product below the coverage rule (its columns are
-exactly zero outside the windows), and the counting path of tied
-pairwise differences.  The dropped weight moves an estimate by at most
+So the continued fraction runs only over the bracket q*n -+ t around each
+level, t = n sqrt(ln(1/eps) / (2(n+2))) with eps = ``_HD_TAIL_MASS`` =
+1e-17.  Beta(a, b) is sub-Gaussian with variance proxy 1/(4(a+b+1))
+(Marchal & Arbel 2017, Electron. Commun. Probab. 22, no. 54), and here
+a+b+1 = n+2, so neither tail beyond the bracket holds more than eps.  Each
+level keeps its window: the order statistics left after trimming at most
+1e-17 of weight from each tail, and no more (848 of n = 10^4 for the
+median).  The estimate is the sum over the window on every path: the
+windowed dot products, the dense product below the coverage rule (its
+columns are exactly zero outside the windows), and the counting path of
+tied pairwise differences.  The dropped weight moves an estimate by at most
 2e-17 max|x|.  A window of zeros therefore sums to exactly zero on every
 path, and the signed p-value counts it as a tie; there is no fallback to
 a full sum.  Where a level set's windows hold more than half of its n*Q
@@ -79,9 +81,6 @@ _CF_MAXITER = 2000
 
 # a window leaves out at most this much Harrell-Davis weight in each tail
 _HD_TAIL_MASS = 1e-17
-# first guess at a bracket holding a level's window, in standard deviations
-# of its beta distribution; widened where the tail beyond it is too heavy
-_HD_BRACKET_SD = 12.0
 
 
 def _lentz_step(dc: np.ndarray, h: np.ndarray, aa: np.ndarray) -> np.ndarray:
@@ -142,8 +141,11 @@ def _betacf(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     v[live] if np.ndim(v) else v for v in (x, a, b, qab, qap, qam, h, idx))
                 dc = dc[:, live]
                 live = np.ones(alive, dtype=bool)
+    # name the shapes of an element that is still iterating
+    i = np.argmax(live)
     raise ArithmeticError(f"incomplete beta continued fraction failed to converge "
-                          f"(a={np.ravel(a)[0]}, b={np.ravel(b)[0]})")
+                          f"(a={np.broadcast_to(a, live.shape)[i]}, "
+                          f"b={np.broadcast_to(b, live.shape)[i]})")
 
 
 # Stirling-series coefficients of lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2)
@@ -256,29 +258,31 @@ class _HDWeights(NamedTuple):
     dense: np.ndarray | None
 
 
-def _hd_bracket(n: int, q: float, width: float) -> tuple:
-    """Grid indices (j0, j1) around q*n that hold ``width`` standard
-    deviations of Beta((n+1)q, (n+1)(1-q)) on each side, plus its
-    Cornish-Fisher skewness shift at 8.5 of them, clipped to [0, n]."""
-    sd = math.sqrt(q * (1.0 - q) / (n + 2.0))
-    k = math.ceil(n * (width * sd + 24.0 * abs(1.0 - 2.0 * q) / (n + 2.0))) + 1
-    return max(0, math.floor(q * n) - k), min(n, math.ceil(q * n) + k)
+def _hd_bracket(n: int, q: float) -> tuple:
+    """Grid indices (j0, j1) around q*n with at most ``_HD_TAIL_MASS`` of
+    Beta((n+1)q, (n+1)(1-q)) below j0/n and above j1/n, clipped to [0, n].
+
+    The variance proxy 1/(4(n+2)) bounds the mass beyond q -+ s by
+    exp(-2(n+2)s^2) on each side; t/n is the s where that is the tail mass.
+    """
+    t = n * math.sqrt(math.log(1.0 / _HD_TAIL_MASS) / (2.0 * (n + 2.0)))
+    return max(0, math.floor(q * n - t)), min(n, math.ceil(q * n + t))
 
 
-def _hd_level_windows(n: int, levels: list, brackets: list) -> list:
+def _hd_level_windows(n: int, levels: list) -> list:
     """The window (lo, w) of each level from the beta tails at the grid
-    points of its bracket, or None where the bracket leaves more than
-    ``_HD_TAIL_MASS`` of weight beyond an edge.  One continued-fraction
-    pass evaluates every level."""
+    points of its bracket.  One continued-fraction pass evaluates every
+    level."""
     js, shapes, parts = [], [], []
-    for q, (j0, j1) in zip(levels, brackets):
+    for q in levels:
+        j0, j1 = _hd_bracket(n, q)
         a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
         j = np.arange(j0, j1 + 1)
         x = j / n
         split = (a + 1.0) / (a + b + 2.0)
         # a grid point on the split is evaluated in both tails
         low, high = x <= split, x >= split
-        parts.append((x, split, low, high))
+        parts.append((j0, x, split, low, high))
         # the upper tail at j is the lower tail of Beta(b, a) at (n - j)/n
         js += [j[low], n - j[high]]
         lognorm = _log_beta_norm(a, b)
@@ -290,8 +294,7 @@ def _hd_level_windows(n: int, levels: list, brackets: list) -> list:
     tails = _beta_tails(j / n, (n - j) / n, a, b, lognorm)
     sizes = [lower + upper for lower, upper in zip(sizes[::2], sizes[1::2])]
     out = []
-    for (j0, j1), (x, split, low, high), t in zip(brackets, parts,
-                                                  np.split(tails, np.cumsum(sizes)[:-1])):
+    for (j0, x, split, low, high), t in zip(parts, np.split(tails, np.cumsum(sizes)[:-1])):
         cdf = np.full(x.size, np.nan)
         sf = np.full(x.size, np.nan)
         n_low = np.count_nonzero(low)
@@ -303,10 +306,6 @@ def _hd_level_windows(n: int, levels: list, brackets: list) -> list:
         total = cdf[on] + sf[on]
         cdf[on] /= total
         sf[on] /= total
-        # the weight beyond an edge is the tail at that edge
-        if (j0 > 0 and not cdf[0] <= _HD_TAIL_MASS) or (j1 < n and not sf[-1] <= _HD_TAIL_MASS):
-            out.append(None)
-            continue
         first = int(np.flatnonzero(cdf <= _HD_TAIL_MASS)[-1])
         last = int(np.flatnonzero(sf <= _HD_TAIL_MASS)[0])
         x, cdf, sf = x[first:last + 1], cdf[first:last + 1], sf[first:last + 1]
@@ -332,16 +331,7 @@ def _hd_weight_matrix(n: int, quantiles: tuple) -> _HDWeights:
     zero-tailed (n, Q) matrix comes along.
     """
     levels = [_check_quantile(q) for q in quantiles]
-    windows = [None] * len(levels)
-    todo = list(range(len(levels)))
-    width = _HD_BRACKET_SD
-    while todo:
-        found = _hd_level_windows(n, [levels[i] for i in todo],
-                                  [_hd_bracket(n, levels[i], width) for i in todo])
-        for i, window in zip(todo, found):
-            windows[i] = window
-        todo = [i for i in todo if windows[i] is None]
-        width *= 2.0
+    windows = _hd_level_windows(n, levels)
     mirrored = tuple(j for j, (lo, w) in enumerate(windows)
                      if 2 * lo + w.size == n and np.array_equal(w, w[::-1]))
     dense = None

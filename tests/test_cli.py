@@ -269,6 +269,14 @@ class TestPlotdataCommand:
         for row in list(csv.reader(io.StringIO(out)))[1:]:
             assert float(row[3]) == 0.0
 
+    @pytest.mark.parametrize("flag", [("--format", "json"), ("--correction", "none")])
+    def test_table_flags_rejected(self, capsys, normal_csv, flag):
+        """plotdata writes CSV without adjusted p-values, so it takes
+        neither table flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["plotdata", "--input", normal_csv, *flag])
+        assert exc.value.code == 2
+
     def test_output_file(self, capsys, normal_csv, tmp_path):
         out_path = tmp_path / "plot.csv"
         code, out, _ = _run(capsys, "plotdata", "--input", normal_csv,

@@ -23,9 +23,9 @@ from qshift import (
     hd_quantile,
 )
 from qshift.quantiles import (
-    _HD_BRACKET_SD,
     _HD_TAIL_MASS,
     _beta_tails,
+    _betacf,
     _betainc_grid,
     _from_sorted_rows,
     _hd_bracket,
@@ -77,6 +77,13 @@ class TestRegularizedIncompleteBeta:
     def test_random_regimes_vs_oracle(self, x, a, b):
         assert _ibeta(x, a, b) == pytest.approx(beta_cdf_quad(x, a, b), abs=1e-10)
 
+    def test_nonconvergence_names_a_live_element(self, monkeypatch):
+        """The error names the shapes of an element still iterating, not
+        those of one that converged."""
+        monkeypatch.setattr("qshift.quantiles._CF_MAXITER", 3)
+        with pytest.raises(ArithmeticError, match=r"a=4000\.0, b=4000\.0"):
+            _betacf(np.array([1e-9, 0.49]), np.array([1.5, 4000.0]), np.array([2.5, 4000.0]))
+
     def test_symmetry_relation(self):
         # I_x(a,b) + I_{1-x}(b,a) = 1
         v1 = _ibeta(0.73, 12.0, 5.0)
@@ -92,7 +99,7 @@ class TestRegularizedIncompleteBeta:
         worst = 0.0
         for q in sorted(set(IBAND_QUANTILES) | set(DECILES)):
             a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
-            j0, j1 = _hd_bracket(n, q, _HD_BRACKET_SD)
+            j0, j1 = _hd_bracket(n, q)
             j = np.arange(j0, j1 + 1)
             x = j / n
             upper = x >= (a + 1.0) / (a + b + 2.0)
@@ -399,17 +406,24 @@ class TestWindows:
             else:
                 assert hd_quantile(xs, q) == pytest.approx(batch[j], rel=1e-14, abs=1e-14)
 
-    def test_extreme_level_brackets_widen(self):
-        """Skewed levels at small n leave more than the tail mass beyond
-        the first bracket; the build widens it rather than trimming there."""
-        n, q = 126, 0.0005
-        j0, j1 = _hd_bracket(n, q, _HD_BRACKET_SD)
-        a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
-        assert j1 < n and betaincc(a, b, j1 / n) > _HD_TAIL_MASS
-        (lo, w), = _hd_weight_matrix(n, (q,)).windows
-        assert lo + w.size > j1
-        assert betaincc(a, b, (lo + w.size) / n) <= _HD_TAIL_MASS
-        assert abs(w.sum() - 1.0) < 1e-12
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 126, 400, 10_000, 90_000])
+    def test_bracket_tails_within_tail_mass(self, n):
+        """Neither tail beyond a level's bracket holds more than the tail
+        mass (by scipy), skewed levels at small n included.  The window the
+        build keeps lies inside the bracket, leaves at most the tail mass
+        beyond each end, and sums to 1."""
+        levels = tuple(np.linspace(0.0005, 0.9995, 41))
+        windows = _hd_weight_matrix(n, levels).windows
+        for q, (lo, w) in zip(levels, windows):
+            j0, j1 = _hd_bracket(n, q)
+            hi = lo + w.size
+            a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+            assert betainc(a, b, j0 / n) <= _HD_TAIL_MASS, q
+            assert betaincc(a, b, j1 / n) <= _HD_TAIL_MASS, q
+            assert j0 <= lo and hi <= j1
+            assert betainc(a, b, lo / n) <= _HD_TAIL_MASS, q
+            assert betaincc(a, b, hi / n) <= _HD_TAIL_MASS, q
+            assert abs(w.sum() - 1.0) < 1e-12
 
 
 _REPLICATES_SCRIPT = """

@@ -12,6 +12,7 @@ parallel execution schedule.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +33,13 @@ __all__ = [
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 _CELL_STREAM = "cell"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _check_integer(name: str, value) -> None:

@@ -13,13 +13,12 @@ import contextlib
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig
+from .bootstrap import BootstrapConfig, _usable_cpus
 from .contrasts import _contrast_tests, decinter
 from .data import DataError, parse_level_order, read_long_csv
 from .design import INTERACTION, MAIN_A, MAIN_B
@@ -59,13 +58,6 @@ def _worker_count(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (the affinity mask where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _parse_levels(text: str):

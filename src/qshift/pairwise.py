@@ -18,7 +18,17 @@ follows from the two cells' value counts, and its cumulative counts give
 the order statistics.  The counting path is exact up to summation order:
 type-7 estimates are bit-identical to the sort, Harrell-Davis estimates
 differ in the last bits.  Continuous cells always take the sort.
+
+The sort runs on one thread per usable CPU (the affinity mask, so
+``taskset`` limits it) once each thread has 2^20 differences or more, as
+at n = 100 per cell and B = 2,000; inside a simulation pool worker it runs
+on one.  numpy's subtraction and sort release the GIL, and each thread
+fills its own contiguous replicates, so results never depend on the count.
+The counting path and the one-row point estimates stay on one thread.
 """
+
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,11 +37,12 @@ from .bootstrap import (
     InferenceResult,
     _cell_resample_matrices,
     _quantile_rows,
+    _usable_cpus,
     _with_family,
     percentile_ci,
     signed_pvalue,
 )
-from .quantiles import _as_sample, _from_cumulative_counts, _from_sorted_rows
+from .quantiles import _as_sample, _build_weights, _from_cumulative_counts, _from_sorted_rows
 
 __all__ = [
     "IBAND_QUANTILES",
@@ -45,6 +56,11 @@ IBAND_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 # cap on elements per pairwise scratch block, ~32 MB of float64
 _BLOCK_ELEMENTS = 1 << 22
+
+# differences a sort thread must have to itself: at n=30, B=600 (5.4e5
+# differences) a second thread at 1 << 18 made iband 9-17% slower on a
+# 2-core VM, and at n=100, B=2000 two threads cut it by a third
+_THREAD_ELEMENTS = 1 << 20
 
 # counting beats sorting once the distinct value pairs are this many times
 # fewer than the pairwise differences: on a 2-core VM it was 2-19x faster
@@ -71,32 +87,65 @@ def ph_probability(diffs) -> float:
     return float(np.count_nonzero(d < 0.0) / d.size)
 
 
+def _sort_threads(n_boot: int, n_pairs: int) -> int:
+    """Threads for the sort path: one per usable CPU, but at most one per
+    ``_THREAD_ELEMENTS`` differences and per two replicates, and one
+    inside a pool worker, whose sibling workers already hold the other
+    CPUs."""
+    threads = min(n_boot // 2, n_boot * n_pairs // _THREAD_ELEMENTS)
+    if threads < 2 or multiprocessing.parent_process() is not None:
+        return 1
+    return min(threads, _usable_cpus())
+
+
 def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimator) -> np.ndarray:
     """Quantile estimates of the pairwise-difference set for each replicate.
 
     ``mx`` and ``my`` are (B, n1) and (B, n2) resample matrices; replicate
     b pairs row b of each.  The point estimate passes each cell as a
     one-row matrix.  Tied cells are counted (see ``_diff_quantiles_by_count``);
-    otherwise each replicate's differences are built and sorted.  Work
-    proceeds in blocks of replicates so the scratch buffers stay bounded.
+    otherwise each replicate's differences are built and sorted.  The
+    replicates are split into contiguous parts, one per thread (see
+    ``_sort_threads``), and each part into equal blocks that bound the
+    scratch buffer.  A replicate's estimates depend on its own row only,
+    so neither split changes a bit: the one exception, the dense
+    Harrell-Davis product of a lone row (matrix-vector, not matrix-matrix
+    bits), cannot occur while every part and block holds two rows or more.
     """
     quantiles = tuple(quantiles)
     tied = _tied_values(mx, my)
     if tied is not None:
         return _diff_quantiles_by_count(*tied, quantiles, estimator)
-    n_boot = mx.shape[0]
-    n_pairs = mx.shape[1] * my.shape[1]
+    (n_boot, n1), n2 = mx.shape, my.shape[1]
+    n_pairs = n1 * n2
     out = np.empty((n_boot, len(quantiles)))
-    step = max(1, _BLOCK_ELEMENTS // n_pairs)
-    # one scratch buffer for every block: a fresh block per step would
-    # fault in its pages again
-    buf = np.empty((min(step, n_boot), mx.shape[1], my.shape[1]))
-    for start in range(0, n_boot, step):
-        stop = min(start + step, n_boot)
-        d = np.subtract(mx[start:stop, :, None], my[start:stop, None, :], out=buf[:stop - start])
-        d = d.reshape(stop - start, n_pairs)
-        d.sort(axis=1)
-        out[start:stop] = _from_sorted_rows(d, quantiles, estimator)
+    threads = _sort_threads(n_boot, n_pairs)
+    parts = [n_boot * t // threads for t in range(threads + 1)]
+    step = max(1, min(-(-n_boot // threads), _BLOCK_ELEMENTS // (threads * n_pairs)))
+    # one scratch buffer for every block of every thread, freed as one:
+    # a fresh block per step would fault in its pages again, and a buffer
+    # per thread raised the sweep's peak RSS by 17-25%
+    buf = np.empty((threads, step, n1, n2))
+
+    def sort_part(t: int) -> None:
+        lo, size = parts[t], parts[t + 1] - parts[t]
+        blocks = -(-size // step)
+        for i in range(blocks):
+            start, stop = lo + size * i // blocks, lo + size * (i + 1) // blocks
+            d = np.subtract(mx[start:stop, :, None], my[start:stop, None, :],
+                            out=buf[t, :stop - start])
+            d = d.reshape(stop - start, n_pairs)
+            d.sort(axis=1)
+            out[start:stop] = _from_sorted_rows(d, quantiles, estimator)
+
+    if threads == 1:
+        sort_part(0)
+    else:
+        _build_weights(n_pairs, quantiles, estimator)
+        # a pool per call: an idle pool kept across calls would be
+        # inherited by the sweep's forked workers
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(sort_part, range(threads)))
     return out
 
 

@@ -384,6 +384,19 @@ def _t7_interp(n: int, quantiles: tuple) -> tuple:
     return j, g
 
 
+def _build_weights(n: int, quantiles: tuple, estimator: str) -> None:
+    """Fill the cache that ``_from_sorted_rows`` reads for rows of length n.
+
+    An ``lru_cache`` is not a lock: threads that miss together each build
+    the weights, so a caller about to reduce on several threads builds
+    them first.
+    """
+    if estimator == HARRELL_DAVIS:
+        _hd_weight_matrix(n, quantiles)
+    elif estimator == TYPE7:
+        _t7_interp(n, quantiles)
+
+
 def _from_sorted_rows(rows: np.ndarray, quantiles: tuple, estimator: str) -> np.ndarray:
     """Quantile estimates for every row of an already-sorted (m, n) matrix.
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import qshift.pairwise
 from qshift import DistributionSpec, generate, stream
 from qshift.cli import main
 
@@ -157,4 +158,19 @@ def workdir(tmp_path_factory):
 def test_output_matches_golden(workdir, name, data, argv):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     problems = compare(name, run_case(workdir, data, argv), expected)
+    assert not problems, f"{name}: " + "; ".join(problems[:5])
+
+
+@pytest.mark.parametrize("name", ["lognormal-hd-iband.json", "lognormal-t7-iband.json"])
+def test_iband_golden_on_one_and_three_threads(workdir, monkeypatch, name):
+    """The sort path splits each replicate call over the usable CPUs (three
+    threads here at n = 100, B = 600); one CPU and three give the same bytes."""
+    data, argv = next((d, a) for n, d, a in cases() if n == name)
+    outputs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(qshift.pairwise, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert qshift.pairwise._sort_threads(N_BOOT, 100 * 100) == cpus
+        outputs.append(run_case(workdir, data, argv))
+    assert outputs[0] == outputs[1]
+    problems = compare(name, outputs[1], (GOLDEN / name).read_text(encoding="utf-8"))
     assert not problems, f"{name}: " + "; ".join(problems[:5])

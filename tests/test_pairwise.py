@@ -1,5 +1,8 @@
 """Tests for the all-pairwise-difference quantile tests."""
 
+import multiprocessing
+import sys
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -224,6 +227,119 @@ def test_tied_replicates_share_one_exact_zero_rule(x, y):
                              for rx, ry in zip(mx, my)])
     np.testing.assert_array_equal(counted == 0.0, by_sort == 0.0)
     np.testing.assert_array_equal(counted == 0.0, by_replicate == 0.0)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs and a sort thread for every two replicates;
+    returns the sizes of the thread pools the sort path starts."""
+    started = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pairwise_mod, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(pairwise_mod, "_THREAD_ELEMENTS", 1)
+    monkeypatch.setattr(pairwise_mod, "ThreadPoolExecutor", RecordedPool)
+    return started
+
+
+def _on_one_thread(fn, *args):
+    with mock.patch.object(pairwise_mod, "_usable_cpus", lambda: 1):
+        return fn(*args)
+
+
+class TestSortThreads:
+    @pytest.mark.parametrize("estimator", ["hd", "t7"])
+    @pytest.mark.parametrize("n,n_boot", [(30, 200), (31, 7), (30, 2), (30, 1), (10, 400)],
+                             ids=["windowed", "windowed-B7", "B2", "B1", "dense"])
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    def test_threads_change_no_bit(self, three_cpus, monkeypatch, estimator, n, n_boot, blocks):
+        """Each thread's part of the replicates gives the rows of one pass,
+        with every block in one shared scratch buffer of bounded size.  No
+        block holds a lone row of several: the dense product would reduce
+        it with matrix-vector bits."""
+        if blocks == "several":
+            # three rows per block on three threads, nine on one
+            monkeypatch.setattr(pairwise_mod, "_BLOCK_ELEMENTS", 9 * n * (n + 1))
+        rng = stream(12, "threads", n)
+        config = BootstrapConfig(n_boot=max(n_boot, 200), seed=5)
+        mx, my = _cell_resample_matrices((rng.normal(size=n), rng.lognormal(size=n + 1)), config)
+        args = (mx[:n_boot], my[:n_boot], IBAND_QUANTILES, estimator)
+        expected = _on_one_thread(pairwise_mod._diff_quantiles_by_block, *args)
+        assert three_cpus == []
+
+        rows = []
+        reduce = pairwise_mod._from_sorted_rows
+        monkeypatch.setattr(pairwise_mod, "_from_sorted_rows",
+                            lambda d, *a: rows.append(d) or reduce(d, *a))
+        got = pairwise_mod._diff_quantiles_by_block(*args)
+        np.testing.assert_array_equal(got, expected)
+        threads = max(1, min(3, n_boot // 2))
+        assert three_cpus == ([threads] if threads > 1 else [])
+        assert sum(d.shape[0] for d in rows) == n_boot
+        assert min(d.shape[0] for d in rows) >= min(2, n_boot)
+        if blocks == "several" and n_boot >= 200:
+            assert len(rows) > 3 * threads
+        scratch = {id(d.base): d.base.size for d in rows}
+        assert len(scratch) == 1
+        n_pairs = n * (n + 1)
+        assert scratch.popitem()[1] <= max(pairwise_mod._BLOCK_ELEMENTS, threads * n_pairs)
+
+    @pytest.mark.parametrize("estimator", ["hd", "t7"])
+    def test_iband_and_median_diff_test_change_no_bit(self, three_cpus, estimator):
+        rng = stream(13, "threads")
+        sample = FactorialSample.from_cells(*(rng.lognormal(size=30) for _ in range(4)))
+        config = BootstrapConfig(n_boot=101, seed=6, estimator=estimator)
+        x, y = rng.normal(size=32), rng.normal(size=29)
+        expected = (_on_one_thread(iband, sample, config),
+                    _on_one_thread(median_diff_test, x, y, config))
+        # three threads on fewer cores, switched often: a thread writing
+        # into another's rows of the output or scratch would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert (iband(sample, config), median_diff_test(x, y, config)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        # one pool per replicate call; the one-row point estimates stay serial
+        assert three_cpus == [3] * 3
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.setattr(pairwise_mod, "_usable_cpus", lambda: 3)
+        threads = pairwise_mod._sort_threads
+        per_thread = pairwise_mod._THREAD_ELEMENTS
+        # one row never starts a pool: a point estimate, or median_diff_test
+        # at n = 1,500 per sample
+        assert threads(1, 1500 * 1500) == 1
+        # and every part has two rows or more
+        assert threads(3, 100 * per_thread) == 1
+        assert threads(4, 100 * per_thread) == 2
+        assert threads(6, per_thread // 2) == 3
+        assert threads(5, per_thread // 2) == 2
+        assert threads(2000, 100 * 100) == 3
+        # n = 30, B = 600: 5.4e5 differences stay on one thread
+        assert threads(600, 30 * 30) == 1
+        monkeypatch.setattr(pairwise_mod, "_usable_cpus", lambda: 1)
+        assert threads(2000, 100 * 100) == 1
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patched CPU count reaches the worker only by fork")
+    def test_pool_worker_sorts_on_one_thread(self, three_cpus):
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(pairwise_mod._sort_threads, 600, 100 * 100).result(60) == 1
+        assert pairwise_mod._sort_threads(600, 100 * 100) == 3
+
+    def test_counting_path_stays_serial(self, three_cpus):
+        rng = stream(14, "threads")
+        config = BootstrapConfig(n_boot=200, seed=7)
+        mx, my = _cell_resample_matrices(
+            tuple(rng.poisson(3.0, 40).astype(float) for _ in range(2)), config)
+        assert pairwise_mod._tied_values(mx, my) is not None
+        pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, "hd")
+        assert three_cpus == []
 
 
 class TestMedianDiffTest:

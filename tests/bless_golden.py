@@ -20,7 +20,7 @@ def _largest_move(name: str, new: str, old: str) -> str:
     worst = 0.0
     moved_p = 0
     for a, b in zip(json.loads(new)["rows"], json.loads(old)["rows"]):
-        scale = max(abs(b["est_lev1"]), abs(b["est_lev2"]))
+        scale = g.row_scale(b)
         for key in a:
             if key in g._EXACT_ROW_FIELDS:
                 moved_p += a[key] != b[key]

@@ -4,11 +4,15 @@ The input data are drawn at test time from ``qshift.stream``, so no data
 file is committed; the expected outputs live in ``tests/golden/`` and are
 rewritten by ``python tests/bless_golden.py``.  A change that re-blesses
 any file must say which, by how much, and against which oracle.
+``median_diff_test`` has no CLI command; its cases call the function on
+the two cells of each level of factor A and write the results as JSON.
 
 Comparison rules: p-values, adjusted p-values and simulated rates are
 ratios of integer counts and are compared exactly, as is every non-numeric
 field.  Estimates and CI bounds may move by 1e-12 relative to the largest
-estimate of their row.  ``plotdata`` prints six significant digits, so a
+estimate of their row; a ``median_diff_test`` row, whose one estimate
+can be a rounding error away from zero, moves relative to the largest of
+its estimate and CI bounds.  ``plotdata`` prints six significant digits, so a
 value there may move only to an adjacent six-digit neighbour; its
 differences and CI bounds are the ``decinter`` rows, which are compared at
 full precision.
@@ -16,6 +20,7 @@ full precision.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -24,8 +29,9 @@ from pathlib import Path
 import pytest
 
 import qshift.pairwise
-from qshift import DistributionSpec, generate, stream
+from qshift import BootstrapConfig, DistributionSpec, generate, median_diff_test, stream
 from qshift.cli import main
+from qshift.data import read_long_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
@@ -46,7 +52,9 @@ DATASETS = {
 SIM_GROUPS = {"normal": [20], "poisson9": None, "beta-binomial-r1": None}
 SIM_N_SIMS = 6
 
-_EXACT_ROW_FIELDS = ("q", "p_value", "p_adjusted")
+_EXACT_ROW_FIELDS = ("q", "level", "p_value", "p_adjusted")
+# the pseudo-command of the median_diff_test cases
+MEDIAN_DIFF = "median_diff_test"
 
 
 def write_dataset(path: Path, name: str) -> None:
@@ -82,6 +90,8 @@ def cases() -> list:
             out.append((f"{data}-{est}-iband.json", data,
                         ["iband", "--ph", "--format", "json", *common]))
             out.append((f"{data}-{est}-plotdata.csv", data, ["plotdata", *common]))
+            if data in ("lognormal", "ties"):
+                out.append((f"{data}-{est}-median-diff.json", data, [MEDIAN_DIFF, *common]))
     out.append(("fwer_desk-subset-simulate.csv", None, ["simulate", "--threads", "1"]))
     return out
 
@@ -96,12 +106,36 @@ def run_case(workdir: Path, data, argv) -> str:
         csv_path = workdir / f"{data}.csv"
         if not csv_path.exists():
             write_dataset(csv_path, data)
+        if argv[0] == MEDIAN_DIFF:
+            return _median_diff_output(csv_path, argv[1:])
         argv = [argv[0], "--input", str(csv_path), *argv[1:]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code == 0, f"qshift {' '.join(argv)} exited {code}"
     return out.getvalue()
+
+
+def _median_diff_output(csv_path: Path, flags: list) -> str:
+    """``median_diff_test`` of cell (a, 1) against cell (a, 2) at each level
+    a of factor A, with the settings of the CLI ``flags``, as JSON."""
+    opts = dict(zip(flags[::2], flags[1::2]))
+    config = BootstrapConfig(n_boot=int(opts["--nboot"]), seed=int(opts["--seed"]),
+                             estimator=opts["--estimator"])
+    sample, _ = read_long_csv(csv_path, "a", "b", "y")
+    rows = []
+    for a, level in enumerate(sample.factor_a, start=1):
+        result = median_diff_test(sample.cell(a, 1), sample.cell(a, 2), config)
+        rows.append({"level": level, **dataclasses.asdict(result)})
+    payload = {"function": MEDIAN_DIFF, "estimator": config.estimator,
+               "n_boot": config.n_boot, "seed": config.seed, "rows": rows}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def row_scale(row: dict) -> float:
+    """The magnitude a row's estimates and CI bounds may move relative to."""
+    keys = ("estimate", "ci_low", "ci_high") if "estimate" in row else ("est_lev1", "est_lev2")
+    return max(abs(row[key]) for key in keys)
 
 
 def _six_digit_neighbours(new: str, old: str) -> bool:
@@ -141,7 +175,7 @@ def _compare_json(new: dict, old: dict) -> list:
         if a.keys() != b.keys():
             problems.append(f"fields {sorted(a)} != {sorted(b)}")
             continue
-        scale = max(abs(b["est_lev1"]), abs(b["est_lev2"]))
+        scale = row_scale(b)
         for key, value in a.items():
             exact = key in _EXACT_ROW_FIELDS
             if value != b[key] and (exact or abs(value - b[key]) > 1e-12 * scale):

@@ -1,9 +1,10 @@
 """Percentile-bootstrap core shared by every test in the package.
 
-Every test takes one path from data to result: the cells are resampled
-once by :func:`_cell_resample_matrices`, each consumer turns the resample
-matrices into a (B, Q) matrix of replicate differences (one column per
-quantile), and :func:`_quantile_rows` reduces that matrix to rows with a
+Every test takes one path from data to result: each cell's resample
+indices are drawn once by :func:`_resample_indices`, each consumer turns
+them into a (B, Q) matrix of replicate differences (one column per
+quantile), from the resample matrices of :func:`_cell_resample_matrices`
+or, for tied ``iband`` cells, from counts of the indexed values, and :func:`_quantile_rows` reduces that matrix to rows with a
 percentile confidence interval, a signed-count p-value with its tie term
 and an adjusted p-value.  The simulation reduces the same matrix with the
 column-wise :func:`signed_pvalue`.  All randomness is addressed through
@@ -107,13 +108,21 @@ class InferenceResult:
     p_value: float
 
 
-def _cell_resample_matrices(cells, config: BootstrapConfig) -> list:
-    """One (n_boot, n) resample matrix per cell, each from its own (seed, cell) stream.
+def _resample_indices(config: BootstrapConfig, i: int, n: int) -> np.ndarray:
+    """(n_boot, n) indices into cell i, drawn from its own (seed, cell) stream.
 
     This is the single source of resampling randomness for every bootstrap
-    path in the package: replicate b of cell i is row b of matrix i,
-    regardless of which engine consumes it.  The matrices are views of one
-    buffer.  Freed as one block, it lifts glibc's dynamic mmap and trim
+    path in the package: replicate b of cell i draws the elements listed in
+    row b, regardless of which engine consumes them.
+    """
+    return stream(config.seed, _CELL_STREAM, i).integers(0, n, size=(config.n_boot, n))
+
+
+def _cell_resample_matrices(cells, config: BootstrapConfig) -> list:
+    """One (n_boot, n) resample matrix per cell: row b of matrix i holds the
+    elements of cell i that :func:`_resample_indices` lists for replicate b.
+
+    The matrices are views of one buffer.  Freed as one block, it lifts glibc's dynamic mmap and trim
     thresholds above a call's working set, so repeated calls reuse their
     memory instead of faulting in fresh pages.
     """
@@ -124,10 +133,9 @@ def _cell_resample_matrices(cells, config: BootstrapConfig) -> list:
     mats, start = [], 0
     for i, sample in enumerate(samples):
         m = buffer[start:start + config.n_boot * sample.size].reshape(config.n_boot, sample.size)
-        rng = stream(config.seed, _CELL_STREAM, i)
         # every index is in range, so "wrap" changes no value; it lets take
         # write into the buffer without a temporary copy
-        np.take(sample, rng.integers(0, sample.size, size=m.shape), out=m, mode="wrap")
+        np.take(sample, _resample_indices(config, i, sample.size), out=m, mode="wrap")
         mats.append(m)
         start += m.size
     return mats

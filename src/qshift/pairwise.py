@@ -12,10 +12,13 @@ cells changes.
 
 Each bootstrap replicate needs quantiles of n1*n2 differences.  When the
 two cells hold V1 and V2 distinct values with V1*V2 at most a quarter of
-n1*n2 (counts, ratings, rounded data), the differences are counted
-instead of built and sorted: the histogram of a replicate's differences
-follows from the two cells' value counts, and its cumulative counts give
-the order statistics.  The counting path is exact up to summation order:
+n1*n2 (counts, ratings, rounded data), and n1*n2 is at least 256, the
+differences are counted instead of built and sorted: the histogram of a
+replicate's differences follows from the counts of the two cells' values
+among its resample indices, and its cumulative counts give the order
+statistics.  The rule reads the two cells' distinct values, not the
+resamples, so it is deterministic: the same cells take the same path at
+every B and seed.  The counting path is exact up to summation order:
 type-7 estimates are bit-identical to the sort, Harrell-Davis estimates
 differ in the last bits.  Continuous cells always take the sort.
 
@@ -35,8 +38,8 @@ import numpy as np
 from .bootstrap import (
     BootstrapConfig,
     InferenceResult,
-    _cell_resample_matrices,
     _quantile_rows,
+    _resample_indices,
     _usable_cpus,
     _with_family,
     percentile_ci,
@@ -62,10 +65,20 @@ _BLOCK_ELEMENTS = 1 << 22
 # 2-core VM, and at n=100, B=2000 two threads cut it by a third
 _THREAD_ELEMENTS = 1 << 20
 
+# value pairs times replicates in one block of the counting path: its
+# (pairs, rows) count products, 2 MB of int64 at most, are reused across
+# blocks instead of being mapped and faulted in afresh on every call
+_COUNT_ELEMENTS = 1 << 18
+
 # counting beats sorting once the distinct value pairs are this many times
 # fewer than the pairwise differences: on a 2-core VM it was 2-19x faster
 # at n=100 up to V1*V2 = .34 n1*n2, and even with the sort near .38 at n=30
 _TIE_RATIO = 4
+
+# below this many differences the sort is as fast as the counting path's
+# fixed cost: on a 2-core VM at B = 600 it took 0.35-0.47 ms a level at
+# n = 10 per cell against 0.7-1.1 ms counted, and the two met near n = 15
+_COUNT_MIN_PAIRS = 256
 
 
 def pairwise_differences(x, y) -> np.ndarray:
@@ -98,13 +111,46 @@ def _sort_threads(n_boot: int, n_pairs: int) -> int:
     return min(threads, _usable_cpus())
 
 
-def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimator) -> np.ndarray:
+def _tied_cells(x: np.ndarray, y: np.ndarray):
+    """Each cell's distinct values and the index of each element among them,
+    or None unless the V1*V2 distinct pairs number at most n1*n2 / _TIE_RATIO
+    and the n1*n2 differences at least _COUNT_MIN_PAIRS.
+
+    The rule reads the cells, not their resamples, so every replicate count
+    takes the same path for the same cells.
+    """
+    if x.size * y.size < _COUNT_MIN_PAIRS:
+        return None
+    ux, vx = np.unique(x, return_inverse=True)
+    uy, vy = np.unique(y, return_inverse=True)
+    if ux.size * uy.size > x.size * y.size // _TIE_RATIO:
+        return None
+    return ux, vx, uy, vy
+
+
+def _diff_quantiles(x: np.ndarray, ix: np.ndarray, y: np.ndarray, iy: np.ndarray,
+                    quantiles, estimator) -> np.ndarray:
     """Quantile estimates of the pairwise-difference set for each replicate.
 
+    Replicate b draws the elements ``x[ix[b]]`` and ``y[iy[b]]``; the point
+    estimate passes each cell's own indices as a one-row matrix.  Tied
+    cells (see ``_tied_cells``) are counted straight from the indices (see
+    ``_diff_quantiles_by_count``); otherwise the drawn values are built
+    into differences and sorted (see ``_diff_quantiles_by_block``).
+    """
+    quantiles = tuple(quantiles)
+    tied = _tied_cells(x, y)
+    if tied is None:
+        return _diff_quantiles_by_block(x[ix], y[iy], quantiles, estimator)
+    ux, vx, uy, vy = tied
+    return _diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles, estimator)
+
+
+def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimator) -> np.ndarray:
+    """Sorted-difference quantile estimates for each replicate.
+
     ``mx`` and ``my`` are (B, n1) and (B, n2) resample matrices; replicate
-    b pairs row b of each.  The point estimate passes each cell as a
-    one-row matrix.  Tied cells are counted (see ``_diff_quantiles_by_count``);
-    otherwise each replicate's differences are built and sorted.  The
+    b pairs row b of each, and its differences are built and sorted.  The
     replicates are split into contiguous parts, one per thread (see
     ``_sort_threads``), and each part into equal blocks that bound the
     scratch buffer.  A replicate's estimates depend on its own row only,
@@ -113,9 +159,6 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     bits), cannot occur while every part and block holds two rows or more.
     """
     quantiles = tuple(quantiles)
-    tied = _tied_values(mx, my)
-    if tied is not None:
-        return _diff_quantiles_by_count(*tied, quantiles, estimator)
     (n_boot, n1), n2 = mx.shape, my.shape[1]
     n_pairs = n1 * n2
     out = np.empty((n_boot, len(quantiles)))
@@ -149,64 +192,65 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     return out
 
 
-def _tied_values(mx: np.ndarray, my: np.ndarray):
-    """Each matrix's distinct values and the index of every entry among
-    them, or None unless the V1*V2 distinct pairs number at most
-    n1*n2 / _TIE_RATIO.  The index matrices keep each row's entries but
-    not their order.
-    """
-    limit = mx.shape[1] * my.shape[1] // _TIE_RATIO
-    # row 0 holds a subset of each matrix's values, so this rejects
-    # continuous cells without scanning the whole matrices
-    if np.unique(mx[0]).size * np.unique(my[0]).size > limit:
-        return None
-    ux, uy = np.unique(mx), np.unique(my)
-    if ux.size * uy.size > limit:
-        return None
-    # searchsorted resumes from the previous key while keys ascend, so
-    # sorting each row first makes the lookup about 3x faster
-    return (ux, np.searchsorted(ux, np.sort(mx, axis=1)),
-            uy, np.searchsorted(uy, np.sort(my, axis=1)))
-
-
-def _value_counts(index: np.ndarray, n_values: int) -> np.ndarray:
-    """(n_values, rows) occurrences of each value index in each row of ``index``."""
+def _value_counts(inverse: np.ndarray, index: np.ndarray, n_values: int) -> np.ndarray:
+    """(n_values, rows) occurrences of each value in each row of ``index``,
+    where element e of the cell is value ``inverse[e]``."""
     rows = index.shape[0]
-    flat = (index + n_values * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, minlength=rows * n_values).reshape(rows, n_values).T
+    # value v in row r counts at v * rows + r: one gather and one in-place add
+    key = np.take(inverse * rows, index)
+    key += np.arange(rows)[:, None]
+    return np.bincount(key.ravel(), minlength=n_values * rows).reshape(n_values, rows)
 
 
-def _diff_quantiles_by_count(ux, ix, uy, iy, quantiles: tuple, estimator) -> np.ndarray:
+def _diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles: tuple, estimator) -> np.ndarray:
     """The sort path's estimates, from counts of each cell's distinct values.
 
-    A replicate holding ux[i] c_x[i] times and uy[h] c_y[h] times holds
-    the difference ux[i] - uy[h] c_x[i] * c_y[h] times.  Accumulating
-    those products over the pairs in ascending order of their difference
-    gives the exact cumulative counts of the n1*n2 sorted differences
-    without building them.
+    Element e of the first cell is ``ux[vx[e]]`` and row b of ``ix`` lists
+    the elements replicate b draws from it, in any order; likewise ``uy``,
+    ``vy`` and ``iy`` for the second cell.  A replicate holding
+    ux[i] c_x[i] times and uy[h] c_y[h] times holds the difference
+    ux[i] - uy[h] c_x[i] * c_y[h] times.  Summing those products over the
+    pairs of each distinct difference, in ascending order, gives the exact
+    cumulative counts of the n1*n2 sorted differences without building
+    them.  A value no replicate draws has count zero and changes no bit.
     """
     diffs = (ux[:, None] - uy[None, :]).ravel()
     order = np.argsort(diffs, kind="stable")
     i, h = np.divmod(order, uy.size)
     values, first = np.unique(diffs[order], return_index=True)
-    last = np.append(first[1:], diffs.size) - 1
     n_boot = ix.shape[0]
     out = np.empty((n_boot, len(quantiles)))
-    step = max(1, _BLOCK_ELEMENTS // (diffs.size * len(quantiles)))
+    step = max(1, _COUNT_ELEMENTS // diffs.size)
     for start in range(0, n_boot, step):
         stop = min(start + step, n_boot)
-        cx = _value_counts(ix[start:stop], ux.size)
-        cy = _value_counts(iy[start:stop], uy.size)
-        cum = (cx[i] * cy[h]).cumsum(axis=0)[last]
+        cx = _value_counts(vx, ix[start:stop], ux.size)
+        cy = _value_counts(vy, iy[start:stop], uy.size)
+        cum = np.add.reduceat(cx[i] * cy[h], first, axis=0).cumsum(axis=0)
         out[start:stop] = _from_cumulative_counts(values, cum, quantiles, estimator)
     return out
 
 
+def _point_quantiles(x: np.ndarray, y: np.ndarray, quantiles, estimator) -> np.ndarray:
+    """Quantile estimates of the differences of the two samples themselves."""
+    return _diff_quantiles(x, np.arange(x.size)[None, :], y, np.arange(y.size)[None, :],
+                           quantiles, estimator)[0]
+
+
+def _level_replicates(cells, first: int, quantiles, config: BootstrapConfig) -> np.ndarray:
+    """(n_boot, n_quantiles) difference quantiles of cells ``first`` and
+    ``first + 1``, each resampled from its own (seed, cell) stream."""
+    x, y = (np.asarray(cells[i], dtype=float) for i in (first, first + 1))
+    return _diff_quantiles(x, _resample_indices(config, first, x.size),
+                           y, _resample_indices(config, first + 1, y.size),
+                           quantiles, config.estimator)
+
+
 def _iband_star(cells, config: BootstrapConfig) -> np.ndarray:
     """(n_boot, n_quantiles) replicates of the level-1 minus level-2 quantiles."""
-    m11, m12, m21, m22 = _cell_resample_matrices(cells, config)
-    return (_diff_quantiles_by_block(m11, m12, config.quantiles, config.estimator)
-            - _diff_quantiles_by_block(m21, m22, config.quantiles, config.estimator))
+    # one level at a time, so no more than two cells' indices and resample
+    # matrices are alive at once
+    return (_level_replicates(cells, 0, config.quantiles, config)
+            - _level_replicates(cells, 2, config.quantiles, config))
 
 
 def iband(data, config: BootstrapConfig | None = None, correction: str = "bh") -> list:
@@ -222,9 +266,8 @@ def iband(data, config: BootstrapConfig | None = None, correction: str = "bh") -
     """
     config = _with_family(config, IBAND_QUANTILES)
     cells = data.flat_cells()
-    x11, x12, x21, x22 = (c[None, :] for c in cells)
-    est1 = _diff_quantiles_by_block(x11, x12, config.quantiles, config.estimator)[0]
-    est2 = _diff_quantiles_by_block(x21, x22, config.quantiles, config.estimator)[0]
+    est1 = _point_quantiles(cells[0], cells[1], config.quantiles, config.estimator)
+    est2 = _point_quantiles(cells[2], cells[3], config.quantiles, config.estimator)
     return _quantile_rows(config.quantiles, (est1, est2, est1 - est2),
                           _iband_star(cells, config), config.alpha, correction)
 
@@ -238,9 +281,7 @@ def median_diff_test(x, y, config: BootstrapConfig | None = None) -> InferenceRe
     """
     config = config if config is not None else BootstrapConfig()
     xs, ys = _as_sample(x, "x"), _as_sample(y, "y")
-    estimate = float(_diff_quantiles_by_block(xs[None, :], ys[None, :], (0.5,),
-                                              config.estimator)[0, 0])
-    mx, my = _cell_resample_matrices((xs, ys), config)
-    med_star = _diff_quantiles_by_block(mx, my, (0.5,), config.estimator)[:, 0]
+    estimate = float(_point_quantiles(xs, ys, (0.5,), config.estimator)[0])
+    med_star = _level_replicates((xs, ys), 0, (0.5,), config)[:, 0]
     lo, hi = percentile_ci(med_star, config.alpha)
     return InferenceResult(estimate, lo, hi, signed_pvalue(med_star))

@@ -23,18 +23,24 @@ from qshift import (
     ph_probability,
     stream,
 )
-from qshift.bootstrap import _cell_resample_matrices
+from qshift.bootstrap import _cell_resample_matrices, _resample_indices
 from qshift.rng import derive_seed
 
 from oracles import bootstrap_statistic, type7_quantile
 
 # 10-20 draws from at most five points of a lattice with step 1 or 0.5,
-# negative values included: V1*V2 <= 25 <= n1*n2/4, so the differences are
-# counted, not sorted
+# negative values included: V1*V2 <= 25 <= n1*n2/4, few enough to count
 _lattice_cell = st.tuples(
     st.sampled_from([1.0, 0.5]),
     st.lists(st.integers(-2, 2), min_size=10, max_size=20),
 ).map(lambda c: c[0] * np.array(c[1], dtype=float))
+
+
+def _counted(x, ix, y, iy, quantiles, estimator):
+    """The counting path's estimates, whatever the size of the cells."""
+    ux, vx = np.unique(x, return_inverse=True)
+    uy, vy = np.unique(y, return_inverse=True)
+    return pairwise_mod._diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles, estimator)
 
 
 class TestPairwiseDifferences:
@@ -166,7 +172,7 @@ class TestIband:
         # never meet another's, so every row is identical
         tied = FactorialSample.from_cells(*(rng.poisson(3.0, 24).astype(float) for _ in range(4)))
         cells = tied.flat_cells()
-        assert pairwise_mod._tied_values(cells[0][None], cells[1][None]) is not None
+        assert pairwise_mod._tied_cells(cells[0], cells[1]) is not None
         full = iband(tied, config)
         monkeypatch.setattr(pairwise_mod, "_BLOCK_ELEMENTS", 1)  # one replicate per block
         assert iband(tied, config) == full
@@ -178,17 +184,14 @@ class TestIband:
 @example(x=np.full(12, 1.5), y=np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0] * 3))
 @example(x=np.arange(-2.0, 3.0).repeat(2), y=np.arange(-1.0, 1.5, 0.5).repeat(4))
 def test_counting_path_matches_sort_path_and_oracle(estimator, x, y):
-    """On tied cells the counted quantiles equal the sorted ones: type 7 bit
-    for bit, Harrell-Davis up to summation order, and with the same
-    exact-zero replicates."""
+    """On tied cells the quantiles counted from the resample indices equal
+    the sorted ones: type 7 bit for bit, Harrell-Davis up to summation
+    order, and with the same exact-zero replicates."""
     config = BootstrapConfig(n_boot=40, seed=9, estimator=estimator,
                              quantiles=IBAND_QUANTILES)
-    mx, my = _cell_resample_matrices((x, y), config)
-    assert pairwise_mod._tied_values(mx, my) is not None
-    counted = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, estimator)
-    with mock.patch.object(pairwise_mod, "_TIE_RATIO", x.size * y.size + 1):
-        assert pairwise_mod._tied_values(mx, my) is None
-        by_sort = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, estimator)
+    ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)
+    counted = _counted(x, ix, y, iy, IBAND_QUANTILES, estimator)
+    by_sort = pairwise_mod._diff_quantiles_by_block(x[ix], y[iy], IBAND_QUANTILES, estimator)
     est = {"hd": hd_quantile, "t7": type7_quantile}[estimator]
     by_oracle = np.column_stack([
         bootstrap_statistic((x, y), lambda c: est(pairwise_differences(c[0], c[1]), q),
@@ -219,14 +222,95 @@ def test_tied_replicates_share_one_exact_zero_rule(x, y):
     zero under the median's mirrored weights, sums to exactly zero on
     every path."""
     config = BootstrapConfig(n_boot=40, seed=9, quantiles=IBAND_QUANTILES)
-    mx, my = _cell_resample_matrices((x, y), config)
-    counted = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, "hd")
-    with mock.patch.object(pairwise_mod, "_TIE_RATIO", x.size * y.size + 1):
-        by_sort = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, "hd")
+    ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)
+    mx, my = x[ix], y[iy]
+    counted = _counted(x, ix, y, iy, IBAND_QUANTILES, "hd")
+    by_sort = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, "hd")
     by_replicate = np.array([[hd_quantile(pairwise_differences(rx, ry), q) for q in IBAND_QUANTILES]
                              for rx, ry in zip(mx, my)])
     np.testing.assert_array_equal(counted == 0.0, by_sort == 0.0)
     np.testing.assert_array_equal(counted == 0.0, by_replicate == 0.0)
+
+
+# 16 draws on a lattice plus one singleton each (3.5 and 0.5), so two
+# replicates often miss a value: at seed 4 they miss y's 0.5, at seeds 5
+# and 6 x's 3.5
+_SINGLETON_X = np.array([-1.0] * 5 + [0.0] * 5 + [1.0] * 5 + [3.5])
+_SINGLETON_Y = np.array([0.0] * 6 + [1.0] * 5 + [-2.0] * 4 + [0.5])
+
+
+@pytest.mark.parametrize("estimator", ["hd", "t7"])
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_values_no_replicate_draws_change_no_bit(estimator, seed):
+    """Counting over the cells' distinct values gives the bits of counting
+    over only the values the replicates draw, and of the sort path where
+    the counting path matches it bit for bit."""
+    x, y = _SINGLETON_X, _SINGLETON_Y
+    config = BootstrapConfig(n_boot=2000, seed=seed)
+    ix, iy = _resample_indices(config, 0, x.size)[:2], _resample_indices(config, 1, y.size)[:2]
+    mx, my = x[ix], y[iy]
+    drawn_x, drawn_y = np.unique(mx), np.unique(my)
+    assert drawn_x.size * drawn_y.size < np.unique(x).size * np.unique(y).size
+    counted = pairwise_mod._diff_quantiles(x, ix, y, iy, IBAND_QUANTILES, estimator)
+    # an element of a value no replicate draws gets some index into the
+    # drawn values, but no row lists it
+    only_drawn = pairwise_mod._diff_quantiles_by_count(
+        drawn_x, np.searchsorted(drawn_x, x), ix, drawn_y, np.searchsorted(drawn_y, y), iy,
+        IBAND_QUANTILES, estimator)
+    np.testing.assert_array_equal(counted, only_drawn)
+    by_sort = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, estimator)
+    if estimator == "t7":
+        np.testing.assert_array_equal(counted, by_sort)
+    else:
+        np.testing.assert_allclose(counted, by_sort, rtol=1e-12, atol=1e-12 * 5.5)
+        np.testing.assert_array_equal(counted == 0.0, by_sort == 0.0)
+
+
+@pytest.mark.parametrize("x,y,seed", [
+    (_SINGLETON_X, _SINGLETON_Y, 5),
+    # 8 * 9 distinct values, above 16 * 16 / 4: the two replicates of seed 3
+    # draw only 7 * 8, which their own matrices would have counted
+    (np.repeat(np.arange(8.0), 2), np.array([0.0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 8]), 3),
+], ids=["counted", "sorted"])
+def test_tie_rule_does_not_depend_on_replicates(monkeypatch, x, y, seed):
+    """The same cells take the same path at B = 2 and at B = 2,000, however
+    few of their values the replicates draw."""
+    paths = []
+    for name in ("_diff_quantiles_by_count", "_diff_quantiles_by_block"):
+        original = getattr(pairwise_mod, name)
+        monkeypatch.setattr(pairwise_mod, name,
+                            lambda *a, name=name, original=original:
+                            paths.append(name) or original(*a))
+    config = BootstrapConfig(n_boot=2000, seed=seed)
+    ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)
+    pairwise_mod._diff_quantiles(x, ix, y, iy, IBAND_QUANTILES, "hd")
+    pairwise_mod._diff_quantiles(x, ix[:2], y, iy[:2], IBAND_QUANTILES, "hd")
+    assert paths[0] == paths[1]
+    assert paths[0].endswith("count") == (pairwise_mod._tied_cells(x, y) is not None)
+    drawn = np.unique(x[ix[:2]]).size * np.unique(y[iy[:2]]).size
+    assert drawn <= x.size * y.size // pairwise_mod._TIE_RATIO
+
+
+@pytest.mark.parametrize("x,y,counted", [
+    # few values: counted from 16 * 16 differences up, sorted below
+    (np.repeat([0.0, 1.0, 2.0, 5.0], 4), np.repeat([1.0, 3.0], 8), True),
+    (np.repeat([0.0, 1.0, 2.0, 5.0], 4), np.repeat([1.0, 3.0], 8)[:-1], False),
+    (np.repeat([0.0, 1.0], 5), np.repeat([0.0, 1.0], 5), False),
+    # 16 * 16 distinct values among 32 * 32 differences: a quarter, counted
+    (np.repeat(np.arange(16.0), 2), np.repeat(np.arange(16.0), 2), True),
+    # one more distinct value: sorted
+    (np.append(np.repeat(np.arange(16.0), 2)[:-1], 99.0), np.repeat(np.arange(16.0), 2), False),
+    (np.linspace(0.0, 1.0, 100), np.linspace(0.0, 2.0, 100), False),
+], ids=["few-256", "few-240", "few-100", "quarter", "above-quarter", "continuous"])
+def test_tie_rule(x, y, counted):
+    """Counted where the V1*V2 distinct pairs number at most a quarter of
+    the n1*n2 differences, and these at least 256."""
+    tied = pairwise_mod._tied_cells(x, y)
+    assert (tied is not None) == counted
+    if counted:
+        ux, vx, uy, vy = tied
+        np.testing.assert_array_equal(ux[vx], x)
+        np.testing.assert_array_equal(uy[vy], y)
 
 
 @pytest.fixture
@@ -335,10 +419,9 @@ class TestSortThreads:
     def test_counting_path_stays_serial(self, three_cpus):
         rng = stream(14, "threads")
         config = BootstrapConfig(n_boot=200, seed=7)
-        mx, my = _cell_resample_matrices(
-            tuple(rng.poisson(3.0, 40).astype(float) for _ in range(2)), config)
-        assert pairwise_mod._tied_values(mx, my) is not None
-        pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, "hd")
+        cells = tuple(rng.poisson(3.0, 40).astype(float) for _ in range(2))
+        assert pairwise_mod._tied_cells(*cells) is not None
+        pairwise_mod._level_replicates(cells, 0, IBAND_QUANTILES, config)
         assert three_cpus == []
 
 
@@ -346,7 +429,7 @@ class TestMedianDiffTest:
     def test_tied_estimate_is_hd_median_of_differences(self):
         rng = stream(8, "tied-median")
         x, y = rng.poisson(4.0, 30).astype(float), rng.poisson(5.0, 25).astype(float)
-        assert pairwise_mod._tied_values(x[None], y[None]) is not None
+        assert pairwise_mod._tied_cells(x, y) is not None
         result = median_diff_test(x, y, BootstrapConfig(n_boot=200, seed=3))
         assert result.estimate == pytest.approx(
             hd_quantile(pairwise_differences(x, y), 0.5), rel=1e-12, abs=1e-12)

@@ -3,10 +3,11 @@
 Every test takes one path from data to result: each cell's resample
 indices are drawn once by :func:`_resample_indices`, each consumer turns
 them into a (B, Q) matrix of replicate differences (one column per
-quantile), from the resample matrices of :func:`_cell_resample_matrices`
-or, for tied ``iband`` cells, from counts of the indexed values, and :func:`_quantile_rows` reduces that matrix to rows with a
-percentile confidence interval, a signed-count p-value with its tie term
-and an adjusted p-value.  The simulation reduces the same matrix with the
+quantile), from the values they index (:func:`_cell_resample_matrices`)
+or, for tied ``iband`` cells, from counts of those values, and
+:func:`_quantile_rows` reduces that matrix to rows with a percentile
+confidence interval, a signed-count p-value with its tie term and an
+adjusted p-value.  The simulation reduces the same matrix with the
 column-wise :func:`signed_pvalue`.  All randomness is addressed through
 :mod:`qshift.rng`, so results are reproducible and independent of any
 parallel execution schedule.
@@ -122,9 +123,9 @@ def _cell_resample_matrices(cells, config: BootstrapConfig) -> list:
     """One (n_boot, n) resample matrix per cell: row b of matrix i holds the
     elements of cell i that :func:`_resample_indices` lists for replicate b.
 
-    The matrices are views of one buffer.  Freed as one block, it lifts glibc's dynamic mmap and trim
-    thresholds above a call's working set, so repeated calls reuse their
-    memory instead of faulting in fresh pages.
+    The matrices are views of one buffer.  Freed as one block, it lifts
+    glibc's dynamic mmap and trim thresholds above a call's working set, so
+    repeated calls reuse their memory instead of faulting in fresh pages.
     """
     samples = [np.asarray(c, dtype=float) for c in cells]
     if any(sample.size == 0 for sample in samples):

@@ -251,7 +251,7 @@ def test_values_no_replicate_draws_change_no_bit(estimator, seed):
     mx, my = x[ix], y[iy]
     drawn_x, drawn_y = np.unique(mx), np.unique(my)
     assert drawn_x.size * drawn_y.size < np.unique(x).size * np.unique(y).size
-    counted = pairwise_mod._diff_quantiles(x, ix, y, iy, IBAND_QUANTILES, estimator)
+    counted = pairwise_mod._level(x, ix, y, iy)(IBAND_QUANTILES, estimator)
     # an element of a value no replicate draws gets some index into the
     # drawn values, but no row lists it
     only_drawn = pairwise_mod._diff_quantiles_by_count(
@@ -283,8 +283,8 @@ def test_tie_rule_does_not_depend_on_replicates(monkeypatch, x, y, seed):
                             paths.append(name) or original(*a))
     config = BootstrapConfig(n_boot=2000, seed=seed)
     ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)
-    pairwise_mod._diff_quantiles(x, ix, y, iy, IBAND_QUANTILES, "hd")
-    pairwise_mod._diff_quantiles(x, ix[:2], y, iy[:2], IBAND_QUANTILES, "hd")
+    pairwise_mod._level(x, ix, y, iy)(IBAND_QUANTILES, "hd")
+    pairwise_mod._level(x, ix[:2], y, iy[:2])(IBAND_QUANTILES, "hd")
     assert paths[0] == paths[1]
     assert paths[0].endswith("count") == (pairwise_mod._tied_cells(x, y) is not None)
     drawn = np.unique(x[ix[:2]]).size * np.unique(y[iy[:2]]).size
@@ -421,7 +421,7 @@ class TestSortThreads:
         config = BootstrapConfig(n_boot=200, seed=7)
         cells = tuple(rng.poisson(3.0, 40).astype(float) for _ in range(2))
         assert pairwise_mod._tied_cells(*cells) is not None
-        pairwise_mod._level_replicates(cells, 0, IBAND_QUANTILES, config)
+        pairwise_mod._resampled_level(cells, 0, config)(IBAND_QUANTILES, "hd")
         assert three_cpus == []
 
 

@@ -244,12 +244,15 @@ def _resampled_level(cells, first: int, config: BootstrapConfig):
     draw = functools.partial(_resample_indices, config)
     if _tied_cells(x, y) is not None:
         return _level(x, draw(first, x.size), y, draw(first + 1, y.size))
-    # the sort path reads values only, so each cell is gathered before the
-    # next is drawn and one index matrix is alive at a time, as in
-    # _cell_resample_matrices: two at once raised the peak RSS of iband at
-    # n = 100, B = 2,000 by 2.5%
-    mx = x[draw(first, x.size)]
-    return functools.partial(_diff_quantiles_by_block, mx, y[draw(first + 1, y.size)])
+    # the sort path reads values only: as in _cell_resample_matrices, each
+    # value matrix is allocated before its cell's indices are drawn, so the
+    # index matrices leave no hole below live data (gathering with x[ix]
+    # raised iband's peak RSS at n = 100, B = 2,000 by 0.5%, and holding
+    # both index matrices of a level by 2.5%)
+    mx, my = np.empty((config.n_boot, x.size)), np.empty((config.n_boot, y.size))
+    np.take(x, draw(first, x.size), out=mx, mode="wrap")
+    np.take(y, draw(first + 1, y.size), out=my, mode="wrap")
+    return functools.partial(_diff_quantiles_by_block, mx, my)
 
 
 def _iband_star(cells, config: BootstrapConfig) -> np.ndarray:

@@ -12,11 +12,10 @@ cells changes.
 
 Each bootstrap replicate needs quantiles of n1*n2 differences.  When the
 two cells hold V1 and V2 distinct values with V1*V2 at most a quarter of
-n1*n2 (counts, ratings, rounded data), and n1*n2 is at least 256, the
-differences are counted instead of built and sorted: the histogram of a
-replicate's differences follows from the counts of the two cells' values
-among its resample indices, and its cumulative counts give the order
-statistics.  The rule reads the two cells' distinct values, not the
+n1*n2 (counts, ratings, rounded data), the differences are counted
+instead of built and sorted: the histogram of a replicate's differences
+follows from the counts of the two cells' values among its resample
+indices, and its cumulative counts give the order statistics.  The rule reads the two cells' distinct values, not the
 resamples, so it is deterministic: the same cells take the same path at
 every B and seed.  The counting path is exact up to summation order:
 type-7 estimates are bit-identical to the sort, Harrell-Davis estimates
@@ -76,11 +75,6 @@ _COUNT_ELEMENTS = 1 << 18
 # at n=100 up to V1*V2 = .34 n1*n2, and even with the sort near .38 at n=30
 _TIE_RATIO = 4
 
-# below this many differences the sort is as fast as the counting path's
-# fixed cost: on a 2-core VM at B = 600 it took 0.35-0.47 ms a level at
-# n = 10 per cell against 0.7-1.1 ms counted, and the two met near n = 15
-_COUNT_MIN_PAIRS = 256
-
 
 def pairwise_differences(x, y) -> np.ndarray:
     """All n1*n2 differences x_i - y_h, row-major over (i, h)."""
@@ -114,14 +108,11 @@ def _sort_threads(n_boot: int, n_pairs: int) -> int:
 
 def _tied_cells(x: np.ndarray, y: np.ndarray):
     """Each cell's distinct values and the index of each element among them,
-    or None unless the V1*V2 distinct pairs number at most n1*n2 / _TIE_RATIO
-    and the n1*n2 differences at least _COUNT_MIN_PAIRS.
+    or None unless the V1*V2 distinct pairs number at most n1*n2 / _TIE_RATIO.
 
     The rule reads the cells, not their resamples, so every replicate count
     takes the same path for the same cells.
     """
-    if x.size * y.size < _COUNT_MIN_PAIRS:
-        return None
     ux, vx = np.unique(x, return_inverse=True)
     uy, vy = np.unique(y, return_inverse=True)
     if ux.size * uy.size > x.size * y.size // _TIE_RATIO:
@@ -129,22 +120,31 @@ def _tied_cells(x: np.ndarray, y: np.ndarray):
     return ux, vx, uy, vy
 
 
-def _level(x: np.ndarray, ix: np.ndarray, y: np.ndarray, iy: np.ndarray):
+def _level(x: np.ndarray, y: np.ndarray, rows: int, draw):
     """The quantile estimates of a level's pairwise-difference set for each
-    replicate, as a function of (quantiles, estimator).
+    of ``rows`` replicates, as a function of (quantiles, estimator).
 
-    Replicate b draws the elements ``x[ix[b]]`` and ``y[iy[b]]``; the point
-    estimate passes each cell's own indices as a one-row matrix.  Tied
-    cells (see ``_tied_cells``) are counted straight from the indices (see
-    ``_diff_quantiles_by_count``).  Otherwise the drawn values are gathered
-    here, so the function keeps them and not the indices, and are built
-    into differences and sorted (see ``_diff_quantiles_by_block``).
+    ``draw(0, n1)`` and ``draw(1, n2)`` give the (rows, n) elements each
+    replicate draws from ``x`` and from ``y``; the point estimate draws each
+    cell once, in order.  Tied cells (see ``_tied_cells``) are counted
+    straight from the indices (see ``_diff_quantiles_by_count``).  Otherwise
+    the drawn values are built into differences and sorted (see
+    ``_diff_quantiles_by_block``).
     """
     tied = _tied_cells(x, y)
-    if tied is None:
-        return functools.partial(_diff_quantiles_by_block, x[ix], y[iy])
-    ux, vx, uy, vy = tied
-    return functools.partial(_diff_quantiles_by_count, ux, vx, ix, uy, vy, iy)
+    if tied is not None:
+        ux, vx, uy, vy = tied
+        return functools.partial(_diff_quantiles_by_count,
+                                 ux, vx, draw(0, x.size), uy, vy, draw(1, y.size))
+    # the sort path reads values only: as in _cell_resample_matrices, each
+    # value matrix is allocated before its cell's indices are drawn, so the
+    # index matrices leave no hole below live data (gathering with x[ix]
+    # raised iband's peak RSS at n = 100, B = 2,000 by 0.5%, and holding
+    # both index matrices of a level by 2.5%)
+    mx, my = np.empty((rows, x.size)), np.empty((rows, y.size))
+    np.take(x, draw(0, x.size), out=mx, mode="wrap")
+    np.take(y, draw(1, y.size), out=my, mode="wrap")
+    return functools.partial(_diff_quantiles_by_block, mx, my)
 
 
 def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimator) -> np.ndarray:
@@ -233,26 +233,15 @@ def _diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles: tuple, estimator
 
 def _point_quantiles(x: np.ndarray, y: np.ndarray, quantiles, estimator) -> np.ndarray:
     """Quantile estimates of the differences of the two samples themselves."""
-    return _level(x, np.arange(x.size)[None, :], y, np.arange(y.size)[None, :])(
-        quantiles, estimator)[0]
+    return _level(x, y, 1, lambda _, n: np.arange(n)[None, :])(quantiles, estimator)[0]
 
 
 def _resampled_level(cells, first: int, config: BootstrapConfig):
     """``_level`` of cells ``first`` and ``first + 1``, each resampled from
     its own (seed, cell) stream."""
     x, y = (np.asarray(cells[i], dtype=float) for i in (first, first + 1))
-    draw = functools.partial(_resample_indices, config)
-    if _tied_cells(x, y) is not None:
-        return _level(x, draw(first, x.size), y, draw(first + 1, y.size))
-    # the sort path reads values only: as in _cell_resample_matrices, each
-    # value matrix is allocated before its cell's indices are drawn, so the
-    # index matrices leave no hole below live data (gathering with x[ix]
-    # raised iband's peak RSS at n = 100, B = 2,000 by 0.5%, and holding
-    # both index matrices of a level by 2.5%)
-    mx, my = np.empty((config.n_boot, x.size)), np.empty((config.n_boot, y.size))
-    np.take(x, draw(first, x.size), out=mx, mode="wrap")
-    np.take(y, draw(first + 1, y.size), out=my, mode="wrap")
-    return functools.partial(_diff_quantiles_by_block, mx, my)
+    return _level(x, y, config.n_boot,
+                  lambda i, n: _resample_indices(config, first + i, n))
 
 
 def _iband_star(cells, config: BootstrapConfig) -> np.ndarray:

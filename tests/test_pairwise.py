@@ -36,11 +36,9 @@ _lattice_cell = st.tuples(
 ).map(lambda c: c[0] * np.array(c[1], dtype=float))
 
 
-def _counted(x, ix, y, iy, quantiles, estimator):
-    """The counting path's estimates, whatever the size of the cells."""
-    ux, vx = np.unique(x, return_inverse=True)
-    uy, vy = np.unique(y, return_inverse=True)
-    return pairwise_mod._diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles, estimator)
+def _drawn_level(x, ix, y, iy):
+    """``pairwise._level`` of x and y, replicate b drawing ``x[ix[b]]`` and ``y[iy[b]]``."""
+    return pairwise_mod._level(x, y, ix.shape[0], lambda i, n: (ix, iy)[i])
 
 
 class TestPairwiseDifferences:
@@ -173,9 +171,17 @@ class TestIband:
         tied = FactorialSample.from_cells(*(rng.poisson(3.0, 24).astype(float) for _ in range(4)))
         cells = tied.flat_cells()
         assert pairwise_mod._tied_cells(cells[0], cells[1]) is not None
+        assert pairwise_mod._tied_cells(cells[2], cells[3]) is not None
+        blocks = []
+        original = pairwise_mod._from_cumulative_counts
+        monkeypatch.setattr(pairwise_mod, "_from_cumulative_counts",
+                            lambda *a: blocks.append(a[1].shape[1]) or original(*a))
         full = iband(tied, config)
-        monkeypatch.setattr(pairwise_mod, "_BLOCK_ELEMENTS", 1)  # one replicate per block
+        assert blocks == [1, 1, 150, 150]  # point estimates, then one block a level
+        blocks.clear()
+        monkeypatch.setattr(pairwise_mod, "_COUNT_ELEMENTS", 1)  # one replicate per block
         assert iband(tied, config) == full
+        assert blocks == [1, 1] + [1] * 300
 
 
 @pytest.mark.parametrize("estimator", ["hd", "t7"])
@@ -190,7 +196,8 @@ def test_counting_path_matches_sort_path_and_oracle(estimator, x, y):
     config = BootstrapConfig(n_boot=40, seed=9, estimator=estimator,
                              quantiles=IBAND_QUANTILES)
     ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)
-    counted = _counted(x, ix, y, iy, IBAND_QUANTILES, estimator)
+    assert pairwise_mod._tied_cells(x, y) is not None
+    counted = _drawn_level(x, ix, y, iy)(IBAND_QUANTILES, estimator)
     by_sort = pairwise_mod._diff_quantiles_by_block(x[ix], y[iy], IBAND_QUANTILES, estimator)
     est = {"hd": hd_quantile, "t7": type7_quantile}[estimator]
     by_oracle = np.column_stack([
@@ -224,7 +231,8 @@ def test_tied_replicates_share_one_exact_zero_rule(x, y):
     config = BootstrapConfig(n_boot=40, seed=9, quantiles=IBAND_QUANTILES)
     ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)
     mx, my = x[ix], y[iy]
-    counted = _counted(x, ix, y, iy, IBAND_QUANTILES, "hd")
+    assert pairwise_mod._tied_cells(x, y) is not None
+    counted = _drawn_level(x, ix, y, iy)(IBAND_QUANTILES, "hd")
     by_sort = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, "hd")
     by_replicate = np.array([[hd_quantile(pairwise_differences(rx, ry), q) for q in IBAND_QUANTILES]
                              for rx, ry in zip(mx, my)])
@@ -251,7 +259,7 @@ def test_values_no_replicate_draws_change_no_bit(estimator, seed):
     mx, my = x[ix], y[iy]
     drawn_x, drawn_y = np.unique(mx), np.unique(my)
     assert drawn_x.size * drawn_y.size < np.unique(x).size * np.unique(y).size
-    counted = pairwise_mod._level(x, ix, y, iy)(IBAND_QUANTILES, estimator)
+    counted = _drawn_level(x, ix, y, iy)(IBAND_QUANTILES, estimator)
     # an element of a value no replicate draws gets some index into the
     # drawn values, but no row lists it
     only_drawn = pairwise_mod._diff_quantiles_by_count(
@@ -283,8 +291,8 @@ def test_tie_rule_does_not_depend_on_replicates(monkeypatch, x, y, seed):
                             paths.append(name) or original(*a))
     config = BootstrapConfig(n_boot=2000, seed=seed)
     ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)
-    pairwise_mod._level(x, ix, y, iy)(IBAND_QUANTILES, "hd")
-    pairwise_mod._level(x, ix[:2], y, iy[:2])(IBAND_QUANTILES, "hd")
+    _drawn_level(x, ix, y, iy)(IBAND_QUANTILES, "hd")
+    _drawn_level(x, ix[:2], y, iy[:2])(IBAND_QUANTILES, "hd")
     assert paths[0] == paths[1]
     assert paths[0].endswith("count") == (pairwise_mod._tied_cells(x, y) is not None)
     drawn = np.unique(x[ix[:2]]).size * np.unique(y[iy[:2]]).size
@@ -292,19 +300,20 @@ def test_tie_rule_does_not_depend_on_replicates(monkeypatch, x, y, seed):
 
 
 @pytest.mark.parametrize("x,y,counted", [
-    # few values: counted from 16 * 16 differences up, sorted below
+    # few values: counted at any size
     (np.repeat([0.0, 1.0, 2.0, 5.0], 4), np.repeat([1.0, 3.0], 8), True),
-    (np.repeat([0.0, 1.0, 2.0, 5.0], 4), np.repeat([1.0, 3.0], 8)[:-1], False),
-    (np.repeat([0.0, 1.0], 5), np.repeat([0.0, 1.0], 5), False),
+    (np.repeat([0.0, 1.0], 2), np.repeat([0.0, 1.0], 2), True),
+    # 2 * 2 distinct values among 3 * 3 differences: above a quarter, sorted
+    (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0]), False),
     # 16 * 16 distinct values among 32 * 32 differences: a quarter, counted
     (np.repeat(np.arange(16.0), 2), np.repeat(np.arange(16.0), 2), True),
     # one more distinct value: sorted
     (np.append(np.repeat(np.arange(16.0), 2)[:-1], 99.0), np.repeat(np.arange(16.0), 2), False),
     (np.linspace(0.0, 1.0, 100), np.linspace(0.0, 2.0, 100), False),
-], ids=["few-256", "few-240", "few-100", "quarter", "above-quarter", "continuous"])
+], ids=["few", "few-small", "small-above-quarter", "quarter", "above-quarter", "continuous"])
 def test_tie_rule(x, y, counted):
     """Counted where the V1*V2 distinct pairs number at most a quarter of
-    the n1*n2 differences, and these at least 256."""
+    the n1*n2 differences."""
     tied = pairwise_mod._tied_cells(x, y)
     assert (tied is not None) == counted
     if counted:

@@ -209,11 +209,14 @@ class SimulationReport:
     the familywise power otherwise); ``rate_uncorrected`` ignores the
     correction.  ``se`` is the binomial standard error of ``rate``.
 
-    ``wall_time`` runs from the start of the condition to its last
-    chunk's result.  In a sweep the first condition on a process pool
-    also pays the workers' start-up, and no condition pays the pool's
-    shutdown; a failed condition reports 0.  Wall time is informational
-    and excluded from equality.
+    ``wall_time`` runs from the previous condition's report (for the
+    first condition, from the start of the sweep) to this condition's
+    last chunk's result, so the wall times of a sweep add up to its
+    duration even though a pool runs the chunks of several conditions at
+    once.  The first condition also pays the workers' start-up, and no
+    condition pays the pool's shutdown.  A failed condition reports 0,
+    and the time up to its failure is charged to no condition.
+    Wall time is informational and excluded from equality.
     """
 
     condition: SimCondition
@@ -268,12 +271,13 @@ def _run_chunk(args):
     return n_corr, n_uncorr, per_q
 
 
-def _run_condition(cond: SimCondition, workers: int, pool) -> SimulationReport:
-    """Run one condition's chunks on ``pool`` (in this process when None)."""
-    t0 = time.perf_counter()
+def _chunks(cond: SimCondition, workers: int) -> list:
+    """The (condition, start, stop) iteration ranges, about four per worker."""
     step = math.ceil(cond.n_sims / (min(workers, cond.n_sims) * 4))
-    tasks = [(cond, s, min(s + step, cond.n_sims)) for s in range(0, cond.n_sims, step)]
-    chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
+    return [(cond, s, min(s + step, cond.n_sims)) for s in range(0, cond.n_sims, step)]
+
+
+def _report(cond: SimCondition, chunks, wall_time: float) -> SimulationReport:
     n_corr, n_uncorr, per_q = (sum(parts) for parts in zip(*chunks))
     rate = n_corr / cond.n_sims
     return SimulationReport(
@@ -283,7 +287,7 @@ def _run_condition(cond: SimCondition, workers: int, pool) -> SimulationReport:
         rate_uncorrected=n_uncorr / cond.n_sims,
         per_quantile_rates=tuple((per_q / cond.n_sims).tolist()),
         n_sims=cond.n_sims,
-        wall_time=time.perf_counter() - t0,
+        wall_time=wall_time,
     )
 
 
@@ -300,35 +304,77 @@ def _failed_report(cond: SimCondition, exc: Exception) -> SimulationReport:
     )
 
 
-def _run(conditions, workers, isolate: bool, progress=None) -> list:
-    """Run the conditions in order on at most one process pool.
+def _gather(futures) -> list:
+    """The futures' results in order; on an error the rest are cancelled."""
+    try:
+        return [f.result() for f in futures]
+    except BaseException:
+        for f in futures:
+            f.cancel()
+        raise
 
-    ``workers`` is capped at the largest ``n_sims``; above one, the pool
-    is started with the first condition and shut down once after the last
-    report.  With ``isolate``, a condition that raises gets a failed
-    report and the run goes on; a worker that dies breaks the pool, so
-    the next condition starts a fresh one.  Without it, the error
+
+def _run(conditions, workers, isolate: bool, progress=None) -> list:
+    """Run the conditions on at most one process pool, reporting in order.
+
+    ``workers`` is capped at the largest ``n_sims``; at one, each
+    condition's chunks run in this process.  Above one, the pool is
+    started with the first condition, the chunks of every condition are
+    queued on it at once, in condition order, and the results are read
+    back in that order, so a worker never idles at a condition boundary.
+    A report's wall time runs from the previous report (the first: from
+    the start of the run) to the condition's last result.
+
+    With ``isolate``, a condition that raises gets a failed report and
+    the run goes on: its queued chunks are cancelled and the rest of the
+    queue is kept.  A worker that dies breaks the pool and every chunk
+    still on it; if chunks of later conditions were queued, any of them
+    may have killed it, so the condition is rerun alone on a fresh pool
+    and fails only if that pool breaks too.  The conditions after it are
+    queued again on a working pool.  Without ``isolate``, the error
     propagates.
     """
     workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, max(cond.n_sims for cond in conditions))
+    tasks = [_chunks(cond, workers) for cond in conditions]
     pool = None
+    queued = []  # one list of futures per condition not yet read, in order
     reports = []
+    mark = time.perf_counter()
     try:
         for i, cond in enumerate(conditions):
-            if pool is None and workers > 1:
-                pool = ProcessPoolExecutor(max_workers=workers)
             try:
-                report = _run_condition(cond, workers, pool)
+                if workers == 1:
+                    chunks = list(map(_run_chunk, tasks[i]))
+                else:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(max_workers=workers)
+                    if not queued:
+                        queued = [[pool.submit(_run_chunk, t) for t in ts] for ts in tasks[i:]]
+                    futures = queued.pop(0)
+                    try:
+                        chunks = _gather(futures)
+                    except BrokenProcessPool:
+                        if not queued:
+                            raise
+                        pool.shutdown()
+                        queued = []
+                        pool = ProcessPoolExecutor(max_workers=workers)
+                        chunks = list(pool.map(_run_chunk, tasks[i]))
+                now = time.perf_counter()
+                report = _report(cond, chunks, now - mark)
             except Exception as exc:  # noqa: BLE001 - aggregate without aborting the sweep
                 if isinstance(exc, BrokenProcessPool):
                     pool.shutdown()
                     pool = None
+                    queued = []
                 if not isolate:
                     raise
+                now = time.perf_counter()
                 report = _failed_report(cond, exc)
+            mark = now
             reports.append(report)
             if progress is not None:
                 progress(i, cond, report)
@@ -363,9 +409,10 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
     an invalid one.  All conditions share one pool of ``workers``
     processes, capped at the largest ``n_sims``; ``workers = 1`` runs in
     this process.  Runtime failures, a dead worker included, are recorded
-    on the report's ``error`` field with NaN rates.
-    ``progress(i, condition, report)`` is called after each condition
-    when given.
+    on the report's ``error`` field with NaN rates; a dead worker fails
+    only the condition whose chunk killed it (see ``_run``).
+    ``progress(i, condition, report)`` is called after each condition,
+    in order, when given.
     """
     conditions = list(conditions)
     if not conditions:

@@ -1,9 +1,10 @@
-"""Rewrite the golden outputs of ``tests/test_golden.py``.
+"""List or rewrite the golden outputs of ``tests/test_golden.py``.
 
 Usage: ``PYTHONPATH=src python tests/bless_golden.py [NAME ...]``.  With no
-names every golden file is rewritten; otherwise only the named ones.  Each
-rewritten file whose bytes changed is printed with the largest move of its
-estimates, so the change can be recorded with its oracle.
+names, every golden file whose bytes differ from a fresh run is printed
+with the largest move of its estimates, and nothing is written.  With
+names, only the named files are rewritten, each printed the same way if
+its bytes changed, so the change can be recorded with its oracle.
 """
 
 import json
@@ -30,7 +31,8 @@ def _largest_move(name: str, new: str, old: str) -> str:
 
 
 def main(names) -> int:
-    g.GOLDEN.mkdir(exist_ok=True)
+    if names:
+        g.GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, data, argv in g.cases():
             if names and name not in names:
@@ -39,7 +41,8 @@ def main(names) -> int:
             path = g.GOLDEN / name
             old = path.read_text(encoding="utf-8") if path.exists() else None
             if old != out:
-                path.write_text(out, encoding="utf-8")
+                if names:
+                    path.write_text(out, encoding="utf-8")
                 print(name, "new" if old is None else _largest_move(name, out, old))
     return 0
 

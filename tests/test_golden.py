@@ -1,9 +1,12 @@
 """Golden outputs: CLI results and a simulation CSV pinned to committed files.
 
 The input data are drawn at test time from ``qshift.stream``, so no data
-file is committed; the expected outputs live in ``tests/golden/`` and are
-rewritten by ``python tests/bless_golden.py``.  A change that re-blesses
-any file must say which, by how much, and against which oracle.
+file is committed; the expected outputs live in ``tests/golden/``.
+``python tests/bless_golden.py`` lists the files a fresh run differs from,
+with the largest move of each, and writes nothing; ``bless_golden.py NAME
+...`` rewrites the named files only.  A change that re-blesses any file
+must say which, by how much, and against which oracle.  The simulation
+CSV is checked at one and at two worker processes against the same file.
 ``median_diff_test`` has no CLI command; its cases call the function on
 the two cells of each level of factor A and write the results as JSON.
 
@@ -208,3 +211,9 @@ def test_iband_golden_on_one_and_three_threads(workdir, monkeypatch, name):
     assert outputs[0] == outputs[1]
     problems = compare(name, outputs[1], (GOLDEN / name).read_text(encoding="utf-8"))
     assert not problems, f"{name}: " + "; ".join(problems[:5])
+
+
+def test_simulate_golden_on_two_workers(workdir):
+    """The process-pool path writes the bytes of the one-process run."""
+    out = run_case(workdir, None, ["simulate", "--threads", "2"])
+    assert out == (GOLDEN / "fwer_desk-subset-simulate.csv").read_text(encoding="utf-8")

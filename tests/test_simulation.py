@@ -281,6 +281,65 @@ class TestRuns:
         assert reports[0] == run_fwer(before)
         assert reports[2] == run_fwer(after)
 
+    def test_dead_worker_while_an_earlier_condition_runs(self, monkeypatch, tmp_path, pools):
+        iterate = qshift.simulation._iterate
+        started, died = tmp_path / "started", tmp_path / "died"
+
+        def wait_for(path):
+            deadline = time.monotonic() + 30.0
+            while not path.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+
+        def iterate_or_die(cond, i):
+            if cond.name == "dies":
+                wait_for(started)  # the earlier condition's last chunk is running
+                died.touch()
+                os._exit(1)
+            if cond.name == "slow" and i == cond.n_sims - 1 and not died.exists():
+                started.touch()
+                wait_for(died)
+                time.sleep(1.0)  # still running when the pool breaks
+            return iterate(cond, i)
+
+        monkeypatch.setattr(qshift.simulation, "_iterate", iterate_or_die)
+        slow = _null_condition(method="anova_means", n_sims=4, name="slow")
+        dies = _null_condition(method="anova_means", n_sims=4, name="dies")
+        after = _null_condition(n_sims=4, name="after")
+        reports = sweep([slow, dies, after], workers=2)
+        # the first pool broke under the slow condition, which was rerun
+        # alone (pool 2); the dying one broke pool 2 and its rerun (pool 3)
+        assert pools == [2, 2, 2, 2]
+        assert reports[0] == run_fwer(slow)
+        assert reports[1].error.startswith("BrokenProcessPool")
+        assert np.isnan(reports[1].rate)
+        assert reports[2] == run_fwer(after)
+
+    def test_reports_come_in_order_after_a_slow_first_condition(self, monkeypatch):
+        iterate = qshift.simulation._iterate
+
+        def slow_iterate(cond, i):
+            if cond.name == "slow":
+                time.sleep(0.05)
+            return iterate(cond, i)
+
+        monkeypatch.setattr(qshift.simulation, "_iterate", slow_iterate)
+        conditions = [
+            _null_condition(method="decinter_t7", n_sims=8, name="slow"),
+            _degenerate_anova(),
+            _null_condition(method="anova_means", n_sims=11, name="fast"),
+        ]
+        serial = sweep(conditions, workers=1)
+        calls = []
+        t0 = time.perf_counter()
+        parallel = sweep(conditions, workers=2,
+                         progress=lambda i, cond, rep: calls.append((i, cond.name)))
+        elapsed = time.perf_counter() - t0
+        assert calls == [(0, "slow"), (1, "degenerate"), (2, "fast")]
+        assert parallel[1].error.startswith("DegenerateDataError")
+        assert parallel[0] == serial[0] and parallel[2] == serial[2]
+        assert all(r.wall_time >= 0.0 for r in parallel)
+        assert sum(r.wall_time for r in parallel) <= elapsed
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be at least 1"):

@@ -12,14 +12,7 @@ from .contrasts import contrast_value, decinter
 from .data import DataError, read_long_csv
 from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B, FactorialSample, QuantileTestRow
 from .distributions import KINDS, DistributionSpec, generate
-from .multcomp import (
-    CORRECTIONS,
-    adjust_pvalues,
-    bh_adjust,
-    bh_reject,
-    hochberg_adjust,
-    hochberg_reject,
-)
+from .multcomp import CORRECTIONS, adjust_pvalues
 from .pairwise import (
     IBAND_QUANTILES,
     iband,
@@ -69,16 +62,12 @@ __all__ = [
     "adjust_pvalues",
     "anova_f_statistics",
     "anova_f_test",
-    "bh_adjust",
-    "bh_reject",
     "contrast_value",
     "decinter",
     "derive_seed",
     "estimate_quantiles",
     "generate",
     "hd_quantile",
-    "hochberg_adjust",
-    "hochberg_reject",
     "iband",
     "load_experiment",
     "median_diff_test",

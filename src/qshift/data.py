@@ -4,6 +4,7 @@ import csv
 import math
 
 from .design import FactorialSample
+from .quantiles import _MAX_ABS
 
 __all__ = ["DataError", "read_long_csv", "parse_level_order"]
 
@@ -87,6 +88,11 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
             lb = (row.get(factor_b) or "").strip()
             if not la or not lb:
                 raise DataError(f"{path}: row {lineno}: missing factor label")
+            if abs(v) > _MAX_ABS:
+                raise DataError(
+                    f"{path}: row {lineno}: value {raw!r} of cell ({la!r}, {lb!r}) is beyond "
+                    f"{_MAX_ABS:.4g} in magnitude, where differences of values overflow"
+                )
             seen_a.add(la)
             seen_b.add(lb)
             groups.setdefault((la, lb), []).append(v)

@@ -76,22 +76,6 @@ class FactorialSample:
     def min_n(self) -> int:
         return min(c.size for row in self.cells for c in row)
 
-    def transposed(self) -> "FactorialSample":
-        """Interchange the roles of the two factors (swap cells (1,2) and (2,1))."""
-        return FactorialSample(
-            ((self.cells[0][0], self.cells[1][0]), (self.cells[0][1], self.cells[1][1])),
-            self.factor_b,
-            self.factor_a,
-        )
-
-    def swapped_a_levels(self) -> "FactorialSample":
-        """Exchange the two levels of factor A."""
-        return FactorialSample(
-            (self.cells[1], self.cells[0]),
-            (self.factor_a[1], self.factor_a[0]),
-            self.factor_b,
-        )
-
 
 @dataclass(frozen=True)
 class QuantileTestRow:

@@ -1,24 +1,18 @@
 """Multiplicity control: Hochberg step-up and Benjamini-Hochberg procedures.
 
-Both procedures scan the p-values sorted in descending order p_[1] >=
-... >= p_[C] and stop at the first index k whose threshold is met,
-rejecting every hypothesis with p <= p_[k].  Hochberg uses the threshold
-alpha/k; Benjamini-Hochberg uses (C - k + 1) alpha / C, which never
-rejects less.  The corresponding adjusted p-values are computed
-independently of the stepwise scans so the two routes can be checked
-against each other.
+There is one decision route.  :func:`adjust_pvalues` turns a family of
+p-values into adjusted p-values, and a hypothesis is rejected exactly
+where its adjusted p-value is at most alpha: the analysis tables print
+these values, and the simulation rejects with the same comparison, so a
+sweep estimates the error rate of the procedure the tables report.  The
+step-up scans of the two procedures (descending p-values, stop at the
+first one under its threshold) live with the test oracles, as the
+independent reference this route is checked against.
 """
 
 import numpy as np
 
-__all__ = [
-    "hochberg_reject",
-    "bh_reject",
-    "hochberg_adjust",
-    "bh_adjust",
-    "adjust_pvalues",
-    "CORRECTIONS",
-]
+__all__ = ["adjust_pvalues", "CORRECTIONS"]
 
 CORRECTIONS = ("none", "hochberg", "bh")
 
@@ -32,48 +26,24 @@ def _validate_pvalues(p) -> np.ndarray:
     return arr
 
 
-def _validate_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(alpha)
+def adjust_pvalues(p, method: str) -> np.ndarray:
+    """Adjusted p-values under the named correction, in the input order.
 
-
-def _stepup_reject(p, triggers) -> np.ndarray:
-    desc = np.sort(p)[::-1]
-    for k in range(1, p.size + 1):
-        if triggers(k, desc[k - 1]):
-            return p <= desc[k - 1]
-    return np.zeros(p.size, dtype=bool)
-
-
-def hochberg_reject(p, alpha: float) -> np.ndarray:
-    """Boolean rejection mask of Hochberg's step-up procedure.
-
-    The threshold test p_[k] <= alpha/k is evaluated in the product form
-    k * p_[k] <= alpha, which matches the adjusted-p-value arithmetic
-    exactly, so the two decision routes agree even on boundary ties.
+    With ascending order statistics p_(1) <= ... <= p_(C), the adjusted
+    value at rank i is min over j >= i of min(1, m_j p_(j)), with
+    multiplier m_j = C - j + 1 for 'hochberg' and C / j for 'bh'.
+    'none' passes the p-values through.
     """
+    if method not in CORRECTIONS:
+        raise ValueError(f"unknown correction {method!r}; expected one of {CORRECTIONS}")
     p = _validate_pvalues(p)
-    alpha = _validate_alpha(alpha)
-    return _stepup_reject(p, lambda k, pk: k * pk <= alpha)
-
-
-def bh_reject(p, alpha: float) -> np.ndarray:
-    """Boolean rejection mask of the Benjamini-Hochberg procedure.
-
-    The test p_[k] <= (C - k + 1) alpha / C is evaluated as
-    C * p_[k] <= (C - k + 1) * alpha; with integer multipliers on both
-    sides, the rejection set provably contains Hochberg's even in
-    floating point (the division form can round an ulp below alpha at
-    k = 1 and lose a boundary-tied hypothesis).
-    """
-    p = _validate_pvalues(p)
-    alpha = _validate_alpha(alpha)
+    if method == "none":
+        return p.copy()
     c = p.size
-    return _stepup_reject(p, lambda k, pk: c * pk <= (c - k + 1) * alpha)
-
-
-def _adjust(p: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    if method == "hochberg":
+        multipliers = c - np.arange(c, dtype=float)
+    else:
+        multipliers = c / np.arange(1.0, c + 1.0)
     # stable sort so tied inputs map to identical adjusted values
     order = np.argsort(p, kind="stable")
     scaled = multipliers * p[order]
@@ -81,36 +51,3 @@ def _adjust(p: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     out = np.empty_like(adjusted)
     out[order] = adjusted
     return out
-
-
-def hochberg_adjust(p) -> np.ndarray:
-    """Hochberg adjusted p-values, in the input order.
-
-    With ascending order statistics p_(1) <= ... <= p_(C), the adjusted
-    value at rank i is min over j >= i of min(1, (C - j + 1) p_(j)).
-    """
-    p = _validate_pvalues(p)
-    c = p.size
-    return _adjust(p, c - np.arange(c, dtype=float))
-
-
-def bh_adjust(p) -> np.ndarray:
-    """Benjamini-Hochberg adjusted p-values, in the input order.
-
-    The adjusted value at ascending rank i is min over j >= i of
-    min(1, C p_(j) / j).
-    """
-    p = _validate_pvalues(p)
-    c = p.size
-    return _adjust(p, c / np.arange(1.0, c + 1.0))
-
-
-def adjust_pvalues(p, method: str) -> np.ndarray:
-    """Adjusted p-values under the named correction ('none' passes through)."""
-    if method == "none":
-        return _validate_pvalues(p).copy()
-    if method == "hochberg":
-        return hochberg_adjust(p)
-    if method == "bh":
-        return bh_adjust(p)
-    raise ValueError(f"unknown correction {method!r}; expected one of {CORRECTIONS}")

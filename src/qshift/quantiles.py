@@ -56,6 +56,7 @@ kernels) changed bits with its thread count only from about 400 terms up.
 """
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -81,6 +82,10 @@ _CF_MAXITER = 2000
 
 # a window leaves out at most this much Harrell-Davis weight in each tail
 _HD_TAIL_MASS = 1e-17
+
+# the largest |x| a sample may hold: a difference of two such values, or
+# a contrast of four, still stays finite
+_MAX_ABS = sys.float_info.max / 4
 
 
 def _lentz_step(dc: np.ndarray, h: np.ndarray, aa: np.ndarray) -> np.ndarray:
@@ -219,12 +224,19 @@ def _check_quantile(q: float) -> float:
 
 
 def _as_sample(values, name: str) -> np.ndarray:
-    """``values`` as a flat float array; rejects an empty or non-finite sample."""
+    """``values`` as a flat float array.
+
+    Rejects an empty sample, and one holding NaN, infinity or a value
+    beyond ``_MAX_ABS`` in magnitude.
+    """
     xs = np.asarray(values, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError(f"{name} contains NaN or infinite values")
+    if not np.all(np.abs(xs) <= _MAX_ABS):  # false on NaN too
+        if not np.all(np.isfinite(xs)):
+            raise ValueError(f"{name} contains NaN or infinite values")
+        raise ValueError(f"{name} holds a value beyond {_MAX_ABS:.4g} in magnitude, "
+                         f"where differences of values overflow")
     return xs
 
 

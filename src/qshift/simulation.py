@@ -27,7 +27,7 @@ from .bootstrap import DECILES, BootstrapConfig, _check_integer, signed_pvalue
 from .contrasts import _psi_star
 from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
 from .distributions import DistributionSpec, generate
-from .multcomp import CORRECTIONS, bh_reject, hochberg_reject
+from .multcomp import CORRECTIONS, adjust_pvalues
 from .pairwise import IBAND_QUANTILES, _iband_star
 from .quantiles import _as_sample, _betainc_grid
 from .rng import derive_seed, stream
@@ -249,12 +249,8 @@ def _iterate(cond: SimCondition, i: int):
     else:
         pvals = signed_pvalue(_iband_star(cells, config))
     per_q = pvals <= cond.alpha
-    if cond.correction == "none":
-        corrected = per_q
-    elif cond.correction == "hochberg":
-        corrected = hochberg_reject(pvals, cond.alpha)
-    else:
-        corrected = bh_reject(pvals, cond.alpha)
+    # the rule the analysis tables print: reject where p.adj <= alpha
+    corrected = adjust_pvalues(pvals, cond.correction) <= cond.alpha
     return bool(corrected.any()), bool(per_q.any()), per_q
 
 

@@ -4,7 +4,8 @@ Usage: ``PYTHONPATH=src python tests/bless_golden.py [NAME ...]``.  With no
 names, every golden file whose bytes differ from a fresh run is printed
 with the largest move of its estimates, and nothing is written.  With
 names, only the named files are rewritten, each printed the same way if
-its bytes changed, so the change can be recorded with its oracle.
+its bytes changed, so the change can be recorded with its oracle.  A name
+that is no golden case exits 2 before any case runs.
 """
 
 import json
@@ -31,10 +32,15 @@ def _largest_move(name: str, new: str, old: str) -> str:
 
 
 def main(names) -> int:
+    cases = g.cases()
+    unknown = sorted(set(names) - {name for name, _, _ in cases})
+    if unknown:
+        print(f"error: no golden case named {', '.join(unknown)}", file=sys.stderr)
+        return 2
     if names:
         g.GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data, argv in g.cases():
+        for name, data, argv in cases:
             if names and name not in names:
                 continue
             out = g.run_case(Path(tmp), data, argv)

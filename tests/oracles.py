@@ -8,7 +8,12 @@ statistics come from explicit textbook sums computed with plain Python
 floats, the type-7 quantile is read off one sorted sample at a time,
 and the generic bootstrap calls a scalar
 statistic once per replicate on the library's own resamples.  The
-kurtosis helpers back the heavy-tail diagnostics of the population tests.
+multiplicity decisions come from the step-up scans of Hochberg and
+Benjamini-Hochberg, which walk the sorted p-values down to the first one
+under its threshold instead of comparing adjusted p-values with alpha.
+The kurtosis helpers back the heavy-tail diagnostics of the population
+tests, and the relabelling helpers build the re-oriented samples of the
+orientation tests.
 """
 
 import math
@@ -18,6 +23,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from qshift.bootstrap import _cell_resample_matrices
+from qshift.design import FactorialSample
+from qshift.multcomp import _validate_pvalues
 
 
 def beta_cdf_quad(x: float, a: float, b: float) -> float:
@@ -259,3 +266,63 @@ def bootstrap_statistic(cells, statistic, config) -> BootstrapDistribution:
             raise NonFiniteStatisticError(b, value)
         out[b] = value
     return BootstrapDistribution(out)
+
+
+def _validate_alpha(alpha: float) -> float:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return float(alpha)
+
+
+def _stepup_reject(p, triggers) -> np.ndarray:
+    desc = np.sort(p)[::-1]
+    for k in range(1, p.size + 1):
+        if triggers(k, desc[k - 1]):
+            return p <= desc[k - 1]
+    return np.zeros(p.size, dtype=bool)
+
+
+def hochberg_reject(p, alpha: float) -> np.ndarray:
+    """Boolean rejection mask of Hochberg's step-up procedure.
+
+    The threshold test p_[k] <= alpha/k is evaluated in the product form
+    k * p_[k] <= alpha, which matches the adjusted-p-value arithmetic
+    exactly, so the two decision routes agree even on boundary ties.
+    """
+    p = _validate_pvalues(p)
+    alpha = _validate_alpha(alpha)
+    return _stepup_reject(p, lambda k, pk: k * pk <= alpha)
+
+
+def bh_reject(p, alpha: float) -> np.ndarray:
+    """Boolean rejection mask of the Benjamini-Hochberg procedure.
+
+    The test p_[k] <= (C - k + 1) alpha / C is evaluated as
+    C * p_[k] <= (C - k + 1) * alpha; with integer multipliers on both
+    sides, the rejection set provably contains Hochberg's even in
+    floating point (the division form can round an ulp below alpha at
+    k = 1 and lose a boundary-tied hypothesis).
+    """
+    p = _validate_pvalues(p)
+    alpha = _validate_alpha(alpha)
+    c = p.size
+    return _stepup_reject(p, lambda k, pk: c * pk <= (c - k + 1) * alpha)
+
+
+def transposed(sample: FactorialSample) -> FactorialSample:
+    """Interchange the roles of the two factors (swap cells (1,2) and (2,1))."""
+    cells = sample.cells
+    return FactorialSample(
+        ((cells[0][0], cells[1][0]), (cells[0][1], cells[1][1])),
+        sample.factor_b,
+        sample.factor_a,
+    )
+
+
+def swapped_a_levels(sample: FactorialSample) -> FactorialSample:
+    """Exchange the two levels of factor A."""
+    return FactorialSample(
+        (sample.cells[1], sample.cells[0]),
+        (sample.factor_a[1], sample.factor_a[0]),
+        sample.factor_b,
+    )

@@ -18,7 +18,8 @@ import pytest
 import qshift as qs
 from qshift.quantiles import _hd_weight_matrix
 
-from oracles import anova_f_textbook, hd_quantile_quad, lognormal_kurtosis, sample_kurtosis
+from oracles import (anova_f_textbook, hd_quantile_quad, lognormal_kurtosis, sample_kurtosis,
+                     transposed)
 
 WORKERS = 2
 
@@ -52,9 +53,9 @@ def _null_cond(specs, method, *, n=30, n_sims=2000, n_boot=600, seed=0,
 
 
 def test_c01_adjusted_pvalue_reproduction():
-    hoch9 = qs.hochberg_adjust(TABLE1_P)
-    bh9 = qs.bh_adjust(TABLE1_P)
-    hoch5 = qs.hochberg_adjust(TABLE2_P)
+    hoch9 = qs.adjust_pvalues(TABLE1_P, "hochberg")
+    bh9 = qs.adjust_pvalues(TABLE1_P, "bh")
+    hoch5 = qs.adjust_pvalues(TABLE2_P, "hochberg")
     ok9 = np.allclose(hoch9, TABLE1_HOCHBERG, atol=5e-4, rtol=0)
     ok5 = np.allclose(hoch5, TABLE2_HOCHBERG, atol=5e-4, rtol=0)
     smallest = [v for p, v in zip(TABLE1_P, bh9) if p in (0.010, 0.008, 0.009)]
@@ -193,7 +194,7 @@ def test_c09_orientation_properties():
         rng = qs.stream(1007, "inv", s)
         sample = qs.FactorialSample.from_cells(*(rng.normal(size=30) for _ in range(4)))
         direct = qs.decinter(sample, qs.INTERACTION, config)
-        flipped = qs.decinter(sample.transposed(), qs.INTERACTION, config)
+        flipped = qs.decinter(transposed(sample), qs.INTERACTION, config)
         invariant += all(a.dif == b.dif for a, b in zip(direct, flipped))
 
     differs = 0
@@ -206,7 +207,7 @@ def test_c09_orientation_properties():
         d1 = qs.pairwise_differences(sample.cell(1, 1), sample.cell(1, 2))
         d2 = qs.pairwise_differences(sample.cell(2, 1), sample.cell(2, 2))
         direct = qs.hd_quantile(d1, 0.5) - qs.hd_quantile(d2, 0.5)
-        t = sample.transposed()
+        t = transposed(sample)
         e1 = qs.pairwise_differences(t.cell(1, 1), t.cell(1, 2))
         e2 = qs.pairwise_differences(t.cell(2, 1), t.cell(2, 2))
         flipped = qs.hd_quantile(e1, 0.5) - qs.hd_quantile(e2, 0.5)

@@ -5,9 +5,13 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qshift
 from qshift import (
     INTERACTION,
     MAIN_A,
@@ -189,6 +193,23 @@ def test_malformed_input_exit_codes(capsys, tmp_path, body, extra, code, message
 
 
 class TestIbandCommand:
+    def test_huge_value_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        cells = [[float(i) for i in range(25)] for _ in range(4)]
+        cells[3][7] = 1.5e308
+        _write_long_csv(path, cells)
+        code, _, err = _run(capsys, "iband", "--input", str(path), "--nboot", "200")
+        assert code == 3
+        assert f"error: {path}: row 84: value '1.5e+308' of cell ('a2', 'b2') is beyond" in err
+
+    def test_value_at_the_bound_is_read(self, tmp_path):
+        path = tmp_path / "bound.csv"
+        cells = [[float(i) for i in range(25)] for _ in range(4)]
+        cells[3][7] = -4.49e307
+        _write_long_csv(path, cells)
+        sample, _ = read_long_csv(path, "a", "b", "y")
+        assert sample.cell(2, 2)[7] == -4.49e307
+
     def test_default_quantiles_and_ph(self, capsys, normal_csv):
         code, out, _ = _run(capsys, "iband", "--input", normal_csv,
                             "--nboot", "300", "--seed", "5", "--ph")
@@ -450,3 +471,17 @@ def test_bom_prefixed_input_matches_plain_file(tmp_path, load, body):
     bom.write_text(body, encoding="utf-8-sig")
     assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
     assert load(str(bom)) == load(str(plain))
+
+
+def test_import_leaves_test_only_packages_unloaded():
+    """The package and its CLI import none of the test-only dependencies,
+    whose import would add to every command's start-up."""
+    src = str(Path(qshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = ("import sys, qshift, qshift.cli; "
+              "print(sorted({m.split('.')[0] for m in sys.modules} "
+              "& {'scipy', 'mpmath', 'hypothesis'}))")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert run.stdout == "[]\n"

@@ -13,7 +13,6 @@ from qshift import (
     INTERACTION,
     MAIN_A,
     MAIN_B,
-    bh_reject,
     contrast_value,
     decinter,
     hd_quantile,
@@ -23,7 +22,7 @@ from qshift import (
 from qshift.bootstrap import _cell_resample_matrices
 from qshift.rng import derive_seed
 
-from oracles import bootstrap_statistic, type7_quantile
+from oracles import bootstrap_statistic, swapped_a_levels, transposed, type7_quantile
 
 _SCALAR_ESTIMATORS = {"hd": hd_quantile, "t7": type7_quantile}
 
@@ -56,13 +55,29 @@ class TestFactorialSample:
         with pytest.raises(ValueError):
             FactorialSample.from_cells([np.nan] * 20, [1.0] * 20, [1.0] * 20, [1.0] * 20)
 
+    def test_huge_cell_rejected_by_name(self):
+        # beyond max/4, an interaction contrast of four such values overflows
+        cells = [np.linspace(-1.0, 1.0, 20) for _ in range(4)]
+        cells[1] = cells[1] * 1e308
+        with pytest.raises(ValueError, match=r"^cell \(1,2\) holds a value beyond 4.494e\+307"):
+            decinter(FactorialSample.from_cells(*cells), INTERACTION, BootstrapConfig(n_boot=200))
+
+    def test_values_at_the_bound_give_finite_results(self):
+        cells = [np.linspace(-1.0, 1.0, 20) * 4.49e307 for _ in range(4)]
+        cells[1], cells[2] = -cells[1], -cells[2]
+        sample = FactorialSample.from_cells(*cells)
+        for estimator in ("hd", "t7"):
+            config = BootstrapConfig(n_boot=200, seed=3, estimator=estimator)
+            for row in decinter(sample, INTERACTION, config):
+                assert np.isfinite([row.dif, row.ci_low, row.ci_high]).all()
+
     def test_small_cells_warn(self):
         with pytest.warns(UserWarning, match="n=5"):
             FactorialSample.from_cells([1.0] * 5, [2.0] * 20, [3.0] * 20, [4.0] * 20)
 
     def test_transposed_swaps_off_diagonal(self):
         sample = FactorialSample.from_cells([1.0] * 20, [2.0] * 20, [3.0] * 20, [4.0] * 20)
-        flipped = sample.transposed()
+        flipped = transposed(sample)
         assert flipped.cell(1, 2)[0] == 3.0
         assert flipped.cell(2, 1)[0] == 2.0
 
@@ -118,7 +133,7 @@ class TestDecinter:
         for s in range(20):
             sample = _random_sample(s, n=25)
             direct = decinter(sample, INTERACTION, config)
-            flipped = decinter(sample.transposed(), INTERACTION, config)
+            flipped = decinter(transposed(sample), INTERACTION, config)
             for a, b in zip(direct, flipped):
                 assert a.dif == b.dif  # exact: the contrast is symmetric in the off-diagonal cells
 
@@ -132,7 +147,7 @@ class TestDecinter:
 
     def test_sign_antisymmetry_point_estimates(self):
         sample = _random_sample(11, shifts=(0.0, 0.3, -0.2, 0.5))
-        swapped = sample.swapped_a_levels()
+        swapped = swapped_a_levels(sample)
         config = BootstrapConfig(n_boot=200, seed=5)
         for kind in (INTERACTION, MAIN_A):
             for a, b in zip(decinter(sample, kind, config), decinter(swapped, kind, config)):
@@ -150,7 +165,7 @@ class TestDecinter:
         monkeypatch.setattr(contrasts_mod, "_cell_resample_matrices", serve((0, 1, 2, 3)))
         direct = decinter(sample, INTERACTION, config)
         monkeypatch.setattr(contrasts_mod, "_cell_resample_matrices", serve((2, 3, 0, 1)))
-        swapped = decinter(sample.swapped_a_levels(), INTERACTION, config)
+        swapped = decinter(swapped_a_levels(sample), INTERACTION, config)
         for a, b in zip(direct, swapped):
             assert b.dif == -a.dif
             assert b.p_value == a.p_value
@@ -198,6 +213,6 @@ class TestDecinter:
                 rng.normal(size=50) + 5.0, rng.normal(size=50) + 5.0,
             )
             config = BootstrapConfig(n_boot=600, seed=derive_seed(2000 + s, "pboot"))
-            pvals = [row.p_value for row in decinter(sample, MAIN_A, config, "none")]
-            hits += bool(bh_reject(pvals, 0.05)[4])  # the median decile
+            rows = decinter(sample, MAIN_A, config, "bh")
+            hits += bool(rows[4].p_adjusted <= 0.05)  # the median decile
         assert hits / n_runs >= 0.95

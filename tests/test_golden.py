@@ -217,3 +217,17 @@ def test_simulate_golden_on_two_workers(workdir):
     """The process-pool path writes the bytes of the one-process run."""
     out = run_case(workdir, None, ["simulate", "--threads", "2"])
     assert out == (GOLDEN / "fwer_desk-subset-simulate.csv").read_text(encoding="utf-8")
+
+
+def test_bless_refuses_unknown_names(monkeypatch, capsys):
+    """A mistyped name exits 2 and is named before any case runs."""
+    import bless_golden
+
+    def no_run(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(bless_golden.g, "run_case", no_run)
+    assert bless_golden.main(["no-such-file.json", "lognormal-hd-iband.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no golden case named no-such-file.json\n"

@@ -26,7 +26,7 @@ from qshift import (
 from qshift.bootstrap import _cell_resample_matrices, _resample_indices
 from qshift.rng import derive_seed
 
-from oracles import bootstrap_statistic, type7_quantile
+from oracles import bootstrap_statistic, transposed, type7_quantile
 
 # 10-20 draws from at most five points of a lattice with step 1 or 0.5,
 # negative values included: V1*V2 <= 25 <= n1*n2/4, few enough to count
@@ -96,6 +96,27 @@ class TestPHProbability:
         assert ph_probability(d) + ph_probability(-d) == pytest.approx(1.0)
 
 
+def test_huge_values_rejected_by_name():
+    # beyond max/4, a difference of two level differences overflows
+    cells = [np.linspace(-1.0, 1.0, 20) for _ in range(4)]
+    cells[2] = cells[2] * 1e308
+    with pytest.raises(ValueError, match=r"^cell \(2,1\) holds a value beyond 4.494e\+307"):
+        iband(FactorialSample.from_cells(*cells), BootstrapConfig(n_boot=200))
+    with pytest.raises(ValueError, match=r"^y holds a value beyond 4.494e\+307"):
+        median_diff_test(cells[0], cells[2], BootstrapConfig(n_boot=200))
+
+
+def test_values_at_the_bound_give_finite_results():
+    x = np.linspace(-1.0, 1.0, 20) * 4.49e307
+    sample = FactorialSample.from_cells(x, -x, -x, x)
+    for estimator in ("hd", "t7"):
+        config = BootstrapConfig(n_boot=200, seed=3, estimator=estimator)
+        for row in iband(sample, config):
+            assert np.isfinite([row.est_lev1, row.est_lev2, row.dif, row.ci_low, row.ci_high]).all()
+    res = median_diff_test(x, -x, BootstrapConfig(n_boot=200, seed=3))
+    assert np.isfinite([res.estimate, res.ci_low, res.ci_high]).all()
+
+
 class TestIband:
     def test_identical_constant_cells(self):
         sample = FactorialSample.from_cells(*([[2.0] * 25] * 4))
@@ -144,7 +165,7 @@ class TestIband:
             )
             config = BootstrapConfig(n_boot=100, seed=3, quantiles=(0.5,))
             direct = iband(sample, config)[0].dif
-            flipped = iband(sample.transposed(), config)[0].dif
+            flipped = iband(transposed(sample), config)[0].dif
             differs += direct != flipped
         assert differs >= 18
 

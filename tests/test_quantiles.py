@@ -322,6 +322,7 @@ def hd_reduction_case(draw):
     return windowed, levels, np.sort(loc + scale * rows, axis=1)
 
 
+@pytest.mark.slow
 @settings(max_examples=40, deadline=None)
 @given(hd_reduction_case())
 def test_windowed_reduction_matches_dense_product(case):

@@ -18,6 +18,7 @@ from qshift import (
     ExperimentError,
     FactorialSample,
     SimCondition,
+    adjust_pvalues,
     anova_f_statistics,
     anova_f_test,
     load_experiment,
@@ -213,6 +214,23 @@ class TestRuns:
         # same seed means the same simulated data, where BH rejection sets
         # contain Hochberg's, so the dominance is deterministic
         assert bh.rate >= hoch.rate
+
+    def test_bh_decision_is_the_tables_adjusted_pvalue(self, monkeypatch):
+        """On the bootstrap's p = M/B lattice, a sweep rejects where p.adj <= alpha.
+
+        Three deciles at 2/600 and six at .5: BH adjusts the three to
+        exactly 0.01, so the table reports them rejected at alpha = .01.
+        A step-up scan in the form 9 p <= (9 - k + 1) alpha rounds the
+        other way at k = 7 and rejects none.
+        """
+        pvals = np.array([2 / 600] * 3 + [0.5] * 6)
+        monkeypatch.setattr(qshift.simulation, "signed_pvalue", lambda _: pvals.copy())
+        cond = _null_condition(method="decinter_t7", alpha=0.01, correction="bh",
+                               n_boot=600, n_sims=1)
+        corrected, uncorrected, per_q = qshift.simulation._iterate(cond, 0)
+        assert adjust_pvalues(pvals, "bh")[0] <= 0.01
+        assert corrected and uncorrected
+        assert per_q.tolist() == [True] * 3 + [False] * 6
 
     def test_sweep_determinism_and_failure_isolation(self):
         good = _null_condition(n_sims=20)

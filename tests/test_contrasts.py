@@ -63,9 +63,9 @@ class TestFactorialSample:
             decinter(FactorialSample.from_cells(*cells), INTERACTION, BootstrapConfig(n_boot=200))
 
     def test_values_at_the_bound_give_finite_results(self):
-        cells = [np.linspace(-1.0, 1.0, 20) * 4.49e307 for _ in range(4)]
-        cells[1], cells[2] = -cells[1], -cells[2]
-        sample = FactorialSample.from_cells(*cells)
+        # opposite signs on the diagonals: the contrast nears 4 * 4.49e307
+        x = np.linspace(0.5, 1.0, 20) * 4.49e307
+        sample = FactorialSample.from_cells(x, -x, -x, x)
         for estimator in ("hd", "t7"):
             config = BootstrapConfig(n_boot=200, seed=3, estimator=estimator)
             for row in decinter(sample, INTERACTION, config):

@@ -107,7 +107,8 @@ def test_huge_values_rejected_by_name():
 
 
 def test_values_at_the_bound_give_finite_results():
-    x = np.linspace(-1.0, 1.0, 20) * 4.49e307
+    # the level differences near 2 * 4.49e307 and the contrast 4 * 4.49e307
+    x = np.linspace(0.5, 1.0, 20) * 4.49e307
     sample = FactorialSample.from_cells(x, -x, -x, x)
     for estimator in ("hd", "t7"):
         config = BootstrapConfig(n_boot=200, seed=3, estimator=estimator)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import _check_integer
+from .quantiles import _MAX_ABS
 
 __all__ = [
     "DistributionSpec",
@@ -82,7 +83,9 @@ def generate(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.nda
 
     The draw order within a kind is fixed (base variates first, then any
     contamination uniforms), so a given stream always yields the same
-    sample regardless of the shift.
+    sample regardless of the shift.  A draw holding a NaN or a value
+    beyond ``_MAX_ABS`` in magnitude, which the analyses reject, raises a
+    ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
@@ -109,4 +112,8 @@ def generate(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.nda
             x = np.expm1(spec.g * z) / spec.g * tail
     else:  # pragma: no cover - guarded by DistributionSpec
         raise ValueError(f"unknown distribution kind {kind!r}")
-    return x + spec.shift
+    x = x + spec.shift
+    if not np.abs(x).max() <= _MAX_ABS:  # false on NaN too
+        raise ValueError(f"{spec} drew a NaN or a value beyond {_MAX_ABS:.4g} "
+                         f"in magnitude")
+    return x

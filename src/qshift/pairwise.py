@@ -278,9 +278,13 @@ def median_diff_test(x, y, config: BootstrapConfig | None = None) -> InferenceRe
 
     Under continuity this is equivalent to testing P(X < Y) = 1/2.  Uses
     the configured estimator at the .5 quantile with a percentile
-    bootstrap that resamples the two source samples.
+    bootstrap that resamples the two source samples.  ``config.quantiles``
+    must be None or (0.5,).
     """
     config = config if config is not None else BootstrapConfig()
+    if config.quantiles not in (None, (0.5,)):
+        raise ValueError(f"median_diff_test tests the median only; config.quantiles "
+                         f"must be None or (0.5,), got {config.quantiles}")
     xs, ys = _as_sample(x, "x"), _as_sample(y, "y")
     estimate = float(_point_quantiles(xs, ys, (0.5,), config.estimator)[0])
     med_star = _resampled_level((xs, ys), 0, config)((0.5,), config.estimator)[:, 0]

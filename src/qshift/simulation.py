@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bootstrap import DECILES, BootstrapConfig, _check_integer, signed_pvalue
-from .contrasts import _psi_star
+from .contrasts import _psi_star, contrast_value
 from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
 from .distributions import DistributionSpec, generate
 from .multcomp import CORRECTIONS, adjust_pvalues
@@ -75,10 +75,19 @@ class ExperimentError(ValueError):
     """An experiment file failed validation."""
 
 
+# the order of the effects in anova_f_statistics' triple
+_EFFECTS = (MAIN_A, MAIN_B, INTERACTION)
+
+
 def anova_f_statistics(data) -> tuple:
     """Balanced two-way ANOVA F statistics ((FA, FB, FAB), df_within).
 
-    Each F has 1 numerator degree of freedom and 4(n-1) within degrees.
+    Each effect psi is ``contrast_value`` of the four cell means.  Each F
+    has 1 numerator and 4(n-1) within degrees of freedom: F = n psi^2 /
+    MS_w for the main effects and n psi^2 / (4 MS_w) for the interaction,
+    whose cell residuals are +-psi/4.  The cells are first scaled by the
+    power of two that puts max|y| in [0.5, 1); that is exact and leaves F
+    unchanged, so no sum of squares over- or underflows.
     """
     cells = data.flat_cells() if hasattr(data, "flat_cells") else tuple(
         _as_sample(c, f"cell ({i // 2 + 1},{i % 2 + 1})") for i, c in enumerate(data)
@@ -90,21 +99,18 @@ def anova_f_statistics(data) -> tuple:
     if n < 2:
         raise ValueError(f"need at least 2 observations per cell, got {n}")
 
-    y = np.stack(cells).reshape(2, 2, n)
-    cell_means = y.mean(axis=2)
-    grand = cell_means.mean()
-    a_eff = cell_means.mean(axis=1) - grand
-    b_eff = cell_means.mean(axis=0) - grand
-    ss_a = 2 * n * float(np.sum(a_eff ** 2))
-    ss_b = 2 * n * float(np.sum(b_eff ** 2))
-    ss_ab = n * float(np.sum((cell_means - cell_means.mean(axis=1, keepdims=True)
-                              - cell_means.mean(axis=0, keepdims=True) + grand) ** 2))
-    ss_w = float(np.sum((y - cell_means[:, :, None]) ** 2))
+    y = np.stack(cells)
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+    means = y.mean(axis=1)
     df_w = 4 * (n - 1)
-    ms_w = ss_w / df_w
+    ms_w = float(np.sum((y - means[:, None]) ** 2)) / df_w
     if ms_w == 0.0:
         raise DegenerateDataError("zero within-cell variance; F statistics are undefined")
-    return (ss_a / ms_w, ss_b / ms_w, ss_ab / ms_w), df_w
+    means = means.tolist()
+    return tuple(
+        n * contrast_value(means, kind)[2] ** 2 / (4.0 * ms_w if kind == INTERACTION else ms_w)
+        for kind in _EFFECTS
+    ), df_w
 
 
 def anova_f_test(data) -> tuple:
@@ -229,9 +235,6 @@ class SimulationReport:
     error: str | None = None
 
 
-_CONTRAST_INDEX = {MAIN_A: 0, MAIN_B: 1, INTERACTION: 2}
-
-
 def _iterate(cond: SimCondition, i: int):
     """Run iteration i; returns (rejected_corrected, rejected_uncorrected, per_q)."""
     cells = [
@@ -239,7 +242,7 @@ def _iterate(cond: SimCondition, i: int):
         for c, spec in enumerate(cond.cell_specs)
     ]
     if cond.method == "anova_means":
-        p = anova_f_test(cells)[_CONTRAST_INDEX[cond.contrast]]
+        p = anova_f_test(cells)[_EFFECTS.index(cond.contrast)]
         rejected = p <= cond.alpha
         return rejected, rejected, np.zeros(0, dtype=bool)
 

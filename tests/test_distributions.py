@@ -1,5 +1,7 @@
 """Tests for the simulation population generators and kurtosis diagnostic."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ class TestGenerate:
         for kind in ("poisson", "beta_binomial", "g_and_h", "normal"):
             with pytest.raises(ValueError, match=f"{field} must be a finite number"):
                 DistributionSpec(kind, **{field: value})
+
+    @pytest.mark.parametrize("spec, rng", [
+        # cell (1,2) of iteration 4 of a seed-0 simulation: one draw is inf
+        (DistributionSpec("g_and_h", h=100.0), stream(0, "data", 4, 1)),
+        (DistributionSpec("normal", shift=4.5e307), stream(13, "bound")),
+    ])
+    def test_draws_beyond_the_sample_bound_rejected(self, spec, rng):
+        with pytest.raises(ValueError, match=re.escape(f"{spec} drew a NaN or a value "
+                                                       f"beyond 4.494e+307 in magnitude")):
+            generate(spec, 30, rng)
+
+    def test_draws_at_the_sample_bound_pass(self):
+        x = generate(DistributionSpec("normal", shift=4.49e307), 30, stream(13, "bound"))
+        assert np.all(x == 4.49e307)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

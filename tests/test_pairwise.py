@@ -3,6 +3,7 @@
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -464,6 +465,16 @@ class TestMedianDiffTest:
         result = median_diff_test(x, y, BootstrapConfig(n_boot=200, seed=3))
         assert result.estimate == pytest.approx(
             hd_quantile(pairwise_differences(x, y), 0.5), rel=1e-12, abs=1e-12)
+
+    def test_quantiles_must_name_the_median(self):
+        rng = stream(9, "median-levels")
+        x, y = rng.normal(size=30), rng.normal(size=30)
+        config = BootstrapConfig(n_boot=200, seed=3)
+        assert (median_diff_test(x, y, replace(config, quantiles=(0.5,)))
+                == median_diff_test(x, y, config))
+        for quantiles in ((0.25, 0.75), (0.25,), (0.25, 0.5)):
+            with pytest.raises(ValueError, match=r"median only; config.quantiles must be None"):
+                median_diff_test(x, y, replace(config, quantiles=quantiles))
 
     def test_identical_constants(self):
         result = median_diff_test([3.0] * 25, [3.0] * 25, BootstrapConfig(n_boot=400, seed=1))

@@ -30,7 +30,7 @@ from qshift import (
 import qshift.simulation
 from qshift.simulation import REPORT_COLUMNS, report_csv_rows, report_metadata
 
-from oracles import anova_f_textbook
+from oracles import anova_f_textbook, transposed
 
 NORMAL = DistributionSpec("normal")
 
@@ -113,6 +113,38 @@ class TestAnova:
         sample = FactorialSample.from_cells(*(rng.normal(size=20) for _ in range(4)))
         pa, pb, pab = anova_f_test(sample)
         assert all(0.0 <= p <= 1.0 for p in (pa, pb, pab))
+
+    @pytest.mark.parametrize("k", [-900, -100, 100, 900])
+    def test_power_of_two_scale_changes_no_bit(self, k):
+        rng = stream(21, "anova")
+        cells = [rng.normal(loc=rng.uniform(-1, 1), size=30) for _ in range(4)]
+        scaled = [np.ldexp(c, k) for c in cells]
+        assert anova_f_statistics(scaled) == anova_f_statistics(cells)
+        assert anova_f_test(scaled) == anova_f_test(cells)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+    def test_extreme_scales_keep_their_pvalues(self, scale):
+        # unscaled, these cells' sums of squares overflow (1e160) or
+        # underflow (1e-160 moves the p-values, 1e-170 reads as zero variance)
+        rng = stream(21, "anova")
+        cells = [rng.normal(loc=rng.uniform(-1, 1), size=30) for _ in range(4)]
+        np.testing.assert_allclose(anova_f_test([c * scale for c in cells]),
+                                   anova_f_test(cells), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_constant_cells_rejected_at_any_scale(self, scale):
+        with pytest.raises(DegenerateDataError):
+            anova_f_test([[v * scale] * 3 for v in (1.0, 2.0, 3.0, 4.0)])
+
+    def test_transposed_cells_swap_the_main_effects(self):
+        rng = stream(22, "anova")
+        for _ in range(20):
+            sample = FactorialSample.from_cells(
+                *(rng.normal(loc=rng.uniform(-1, 1), size=30) for _ in range(4)))
+            (fa, fb, fab), df_w = anova_f_statistics(sample)
+            flipped, df_t = anova_f_statistics(transposed(sample))
+            assert df_t == df_w
+            np.testing.assert_allclose(flipped, (fb, fa, fab), rtol=1e-15, atol=0)
 
 
 class TestConditions:
@@ -237,6 +269,16 @@ class TestRuns:
         reports = sweep([good, good], workers=2)
         assert reports[0] == reports[1]
         assert not any(r.error for r in reports)
+
+    def test_draws_beyond_the_sample_bound_fail_every_method(self):
+        # iteration 4 of seed 0 draws an infinity into cell (1,2)
+        spec = DistributionSpec("g_and_h", h=100.0)
+        reports = sweep([_null_condition(cell_specs=(spec,) * 4, n_per_group=30, method=m,
+                                         n_sims=5, n_boot=100, seed=0, name=m)
+                         for m in qshift.simulation.METHODS])
+        for rep in reports:
+            assert rep.error == (f"ValueError: {spec} drew a NaN or a value beyond "
+                                 f"4.494e+307 in magnitude"), rep.condition.method
 
     def test_sweep_isolates_a_failing_condition(self):
         good = _null_condition(n_sims=20)

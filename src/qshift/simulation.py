@@ -86,8 +86,10 @@ def anova_f_statistics(data) -> tuple:
     has 1 numerator and 4(n-1) within degrees of freedom: F = n psi^2 /
     MS_w for the main effects and n psi^2 / (4 MS_w) for the interaction,
     whose cell residuals are +-psi/4.  The cells are first scaled by the
-    power of two that puts max|y| in [0.5, 1); that is exact and leaves F
-    unchanged, so no sum of squares over- or underflows.
+    power of two that puts max|y| in [0.5, 1), and the deviations from
+    the cell means and the effects by the one that puts the largest
+    deviation there; that is exact and leaves F unchanged, so no sum of
+    squares over- or underflows.  An F beyond the largest float is inf.
     """
     cells = data.flat_cells() if hasattr(data, "flat_cells") else tuple(
         _as_sample(c, f"cell ({i // 2 + 1},{i % 2 + 1})") for i, c in enumerate(data)
@@ -102,15 +104,17 @@ def anova_f_statistics(data) -> tuple:
     y = np.stack(cells)
     y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
     means = y.mean(axis=1)
+    dev = y - means[:, None]
+    k = -np.frexp(np.abs(dev).max())[1]
     df_w = 4 * (n - 1)
-    ms_w = float(np.sum((y - means[:, None]) ** 2)) / df_w
+    ms_w = float(np.sum(np.ldexp(dev, k) ** 2)) / df_w
     if ms_w == 0.0:
         raise DegenerateDataError("zero within-cell variance; F statistics are undefined")
     means = means.tolist()
-    return tuple(
-        n * contrast_value(means, kind)[2] ** 2 / (4.0 * ms_w if kind == INTERACTION else ms_w)
-        for kind in _EFFECTS
-    ), df_w
+    psi_sq = [contrast_value(means, kind)[2] ** 2 for kind in _EFFECTS]
+    with np.errstate(over="ignore"):
+        f = n * np.ldexp(psi_sq, 2 * k) / np.array([ms_w, ms_w, 4.0 * ms_w])
+    return tuple(f.tolist()), df_w
 
 
 def anova_f_test(data) -> tuple:
@@ -127,10 +131,13 @@ def anova_f_test(data) -> tuple:
         If the within-cell variance is zero.
     """
     stats, df_w = anova_f_statistics(data)
-    # P(F(1, d) > f) = I_x(d/2, 1/2) at x = d/(d + f), so f = 0 gives p = 1;
-    # 1 - x is passed as f/(d + f), which keeps its digits for f near 0
+    # P(F(1, d) > f) = I_x(d/2, 1/2) at x = d/(d + f), so f = 0 gives p = 1
+    # and f = inf gives p = 0; 1 - x is passed as f/(d + f), which keeps
+    # its digits for f near 0
     f = np.array(stats)
-    return tuple(_betainc_grid(df_w / (df_w + f), f / (df_w + f), df_w / 2.0, 0.5).tolist())
+    with np.errstate(invalid="ignore"):
+        tail = np.where(f == np.inf, 1.0, f / (df_w + f))
+    return tuple(_betainc_grid(df_w / (df_w + f), tail, df_w / 2.0, 0.5).tolist())
 
 
 @dataclass(frozen=True)
@@ -303,36 +310,24 @@ def _failed_report(cond: SimCondition, exc: Exception) -> SimulationReport:
     )
 
 
-def _gather(futures) -> list:
-    """The futures' results in order; on an error the rest are cancelled."""
-    try:
-        return [f.result() for f in futures]
-    except BaseException:
-        for f in futures:
-            f.cancel()
-        raise
+def sweep(conditions, workers: int | None = None, progress=None) -> list:
+    """Run every condition on at most one process pool, reporting in order.
 
-
-def _run(conditions, workers, isolate: bool, progress=None) -> list:
-    """Run the conditions on at most one process pool, reporting in order.
-
-    ``workers`` is capped at the largest ``n_sims``; at one, each
-    condition's chunks run in this process.  Above one, the pool is
-    started with the first condition, the chunks of every condition are
-    queued on it at once, in condition order, and the results are read
-    back in that order, so a worker never idles at a condition boundary.
-    A report's wall time runs from the previous report (the first: from
-    the start of the run) to the condition's last result.
-
-    With ``isolate``, a condition that raises gets a failed report and
-    the run goes on: its queued chunks are cancelled and the rest of the
-    queue is kept.  A worker that dies breaks the pool and every chunk
-    still on it; if chunks of later conditions were queued, any of them
-    may have killed it, so the condition is rerun alone on a fresh pool
-    and fails only if that pool breaks too.  The conditions after it are
-    queued again on a working pool.  Without ``isolate``, the error
-    propagates.
+    ``workers`` is capped at the largest ``n_sims``; at one, the chunks
+    run in this process.  Above one, the pool starts with the first
+    condition and the chunks of every condition are queued on it at once,
+    in condition order, so a worker never idles at a condition boundary.
+    A condition that raises reports the exception on ``error`` with NaN
+    rates; its queued chunks are cancelled and the sweep goes on.  A dead
+    worker breaks the pool and every chunk on it, and any of them may
+    have killed it, so the condition is rerun once, alone, on a fresh
+    pool, and fails only if that pool breaks too; the conditions after
+    it are queued again.  ``progress(i, condition, report)`` is called
+    after each condition, in order, when given.
     """
+    conditions = list(conditions)
+    if not conditions:
+        raise ValueError("sweep needs at least one condition")
     workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -344,6 +339,8 @@ def _run(conditions, workers, isolate: bool, progress=None) -> list:
     mark = time.perf_counter()
     try:
         for i, cond in enumerate(conditions):
+            futures = []
+            error = None
             try:
                 if workers == 1:
                     chunks = list(map(_run_chunk, tasks[i]))
@@ -354,25 +351,22 @@ def _run(conditions, workers, isolate: bool, progress=None) -> list:
                         queued = [[pool.submit(_run_chunk, t) for t in ts] for ts in tasks[i:]]
                     futures = queued.pop(0)
                     try:
-                        chunks = _gather(futures)
+                        chunks = [f.result() for f in futures]
                     except BrokenProcessPool:
-                        if not queued:
-                            raise
                         pool.shutdown()
                         queued = []
                         pool = ProcessPoolExecutor(max_workers=workers)
                         chunks = list(pool.map(_run_chunk, tasks[i]))
-                now = time.perf_counter()
-                report = _report(cond, chunks, now - mark)
             except Exception as exc:  # noqa: BLE001 - aggregate without aborting the sweep
+                for f in futures:
+                    f.cancel()
                 if isinstance(exc, BrokenProcessPool):
                     pool.shutdown()
                     pool = None
                     queued = []
-                if not isolate:
-                    raise
-                now = time.perf_counter()
-                report = _failed_report(cond, exc)
+                error = exc
+            now = time.perf_counter()
+            report = _report(cond, chunks, now - mark) if error is None else _failed_report(cond, error)
             mark = now
             reports.append(report)
             if progress is not None:
@@ -387,36 +381,21 @@ def run_fwer(cond: SimCondition, workers: int | None = None) -> SimulationReport
     """Estimate the familywise Type I error rate of a null condition.
 
     All four cell populations must be identical so every hypothesis in
-    the family is true.
+    the family is true.  A failure is a report, as in :func:`sweep`.
     """
     if cond.mode != "fwer":
         raise ValueError("FWER conditions need four identical cell populations")
-    return _run([cond], workers, isolate=False)[0]
+    return sweep([cond], workers)[0]
 
 
 def run_power(cond: SimCondition, workers: int | None = None) -> SimulationReport:
-    """Estimate familywise power for a condition with unequal populations."""
+    """Estimate familywise power for a condition with unequal populations.
+
+    A failure is a report, as in :func:`sweep`.
+    """
     if cond.mode != "power":
         raise ValueError("power conditions need at least one differing cell population")
-    return _run([cond], workers, isolate=False)[0]
-
-
-def sweep(conditions, workers: int | None = None, progress=None) -> list:
-    """Run every condition, collecting per-condition failures instead of raising.
-
-    Conditions validate themselves when built, so a sweep never starts on
-    an invalid one.  All conditions share one pool of ``workers``
-    processes, capped at the largest ``n_sims``; ``workers = 1`` runs in
-    this process.  Runtime failures, a dead worker included, are recorded
-    on the report's ``error`` field with NaN rates; a dead worker fails
-    only the condition whose chunk killed it (see ``_run``).
-    ``progress(i, condition, report)`` is called after each condition,
-    in order, when given.
-    """
-    conditions = list(conditions)
-    if not conditions:
-        raise ValueError("sweep needs at least one condition")
-    return _run(conditions, workers, isolate=True, progress=progress)
+    return sweep([cond], workers)[0]
 
 
 # --- experiment files -------------------------------------------------

@@ -65,6 +65,10 @@ class TestSignedPValue:
         arr = np.array(values)
         assert signed_pvalue(-arr) == pytest.approx(signed_pvalue(arr), abs=1e-12)
 
+    def test_empty_distribution_rejected(self):
+        with pytest.raises(ValueError, match="bootstrap distribution is empty"):
+            signed_pvalue([])
+
     def test_accepts_distribution_object(self):
         dist = BootstrapDistribution(np.array([-1.0, 0.5, 2.0]))
         assert signed_pvalue(dist) == signed_pvalue([-1.0, 0.5, 2.0])
@@ -98,6 +102,11 @@ class TestPercentileCI:
     def test_too_few_replicates(self):
         with pytest.raises(ValueError):
             percentile_ci(np.arange(10.0), 0.05)
+
+    def test_alpha_too_large_for_the_replicates(self):
+        # l = round(0.9 * 4 / 2) = 2 leaves no replicate between the bounds
+        with pytest.raises(ValueError, match="alpha=0.9 is too large for n_boot=4"):
+            percentile_ci(np.arange(4.0), 0.9)
 
     def test_unsorted_input_ok(self):
         values = np.arange(2000.0)[::-1] + 1

@@ -174,9 +174,11 @@ _ROWS = "a,b,y\na1,b1,1\na1,b2,2\na2,b1,3\na2,b2,4\n"
     ("", (), 3, "file is empty"),
     ("a,b,y\na1,b1,\na2,b2,NA\n", (), 3, "no usable data rows"),
     (_ROWS, ("--level-order", "a1,a2"), 2, "level order must look like"),
+    (_ROWS, ("--level-order", "a1,:b1,b2"), 2, "two non-empty level names"),
     (_ROWS, ("--quantiles", "0.1,half"), 2, "cannot parse quantile list"),
 ], ids=["non-numeric", "inf", "missing-label", "three-levels", "level-order-mismatch",
-        "missing-cell", "empty-file", "all-missing", "bad-level-order", "bad-quantiles"])
+        "missing-cell", "empty-file", "all-missing", "bad-level-order", "empty-level-name",
+        "bad-quantiles"])
 def test_malformed_input_exit_codes(capsys, tmp_path, body, extra, code, message):
     """Data-file errors exit 3 and name the file; malformed flags exit 2."""
     path = tmp_path / "malformed.csv"

@@ -51,6 +51,20 @@ class TestFactorialSample:
         with pytest.raises(ValueError):
             FactorialSample.from_cells([], [1.0] * 20, [1.0] * 20, [1.0] * 20)
 
+    @pytest.mark.parametrize("cells", [
+        (([1.0] * 20, [2.0] * 20),),
+        (([1.0] * 20, [2.0] * 20), ([3.0] * 20,)),
+        (([1.0] * 20, [2.0] * 20, [3.0] * 20), ([4.0] * 20, [5.0] * 20, [6.0] * 20)),
+    ])
+    def test_non_2x2_arrangement_rejected(self, cells):
+        with pytest.raises(ValueError, match="cells must be a 2x2 arrangement"):
+            FactorialSample(cells)
+
+    @pytest.mark.parametrize("labels", [{"factor_a": ("A1",)}, {"factor_b": "B"}])
+    def test_factor_needs_two_labels(self, labels):
+        with pytest.raises(ValueError, match="each factor needs exactly two level labels"):
+            FactorialSample.from_cells([1.0] * 20, [2.0] * 20, [3.0] * 20, [4.0] * 20, **labels)
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             FactorialSample.from_cells([np.nan] * 20, [1.0] * 20, [1.0] * 20, [1.0] * 20)

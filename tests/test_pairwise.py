@@ -86,6 +86,10 @@ class TestPHProbability:
     def test_all_above(self):
         assert ph_probability(pairwise_differences([3, 4], [1, 2])) == 0.0
 
+    def test_empty_difference_set_rejected(self):
+        with pytest.raises(ValueError, match="difference set must be non-empty"):
+            ph_probability([])
+
     def test_tie_not_counted(self):
         assert ph_probability(pairwise_differences([1], [1])) == 0.0
 

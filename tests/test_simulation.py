@@ -4,6 +4,7 @@ import os
 import re
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,18 @@ class TestAnova:
         with pytest.raises(DegenerateDataError):
             anova_f_test([[1.0, 1.0]] * 4)
 
+    def test_single_observation_cells_rejected(self):
+        with pytest.raises(ValueError, match="need at least 2 observations per cell, got 1"):
+            anova_f_test([[1.0], [2.0], [3.0], [4.0]])
+
+    @pytest.mark.parametrize("tiny", [1e-150, 1e-170, 1e-300])
+    def test_spread_far_below_the_largest_value_is_variance(self, tiny):
+        # only cell (2,2) varies; F_B and F_AB overflow to inf, whose p is 0
+        cells = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [tiny, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert anova_f_test(cells) == (1.0, 0.0, 0.0)
+
     def test_accepts_factorial_sample(self):
         rng = stream(20, "anova")
         sample = FactorialSample.from_cells(*(rng.normal(size=20) for _ in range(4)))
@@ -162,6 +175,16 @@ class TestConditions:
         with pytest.raises(ValueError):
             run_power(_null_condition())
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_fwer_and_run_power_report_a_failure(self, workers):
+        null = _degenerate_anova()
+        spec = null.cell_specs[0]
+        shifted = replace(null, cell_specs=(spec,) * 3 + (replace(spec, shift=1.0),))
+        for rep, cond in ((run_fwer(null, workers), null), (run_power(shifted, workers), shifted)):
+            assert rep.error.startswith("DegenerateDataError")
+            assert np.isnan([rep.rate, rep.se, rep.rate_uncorrected]).all()
+            assert report_csv_rows([rep]) == report_csv_rows(sweep([cond], workers))
+
     def test_iband_main_effect_rejected(self):
         with pytest.raises(ValueError, match="interaction"):
             _null_condition(method="iband_hd", contrast="main_a")
@@ -187,6 +210,11 @@ class TestConditions:
         ({"seed": True}, "seed must be an integer"),
         ({"n_per_group": 10.7, "method": "anova_means"}, "n_per_group"),
         ({"n_per_group": 1, "method": "anova_means"}, "n_per_group >= 2"),
+        ({"cell_specs": (NORMAL,) * 3}, "exactly four DistributionSpec"),
+        ({"contrast": "main_c"}, "unknown contrast 'main_c'"),
+        ({"correction": "bonferroni"}, "unknown correction 'bonferroni'"),
+        ({"n_sims": 0}, "n_sims must be at least 1, got 0"),
+        ({"n_per_group": 0}, "n_per_group must be at least 1, got 0"),
     ])
     def test_invalid_settings_fail_when_built(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -400,6 +428,31 @@ class TestRuns:
         assert all(r.wall_time >= 0.0 for r in parallel)
         assert sum(r.wall_time for r in parallel) <= elapsed
 
+    @pytest.mark.parametrize("names", [("before", "anova", "dies"), ("dies",)])
+    def test_dead_worker_in_the_last_condition(self, monkeypatch, pools, names):
+        iterate = qshift.simulation._iterate
+
+        def dying_iterate(cond, i):
+            if cond.name == "dies":
+                os._exit(1)
+            return iterate(cond, i)
+
+        monkeypatch.setattr(qshift.simulation, "_iterate", dying_iterate)
+        methods = {"before": "decinter_t7", "anova": "anova_means", "dies": "anova_means"}
+        conditions = [_null_condition(method=methods[name], n_sims=6, n_boot=100, name=name)
+                      for name in names]
+        reports = sweep(conditions, workers=2)
+        # nothing is queued after it, yet the condition is rerun once on a
+        # fresh pool, which breaks too
+        assert pools == [2, 2]
+        assert reports[-1].error.startswith("BrokenProcessPool")
+        assert np.isnan(reports[-1].rate)
+        assert reports[:-1] == [sweep([cond], workers=1)[0] for cond in conditions[:-1]]
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="sweep needs at least one condition"):
+            sweep([])
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be at least 1"):
@@ -530,6 +583,9 @@ class TestExperimentFiles:
                          "cells": {"kind": "beta_binomial", "nbin": 10.5}}]},
         {"conditions": [{"method": "decinter_hd", "n_per_group": 10,
                          "cells": {"kind": "normal", "shift": True}}]},
+        {"defaults": [{"n_sims": 10}], "conditions": [{"method": "decinter_hd",
+                                                       "n_per_group": 10,
+                                                       "cells": {"kind": "normal"}}]},
     ])
     def test_invalid_experiments(self, bad):
         with pytest.raises(ExperimentError):
@@ -546,6 +602,10 @@ class TestExperimentFiles:
         ({"n_per_group": [10, 10]}, "condition name 'x-n10' is used twice"),
         ({"name": "good"}, "condition name 'good' is used twice"),
         ({"mode": "power"}, "declared mode 'power'"),
+        ({"cells": [{"kind": "normal"}] * 3}, "'cells' must be one spec or a list of four"),
+        ({"cells": "normal"}, "'cells' must be one spec or a list of four"),
+        ({"shifts": [0, 0, 1]}, "'shifts' must list four numbers"),
+        ({"shifts": 1.0}, "'shifts' must list four numbers"),
     ])
     def test_bad_entry_names_its_index(self, change, message):
         good = {"name": "good", "method": "anova_means", "n_per_group": 10,
@@ -567,6 +627,12 @@ class TestExperimentFiles:
         assert conds == [SimCondition(
             cell_specs=(DistributionSpec("poisson", mean=3.0),) * 4,
             n_per_group=12, method="iband_t7", name="d")]
+
+    def test_non_object_file(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text('[{"method": "anova_means"}]')
+        with pytest.raises(ExperimentError, match="must hold a JSON object"):
+            load_experiment(str(path))
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -15,6 +15,7 @@ parallel execution schedule.
 
 import math
 import os
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,6 +141,20 @@ def _cell_resample_matrices(cells, config: BootstrapConfig) -> list:
         mats.append(m)
         start += m.size
     return mats
+
+
+def _by_estimator(reduce, estimators, seconds=None) -> list:
+    """``[reduce(e) for e in estimators]``: one sorted (or counted) block
+    reduced with each estimator in turn.  When ``seconds`` is given, a list
+    as long as ``estimators``, each call's duration is added to its entry.
+    """
+    results = []
+    for k, estimator in enumerate(estimators):
+        start = time.perf_counter()
+        results.append(reduce(estimator))
+        if seconds is not None:
+            seconds[k] += time.perf_counter() - start
+    return results
 
 
 def signed_pvalue(values):

@@ -38,6 +38,7 @@ import numpy as np
 from .bootstrap import (
     BootstrapConfig,
     InferenceResult,
+    _by_estimator,
     _quantile_rows,
     _resample_indices,
     _usable_cpus,
@@ -122,7 +123,12 @@ def _tied_cells(x: np.ndarray, y: np.ndarray):
 
 def _level(x: np.ndarray, y: np.ndarray, rows: int, draw):
     """The quantile estimates of a level's pairwise-difference set for each
-    of ``rows`` replicates, as a function of (quantiles, estimator).
+    of ``rows`` replicates, as a function of (quantiles, estimators,
+    seconds=None) that returns one (rows, n_quantiles) matrix per
+    estimator: each block of replicates is sorted or counted once and
+    reduced with every estimator before the next block is built, and
+    ``seconds``, when given, gains each estimator's reduction time (see
+    ``_by_estimator``).
 
     ``draw(0, n1)`` and ``draw(1, n2)`` give the (rows, n) elements each
     replicate draws from ``x`` and from ``y``; the point estimate draws each
@@ -147,8 +153,10 @@ def _level(x: np.ndarray, y: np.ndarray, rows: int, draw):
     return functools.partial(_diff_quantiles_by_block, mx, my)
 
 
-def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimator) -> np.ndarray:
-    """Sorted-difference quantile estimates for each replicate.
+def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimators,
+                             seconds=None) -> list:
+    """Sorted-difference quantile estimates for each replicate, one
+    (B, n_quantiles) matrix per estimator.
 
     ``mx`` and ``my`` are (B, n1) and (B, n2) resample matrices; replicate
     b pairs row b of each, and its differences are built and sorted.  The
@@ -162,8 +170,9 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     quantiles = tuple(quantiles)
     (n_boot, n1), n2 = mx.shape, my.shape[1]
     n_pairs = n1 * n2
-    out = np.empty((n_boot, len(quantiles)))
+    outs = [np.empty((n_boot, len(quantiles))) for _ in estimators]
     threads = _sort_threads(n_boot, n_pairs)
+    spent = [[0.0] * len(estimators) for _ in range(threads)]
     parts = [n_boot * t // threads for t in range(threads + 1)]
     step = max(1, min(-(-n_boot // threads), _BLOCK_ELEMENTS // (threads * n_pairs)))
     # one scratch buffer for every block of every thread, freed as one:
@@ -180,17 +189,24 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
                             out=buf[t, :stop - start])
             d = d.reshape(stop - start, n_pairs)
             d.sort(axis=1)
-            out[start:stop] = _from_sorted_rows(d, quantiles, estimator)
+            reduced = _by_estimator(lambda e: _from_sorted_rows(d, quantiles, e),
+                                    estimators, spent[t])
+            for out, r in zip(outs, reduced):
+                out[start:stop] = r
 
     if threads == 1:
         sort_part(0)
     else:
-        _build_weights(n_pairs, quantiles, estimator)
+        for estimator in estimators:
+            _build_weights(n_pairs, quantiles, estimator)
         # a pool per call: an idle pool kept across calls would be
         # inherited by the sweep's forked workers
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(sort_part, range(threads)))
-    return out
+    if seconds is not None:
+        for k, part_seconds in enumerate(zip(*spent)):
+            seconds[k] += sum(part_seconds)
+    return outs
 
 
 def _value_counts(inverse: np.ndarray, index: np.ndarray, n_values: int) -> np.ndarray:
@@ -203,7 +219,8 @@ def _value_counts(inverse: np.ndarray, index: np.ndarray, n_values: int) -> np.n
     return np.bincount(key.ravel(), minlength=n_values * rows).reshape(n_values, rows)
 
 
-def _diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles: tuple, estimator) -> np.ndarray:
+def _diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles: tuple, estimators,
+                             seconds=None) -> list:
     """The sort path's estimates, from counts of each cell's distinct values.
 
     Element e of the first cell is ``ux[vx[e]]`` and row b of ``ix`` lists
@@ -220,20 +237,23 @@ def _diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles: tuple, estimator
     i, h = np.divmod(order, uy.size)
     values, first = np.unique(diffs[order], return_index=True)
     n_boot = ix.shape[0]
-    out = np.empty((n_boot, len(quantiles)))
+    outs = [np.empty((n_boot, len(quantiles))) for _ in estimators]
     step = max(1, _COUNT_ELEMENTS // diffs.size)
     for start in range(0, n_boot, step):
         stop = min(start + step, n_boot)
         cx = _value_counts(vx, ix[start:stop], ux.size)
         cy = _value_counts(vy, iy[start:stop], uy.size)
         cum = np.add.reduceat(cx[i] * cy[h], first, axis=0).cumsum(axis=0)
-        out[start:stop] = _from_cumulative_counts(values, cum, quantiles, estimator)
-    return out
+        reduced = _by_estimator(lambda e: _from_cumulative_counts(values, cum, quantiles, e),
+                                estimators, seconds)
+        for out, r in zip(outs, reduced):
+            out[start:stop] = r
+    return outs
 
 
 def _point_quantiles(x: np.ndarray, y: np.ndarray, quantiles, estimator) -> np.ndarray:
     """Quantile estimates of the differences of the two samples themselves."""
-    return _level(x, y, 1, lambda _, n: np.arange(n)[None, :])(quantiles, estimator)[0]
+    return _level(x, y, 1, lambda _, n: np.arange(n)[None, :])(quantiles, (estimator,))[0][0]
 
 
 def _resampled_level(cells, first: int, config: BootstrapConfig):
@@ -244,14 +264,16 @@ def _resampled_level(cells, first: int, config: BootstrapConfig):
                   lambda i, n: _resample_indices(config, first + i, n))
 
 
-def _iband_star(cells, config: BootstrapConfig) -> np.ndarray:
-    """(n_boot, n_quantiles) replicates of the level-1 minus level-2 quantiles."""
+def _iband_star(cells, config: BootstrapConfig, estimators, seconds=None) -> list:
+    """Per estimator, the (n_boot, n_quantiles) replicates of the level-1
+    minus level-2 quantiles (``config.estimator`` is not read); ``seconds``
+    as in ``_level``."""
     # both levels are resampled before either is reduced, as one draw of
     # all four cells would be: drawing level 2 between the two sorts made
     # iband 5-10% slower at n = 30 and 50, B = 600 (2-core VM)
     level1, level2 = (_resampled_level(cells, first, config) for first in (0, 2))
-    return (level1(config.quantiles, config.estimator)
-            - level2(config.quantiles, config.estimator))
+    return [a - b for a, b in zip(level1(config.quantiles, estimators, seconds),
+                                  level2(config.quantiles, estimators, seconds))]
 
 
 def iband(data, config: BootstrapConfig | None = None, correction: str = "bh") -> list:
@@ -270,7 +292,8 @@ def iband(data, config: BootstrapConfig | None = None, correction: str = "bh") -
     est1 = _point_quantiles(cells[0], cells[1], config.quantiles, config.estimator)
     est2 = _point_quantiles(cells[2], cells[3], config.quantiles, config.estimator)
     return _quantile_rows(config.quantiles, (est1, est2, est1 - est2),
-                          _iband_star(cells, config), config.alpha, correction)
+                          _iband_star(cells, config, (config.estimator,))[0],
+                          config.alpha, correction)
 
 
 def median_diff_test(x, y, config: BootstrapConfig | None = None) -> InferenceResult:
@@ -287,6 +310,6 @@ def median_diff_test(x, y, config: BootstrapConfig | None = None) -> InferenceRe
                          f"must be None or (0.5,), got {config.quantiles}")
     xs, ys = _as_sample(x, "x"), _as_sample(y, "y")
     estimate = float(_point_quantiles(xs, ys, (0.5,), config.estimator)[0])
-    med_star = _resampled_level((xs, ys), 0, config)((0.5,), config.estimator)[:, 0]
+    med_star = _resampled_level((xs, ys), 0, config)((0.5,), (config.estimator,))[0][:, 0]
     lo, hi = percentile_ci(med_star, config.alpha)
     return InferenceResult(estimate, lo, hi, signed_pvalue(med_star))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bootstrap import DECILES, BootstrapConfig, _check_integer, signed_pvalue
-from .contrasts import _psi_star, contrast_value
+from .contrasts import _cell_thetas, contrast_value
 from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
 from .distributions import DistributionSpec, generate
 from .multcomp import CORRECTIONS, adjust_pvalues
@@ -85,11 +85,15 @@ def anova_f_statistics(data) -> tuple:
     Each effect psi is ``contrast_value`` of the four cell means.  Each F
     has 1 numerator and 4(n-1) within degrees of freedom: F = n psi^2 /
     MS_w for the main effects and n psi^2 / (4 MS_w) for the interaction,
-    whose cell residuals are +-psi/4.  The cells are first scaled by the
-    power of two that puts max|y| in [0.5, 1), and the deviations from
-    the cell means and the effects by the one that puts the largest
-    deviation there; that is exact and leaves F unchanged, so no sum of
-    squares over- or underflows.  An F beyond the largest float is inf.
+    whose cell residuals are +-psi/4.  Each cell is scaled by the power of
+    two that puts its own max|y| in [0.5, 1) before its deviations from
+    its mean are taken, so no cell's spread is flushed to zero by another
+    cell's magnitude.  Every cell's deviations are then brought to the
+    scale that puts the largest deviation of all in [0.5, 1) before they
+    are squared and summed, and the cell means and effects to the scale of
+    the largest |y|.  Power-of-two scaling is exact, so F keeps its bits,
+    and no sum of squares over- or underflows.  An F beyond the largest
+    float is inf.
     """
     cells = data.flat_cells() if hasattr(data, "flat_cells") else tuple(
         _as_sample(c, f"cell ({i // 2 + 1},{i % 2 + 1})") for i, c in enumerate(data)
@@ -102,18 +106,23 @@ def anova_f_statistics(data) -> tuple:
         raise ValueError(f"need at least 2 observations per cell, got {n}")
 
     y = np.stack(cells)
-    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+    scale = np.frexp(np.abs(y).max(axis=1))[1]
+    y = np.ldexp(y, -scale[:, None])
     means = y.mean(axis=1)
     dev = y - means[:, None]
-    k = -np.frexp(np.abs(dev).max())[1]
-    df_w = 4 * (n - 1)
-    ms_w = float(np.sum(np.ldexp(dev, k) ** 2)) / df_w
-    if ms_w == 0.0:
+    # four values each: Python's math is faster than numpy's here
+    scales, spread = scale.tolist(), np.abs(dev).max(axis=1).tolist()
+    if not any(spread):
         raise DegenerateDataError("zero within-cell variance; F statistics are undefined")
-    means = means.tolist()
+    # the largest deviation of all, unscaled, lies in [0.5, 1) * 2^top
+    top = max(s + math.frexp(v)[1] for s, v in zip(scales, spread) if v)
+    df_w = 4 * (n - 1)
+    ms_w = float(np.sum(np.ldexp(dev, (scale - top)[:, None]) ** 2)) / df_w
+    largest = max(scales)
+    means = [math.ldexp(m, s - largest) for m, s in zip(means.tolist(), scales)]
     psi_sq = [contrast_value(means, kind)[2] ** 2 for kind in _EFFECTS]
     with np.errstate(over="ignore"):
-        f = n * np.ldexp(psi_sq, 2 * k) / np.array([ms_w, ms_w, 4.0 * ms_w])
+        f = n * np.ldexp(psi_sq, 2 * (largest - top)) / np.array([ms_w, ms_w, 4.0 * ms_w])
     return tuple(f.tolist()), df_w
 
 
@@ -222,14 +231,21 @@ class SimulationReport:
     the familywise power otherwise); ``rate_uncorrected`` ignores the
     correction.  ``se`` is the binomial standard error of ``rate``.
 
-    ``wall_time`` runs from the previous condition's report (for the
-    first condition, from the start of the sweep) to this condition's
-    last chunk's result, so the wall times of a sweep add up to its
-    duration even though a pool runs the chunks of several conditions at
-    once.  The first condition also pays the workers' start-up, and no
-    condition pays the pool's shutdown.  A failed condition reports 0,
-    and the time up to its failure is charged to no condition.
-    Wall time is informational and excluded from equality.
+    A sweep runs the conditions that share a unit (the same method
+    family, cells, sizes, iterations, replicates, seed and quantiles)
+    together: each iteration's data, resamples and sort serve them all.
+    A unit's interval runs from the previous unit's last chunk's result
+    (for the first unit, from the start of the sweep) to its own, so the
+    intervals of a sweep add up to its duration even though a pool runs
+    the chunks of several units at once.  The first unit also pays the
+    workers' start-up, and no unit pays the pool's shutdown.
+    ``wall_time`` is the condition's share of its unit's interval, in
+    proportion to the seconds its chunks spent on the condition's own
+    work: its estimator's reduction, split evenly among the conditions
+    that share the estimator, plus its p-values and decision.  A
+    condition alone in its unit gets the whole interval.  A failed
+    condition reports 0, and the time up to its failure is charged to no
+    condition.  Wall time is informational and excluded from equality.
     """
 
     condition: SimCondition
@@ -242,49 +258,99 @@ class SimulationReport:
     error: str | None = None
 
 
-def _iterate(cond: SimCondition, i: int):
-    """Run iteration i; returns (rejected_corrected, rejected_uncorrected, per_q)."""
+def _unit_key(cond: SimCondition) -> tuple:
+    """What the conditions of one unit share: the same cells, resamples and
+    sorts in every iteration.  Estimator, contrast, correction, alpha and
+    name may differ within a unit."""
+    return (cond.method.partition("_")[0], cond.cell_specs, cond.n_per_group,
+            cond.n_sims, cond.n_boot, cond.seed, cond.quantiles)
+
+
+def _iterate(cond: SimCondition, i: int, siblings: tuple = ()) -> list:
+    """Run iteration i of the unit ``(cond, *siblings)``.
+
+    The cells are generated, resampled and sorted once; each estimator the
+    unit uses reduces them once, and each condition decides from its own
+    p-values.  Returns one (rejected_corrected, rejected_uncorrected, per_q,
+    own_s) per condition, ``cond`` first.  ``own_s`` is the seconds of the
+    condition's own work: its estimator's reduction, split evenly among the
+    conditions that share the estimator, plus its p-values and decision.
+    """
+    unit = (cond, *siblings)
     cells = [
         generate(spec, cond.n_per_group, stream(cond.seed, "data", i, c))
         for c, spec in enumerate(cond.cell_specs)
     ]
+    outcomes = []
     if cond.method == "anova_means":
-        p = anova_f_test(cells)[_EFFECTS.index(cond.contrast)]
-        rejected = p <= cond.alpha
-        return rejected, rejected, np.zeros(0, dtype=bool)
+        pvals = anova_f_test(cells)
+        for member in unit:
+            start = time.perf_counter()
+            rejected = pvals[_EFFECTS.index(member.contrast)] <= member.alpha
+            outcomes.append((rejected, rejected, np.zeros(0, dtype=bool),
+                             time.perf_counter() - start))
+        return outcomes
 
+    methods = [member.method for member in unit]
+    estimators = tuple(dict.fromkeys(m.partition("_")[2] for m in methods))
+    seconds = [0.0] * len(estimators)
     config = cond.bootstrap_config(seed=derive_seed(cond.seed, "boot", i))
-    if cond.method.startswith("decinter"):
-        pvals = signed_pvalue(_psi_star(cells, cond.contrast, config))
+    decinter = cond.method.startswith("decinter")
+    if decinter:
+        thetas = _cell_thetas(cells, config, estimators, seconds)
     else:
-        pvals = signed_pvalue(_iband_star(cells, config))
-    per_q = pvals <= cond.alpha
-    # the rule the analysis tables print: reject where p.adj <= alpha
-    corrected = adjust_pvalues(pvals, cond.correction) <= cond.alpha
-    return bool(corrected.any()), bool(per_q.any()), per_q
+        stars = _iband_star(cells, config, estimators, seconds)
+    for member, method in zip(unit, methods):
+        k = estimators.index(method.partition("_")[2])
+        start = time.perf_counter()
+        star = contrast_value(thetas[k], member.contrast)[2] if decinter else stars[k]
+        pvals = signed_pvalue(star)
+        per_q = pvals <= member.alpha
+        # the rule the analysis tables print: reject where p.adj <= alpha
+        corrected = adjust_pvalues(pvals, member.correction) <= member.alpha
+        own = time.perf_counter() - start + seconds[k] / methods.count(method)
+        outcomes.append((bool(corrected.any()), bool(per_q.any()), per_q, own))
+    return outcomes
 
 
 def _run_chunk(args):
-    cond, start, stop = args
-    n_corr = 0
-    n_uncorr = 0
-    per_q = np.zeros(len(cond.quantiles), dtype=np.int64)
+    """Per condition of the unit, (n_corrected, n_uncorrected, per_q, own_s)
+    summed over the iterations start .. stop - 1."""
+    unit, start, stop = args
+    totals = [(0, 0, np.zeros(len(cond.quantiles), dtype=np.int64), 0.0) for cond in unit]
     for i in range(start, stop):
-        corr, uncorr, q_mask = _iterate(cond, i)
-        n_corr += corr
-        n_uncorr += uncorr
-        per_q += q_mask
-    return n_corr, n_uncorr, per_q
+        outcomes = _iterate(unit[0], i, unit[1:])
+        totals = [tuple(a + b for a, b in zip(total, outcome))
+                  for total, outcome in zip(totals, outcomes)]
+    return totals
 
 
-def _chunks(cond: SimCondition, workers: int) -> list:
-    """The (condition, start, stop) iteration ranges, about four per worker."""
-    step = math.ceil(cond.n_sims / (min(workers, cond.n_sims) * 4))
-    return [(cond, s, min(s + step, cond.n_sims)) for s in range(0, cond.n_sims, step)]
+def _units(conditions) -> list:
+    """The indices of each unit's conditions, units in order of their first."""
+    units = {}
+    for k, cond in enumerate(conditions):
+        units.setdefault(_unit_key(cond), []).append(k)
+    return list(units.values())
 
 
-def _report(cond: SimCondition, chunks, wall_time: float) -> SimulationReport:
-    n_corr, n_uncorr, per_q = (sum(parts) for parts in zip(*chunks))
+def _chunks(unit: tuple, workers: int) -> list:
+    """The (unit, start, stop) iteration ranges, about four per worker."""
+    n_sims = unit[0].n_sims
+    step = math.ceil(n_sims / (min(workers, n_sims) * 4))
+    return [(unit, s, min(s + step, n_sims)) for s in range(0, n_sims, step)]
+
+
+def _unit_reports(unit: tuple, chunks, interval: float) -> list:
+    """One report per condition of the unit, with ``interval`` split among
+    them in proportion to the seconds of each one's own work."""
+    totals = [[sum(parts) for parts in zip(*per_chunk)] for per_chunk in zip(*chunks)]
+    own = sum(total[3] for total in totals)
+    return [_report(cond, total, interval * total[3] / own)
+            for cond, total in zip(unit, totals)]
+
+
+def _report(cond: SimCondition, totals, wall_time: float) -> SimulationReport:
+    n_corr, n_uncorr, per_q, _ = totals
     rate = n_corr / cond.n_sims
     return SimulationReport(
         condition=cond,
@@ -297,33 +363,46 @@ def _report(cond: SimCondition, chunks, wall_time: float) -> SimulationReport:
     )
 
 
-def _failed_report(cond: SimCondition, exc: Exception) -> SimulationReport:
-    return SimulationReport(
-        condition=cond,
-        rate=float("nan"),
-        se=float("nan"),
-        rate_uncorrected=float("nan"),
-        per_quantile_rates=(float("nan"),) * len(cond.quantiles),
-        n_sims=cond.n_sims,
-        wall_time=0.0,
-        error=f"{type(exc).__name__}: {exc}",
-    )
+def _failed_reports(unit: tuple, exc: Exception) -> list:
+    """A failed report for each condition of the unit; each names the others."""
+    reports = []
+    for k, cond in enumerate(unit):
+        error = f"{type(exc).__name__}: {exc}"
+        others = [member.name for j, member in enumerate(unit) if j != k]
+        if others:
+            error += f" (shared with {', '.join(others)})"
+        reports.append(SimulationReport(
+            condition=cond,
+            rate=float("nan"),
+            se=float("nan"),
+            rate_uncorrected=float("nan"),
+            per_quantile_rates=(float("nan"),) * len(cond.quantiles),
+            n_sims=cond.n_sims,
+            wall_time=0.0,
+            error=error,
+        ))
+    return reports
 
 
 def sweep(conditions, workers: int | None = None, progress=None) -> list:
     """Run every condition on at most one process pool, reporting in order.
 
-    ``workers`` is capped at the largest ``n_sims``; at one, the chunks
-    run in this process.  Above one, the pool starts with the first
-    condition and the chunks of every condition are queued on it at once,
-    in condition order, so a worker never idles at a condition boundary.
-    A condition that raises reports the exception on ``error`` with NaN
-    rates; its queued chunks are cancelled and the sweep goes on.  A dead
-    worker breaks the pool and every chunk on it, and any of them may
-    have killed it, so the condition is rerun once, alone, on a fresh
-    pool, and fails only if that pool breaks too; the conditions after
-    it are queued again.  ``progress(i, condition, report)`` is called
-    after each condition, in order, when given.
+    The conditions that share a unit (see ``_unit_key``: the same method
+    family, cells, sizes, iterations, replicates, seed and quantiles) share
+    every iteration's data, resamples and sort, wherever they stand in the
+    list; a chunk runs a range of one unit's iterations.  ``workers`` is
+    capped at the largest ``n_sims``; at one, the chunks run in this
+    process.  Above one, the pool starts with the first unit and the
+    chunks of every unit are queued on it at once, in order of each unit's
+    first condition, so a worker never idles at a unit boundary.  A unit
+    that raises gives each of its conditions a report with the exception
+    on ``error`` (naming the others it was shared with) and NaN rates; its
+    queued chunks are cancelled and the sweep goes on.  A dead worker
+    breaks the pool and every chunk on it, and any of them may have killed
+    it, so the unit is rerun once, alone, on a fresh pool, and fails only
+    if that pool breaks too; the units after it are queued again.
+    ``progress(i, condition, report)`` is called for each condition, in
+    condition order, once its unit is done, when given.
     """
     conditions = list(conditions)
     if not conditions:
@@ -332,23 +411,26 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, max(cond.n_sims for cond in conditions))
-    tasks = [_chunks(cond, workers) for cond in conditions]
+    units = _units(conditions)
+    groups = [tuple(conditions[k] for k in members) for members in units]
+    tasks = [_chunks(unit, workers) for unit in groups]
     pool = None
-    queued = []  # one list of futures per condition not yet read, in order
-    reports = []
+    queued = []  # one list of futures per unit not yet read, in order
+    reports = [None] * len(conditions)
+    reported = 0  # conditions passed to progress so far
     mark = time.perf_counter()
     try:
-        for i, cond in enumerate(conditions):
+        for u, (members, unit) in enumerate(zip(units, groups)):
             futures = []
             error = None
             try:
                 if workers == 1:
-                    chunks = list(map(_run_chunk, tasks[i]))
+                    chunks = list(map(_run_chunk, tasks[u]))
                 else:
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=workers)
                     if not queued:
-                        queued = [[pool.submit(_run_chunk, t) for t in ts] for ts in tasks[i:]]
+                        queued = [[pool.submit(_run_chunk, t) for t in ts] for ts in tasks[u:]]
                     futures = queued.pop(0)
                     try:
                         chunks = [f.result() for f in futures]
@@ -356,7 +438,7 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
                         pool.shutdown()
                         queued = []
                         pool = ProcessPoolExecutor(max_workers=workers)
-                        chunks = list(pool.map(_run_chunk, tasks[i]))
+                        chunks = list(pool.map(_run_chunk, tasks[u]))
             except Exception as exc:  # noqa: BLE001 - aggregate without aborting the sweep
                 for f in futures:
                     f.cancel()
@@ -366,11 +448,17 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
                     queued = []
                 error = exc
             now = time.perf_counter()
-            report = _report(cond, chunks, now - mark) if error is None else _failed_report(cond, error)
+            done = (_unit_reports(unit, chunks, now - mark) if error is None
+                    else _failed_reports(unit, error))
             mark = now
-            reports.append(report)
+            for k, report in zip(members, done):
+                reports[k] = report
+            # every condition before the next unit's first belongs to a unit done by now
+            upto = units[u + 1][0] if u + 1 < len(units) else len(conditions)
             if progress is not None:
-                progress(i, cond, report)
+                for i in range(reported, upto):
+                    progress(i, conditions[i], reports[i])
+            reported = upto
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

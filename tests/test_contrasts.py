@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import qshift.contrasts as contrasts_mod
 import qshift.pairwise as pairwise_mod
 from qshift import (
+    DECILES,
     BootstrapConfig,
     FactorialSample,
     INTERACTION,
@@ -207,14 +208,28 @@ class TestDecinter:
                 return (est(pairwise_differences(c[0], c[1]), q)
                         - est(pairwise_differences(c[2], c[3]), q))
 
-            fast = pairwise_mod._iband_star(cells, config)[:, 0]
+            fast = pairwise_mod._iband_star(cells, config, (estimator,))[0][:, 0]
         else:
             def statistic(c):
                 return contrast_value([est(x, q) for x in c], kind)[2]
 
-            fast = contrasts_mod._psi_star(cells, kind, config)[:, 0]
+            thetas = contrasts_mod._cell_thetas(cells, config, (estimator,))[0]
+            fast = contrast_value(thetas, kind)[2][:, 0]
         dist = bootstrap_statistic(cells, statistic, config)
         np.testing.assert_allclose(np.sort(fast), dist.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_one_sort_reduced_with_each_estimator(self, n):
+        """Cells sorted once and reduced with both estimators give the bits
+        of each estimator alone, and each estimator's reductions are timed."""
+        cells = _random_sample(14, n=n).flat_cells()
+        config = BootstrapConfig(n_boot=200, seed=8, quantiles=DECILES)
+        seconds = [0.0, 0.0]
+        both = contrasts_mod._cell_thetas(cells, config, ("hd", "t7"), seconds)
+        for got, estimator in zip(both, ("hd", "t7")):
+            alone = contrasts_mod._cell_thetas(cells, config, (estimator,))[0]
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in alone]
+        assert all(s > 0.0 for s in seconds)
 
     def test_main_effect_power_at_median(self):
         """A 5-sigma factor-A shift is detected at the median decile."""

@@ -38,8 +38,15 @@ _lattice_cell = st.tuples(
 
 
 def _drawn_level(x, ix, y, iy):
-    """``pairwise._level`` of x and y, replicate b drawing ``x[ix[b]]`` and ``y[iy[b]]``."""
-    return pairwise_mod._level(x, y, ix.shape[0], lambda i, n: (ix, iy)[i])
+    """``pairwise._level`` of x and y, replicate b drawing ``x[ix[b]]`` and
+    ``y[iy[b]]``, reduced with one estimator."""
+    level = pairwise_mod._level(x, y, ix.shape[0], lambda i, n: (ix, iy)[i])
+    return lambda quantiles, estimator: level(quantiles, (estimator,))[0]
+
+
+def _by_block(mx, my, quantiles, estimator):
+    """``pairwise._diff_quantiles_by_block`` with one estimator."""
+    return pairwise_mod._diff_quantiles_by_block(mx, my, quantiles, (estimator,))[0]
 
 
 class TestPairwiseDifferences:
@@ -225,7 +232,7 @@ def test_counting_path_matches_sort_path_and_oracle(estimator, x, y):
     ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)
     assert pairwise_mod._tied_cells(x, y) is not None
     counted = _drawn_level(x, ix, y, iy)(IBAND_QUANTILES, estimator)
-    by_sort = pairwise_mod._diff_quantiles_by_block(x[ix], y[iy], IBAND_QUANTILES, estimator)
+    by_sort = _by_block(x[ix], y[iy], IBAND_QUANTILES, estimator)
     est = {"hd": hd_quantile, "t7": type7_quantile}[estimator]
     by_oracle = np.column_stack([
         bootstrap_statistic((x, y), lambda c: est(pairwise_differences(c[0], c[1]), q),
@@ -260,7 +267,7 @@ def test_tied_replicates_share_one_exact_zero_rule(x, y):
     mx, my = x[ix], y[iy]
     assert pairwise_mod._tied_cells(x, y) is not None
     counted = _drawn_level(x, ix, y, iy)(IBAND_QUANTILES, "hd")
-    by_sort = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, "hd")
+    by_sort = _by_block(mx, my, IBAND_QUANTILES, "hd")
     by_replicate = np.array([[hd_quantile(pairwise_differences(rx, ry), q) for q in IBAND_QUANTILES]
                              for rx, ry in zip(mx, my)])
     np.testing.assert_array_equal(counted == 0.0, by_sort == 0.0)
@@ -291,9 +298,9 @@ def test_values_no_replicate_draws_change_no_bit(estimator, seed):
     # drawn values, but no row lists it
     only_drawn = pairwise_mod._diff_quantiles_by_count(
         drawn_x, np.searchsorted(drawn_x, x), ix, drawn_y, np.searchsorted(drawn_y, y), iy,
-        IBAND_QUANTILES, estimator)
+        IBAND_QUANTILES, (estimator,))[0]
     np.testing.assert_array_equal(counted, only_drawn)
-    by_sort = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, estimator)
+    by_sort = _by_block(mx, my, IBAND_QUANTILES, estimator)
     if estimator == "t7":
         np.testing.assert_array_equal(counted, by_sort)
     else:
@@ -387,7 +394,7 @@ class TestSortThreads:
         rng = stream(12, "threads", n)
         config = BootstrapConfig(n_boot=max(n_boot, 200), seed=5)
         mx, my = _cell_resample_matrices((rng.normal(size=n), rng.lognormal(size=n + 1)), config)
-        args = (mx[:n_boot], my[:n_boot], IBAND_QUANTILES, estimator)
+        args = (mx[:n_boot], my[:n_boot], IBAND_QUANTILES, (estimator,))
         expected = _on_one_thread(pairwise_mod._diff_quantiles_by_block, *args)
         assert three_cpus == []
 
@@ -457,8 +464,27 @@ class TestSortThreads:
         config = BootstrapConfig(n_boot=200, seed=7)
         cells = tuple(rng.poisson(3.0, 40).astype(float) for _ in range(2))
         assert pairwise_mod._tied_cells(*cells) is not None
-        pairwise_mod._resampled_level(cells, 0, config)(IBAND_QUANTILES, "hd")
+        pairwise_mod._resampled_level(cells, 0, config)(IBAND_QUANTILES, ("hd",))
         assert three_cpus == []
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["sorted", "counted"])
+    def test_one_sort_reduced_with_each_estimator(self, three_cpus, tied):
+        """A level reduced with both estimators at once gives the bits of
+        each estimator alone, on the sort path (three threads here) and on
+        the counting path, and times each estimator's reductions."""
+        rng = stream(15, "estimators")
+        if tied:
+            x, y = rng.poisson(3.0, 40).astype(float), rng.poisson(4.0, 35).astype(float)
+        else:
+            x, y = rng.normal(size=30), rng.lognormal(size=31)
+        assert (pairwise_mod._tied_cells(x, y) is not None) == tied
+        level = pairwise_mod._resampled_level((x, y), 0, BootstrapConfig(n_boot=200, seed=8))
+        seconds = [0.0, 0.0]
+        both = level(IBAND_QUANTILES, ("hd", "t7"), seconds)
+        for got, estimator in zip(both, ("hd", "t7")):
+            assert got.tobytes() == level(IBAND_QUANTILES, (estimator,))[0].tobytes()
+        assert all(s > 0.0 for s in seconds)
+        assert three_cpus == ([] if tied else [3] * 3)
 
 
 class TestMedianDiffTest:

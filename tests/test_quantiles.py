@@ -430,7 +430,7 @@ class TestWindows:
 _REPLICATES_SCRIPT = """
 import sys
 from qshift import DECILES, IBAND_QUANTILES, BootstrapConfig
-from qshift.contrasts import _psi_star
+from qshift.contrasts import _cell_thetas, contrast_value
 from qshift.pairwise import _iband_star
 from qshift.rng import stream
 
@@ -438,10 +438,10 @@ with open(sys.argv[1], "wb") as fh:
     for seed in range(6):
         cells = [stream(seed, "blas", c).normal(size=30) for c in range(4)]
         config = BootstrapConfig(n_boot=600, seed=seed, quantiles=IBAND_QUANTILES)
-        fh.write(_iband_star(cells, config).tobytes())
+        fh.write(_iband_star(cells, config, ("hd",))[0].tobytes())
     cells = [stream(6, "blas", c).lognormal(size=100) for c in range(4)]
     config = BootstrapConfig(n_boot=2000, seed=6, quantiles=DECILES)
-    fh.write(_psi_star(cells, "interaction", config).tobytes())
+    fh.write(contrast_value(_cell_thetas(cells, config, ("hd",))[0], "interaction")[2].tobytes())
 """
 
 

@@ -14,6 +14,8 @@ import scipy.stats
 from qshift import (
     DECILES,
     IBAND_QUANTILES,
+    MAIN_A,
+    MAIN_B,
     DegenerateDataError,
     DistributionSpec,
     ExperimentError,
@@ -113,7 +115,7 @@ class TestAnova:
         with pytest.raises(ValueError, match="need at least 2 observations per cell, got 1"):
             anova_f_test([[1.0], [2.0], [3.0], [4.0]])
 
-    @pytest.mark.parametrize("tiny", [1e-150, 1e-170, 1e-300])
+    @pytest.mark.parametrize("tiny", [1e-150, 1e-170, 1e-300, 5e-324])
     def test_spread_far_below_the_largest_value_is_variance(self, tiny):
         # only cell (2,2) varies; F_B and F_AB overflow to inf, whose p is 0
         cells = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [tiny, 0.0]]
@@ -287,7 +289,7 @@ class TestRuns:
         monkeypatch.setattr(qshift.simulation, "signed_pvalue", lambda _: pvals.copy())
         cond = _null_condition(method="decinter_t7", alpha=0.01, correction="bh",
                                n_boot=600, n_sims=1)
-        corrected, uncorrected, per_q = qshift.simulation._iterate(cond, 0)
+        [(corrected, uncorrected, per_q, _)] = qshift.simulation._iterate(cond, 0)
         assert adjust_pvalues(pvals, "bh")[0] <= 0.01
         assert corrected and uncorrected
         assert per_q.tolist() == [True] * 3 + [False] * 6
@@ -301,12 +303,16 @@ class TestRuns:
     def test_draws_beyond_the_sample_bound_fail_every_method(self):
         # iteration 4 of seed 0 draws an infinity into cell (1,2)
         spec = DistributionSpec("g_and_h", h=100.0)
-        reports = sweep([_null_condition(cell_specs=(spec,) * 4, n_per_group=30, method=m,
-                                         n_sims=5, n_boot=100, seed=0, name=m)
-                         for m in qshift.simulation.METHODS])
-        for rep in reports:
-            assert rep.error == (f"ValueError: {spec} drew a NaN or a value beyond "
-                                 f"4.494e+307 in magnitude"), rep.condition.method
+        conditions = [_null_condition(cell_specs=(spec,) * 4, n_per_group=30, method=m,
+                                      n_sims=5, n_boot=100, seed=0, name=m)
+                      for m in qshift.simulation.METHODS]
+        message = f"ValueError: {spec} drew a NaN or a value beyond 4.494e+307 in magnitude"
+        for cond in conditions:
+            assert sweep([cond])[0].error == message, cond.method
+        # swept together, the hd and t7 variants of each family share a unit
+        assert [rep.error for rep in sweep(conditions)] == [
+            f"{message} (shared with decinter_t7)", f"{message} (shared with decinter_hd)",
+            f"{message} (shared with iband_t7)", f"{message} (shared with iband_hd)", message]
 
     def test_sweep_isolates_a_failing_condition(self):
         good = _null_condition(n_sims=20)
@@ -353,15 +359,16 @@ class TestRuns:
     def test_dead_worker_fails_only_its_condition(self, monkeypatch):
         iterate = qshift.simulation._iterate
 
-        def dying_iterate(cond, i):
+        def dying_iterate(cond, i, siblings=()):
             if cond.name == "dies":
                 os._exit(1)  # a worker killed mid-chunk, as by the OOM killer
-            return iterate(cond, i)
+            return iterate(cond, i, siblings=())
 
         # forked workers inherit the patched module
         monkeypatch.setattr(qshift.simulation, "_iterate", dying_iterate)
         before = _null_condition(n_sims=6, name="before")
-        dies = _null_condition(method="anova_means", n_sims=6, name="dies")
+        # its own seed: a unit of its own, not shared with "after"
+        dies = _null_condition(method="anova_means", n_sims=6, seed=6, name="dies")
         after = _null_condition(method="anova_means", n_sims=6, name="after")
         reports = sweep([before, dies, after], workers=2)
         assert reports[1].error.startswith("BrokenProcessPool")
@@ -378,7 +385,7 @@ class TestRuns:
             while not path.exists() and time.monotonic() < deadline:
                 time.sleep(0.005)
 
-        def iterate_or_die(cond, i):
+        def iterate_or_die(cond, i, siblings=()):
             if cond.name == "dies":
                 wait_for(started)  # the earlier condition's last chunk is running
                 died.touch()
@@ -387,11 +394,11 @@ class TestRuns:
                 started.touch()
                 wait_for(died)
                 time.sleep(1.0)  # still running when the pool breaks
-            return iterate(cond, i)
+            return iterate(cond, i, siblings=())
 
         monkeypatch.setattr(qshift.simulation, "_iterate", iterate_or_die)
         slow = _null_condition(method="anova_means", n_sims=4, name="slow")
-        dies = _null_condition(method="anova_means", n_sims=4, name="dies")
+        dies = _null_condition(method="anova_means", n_sims=4, seed=6, name="dies")
         after = _null_condition(n_sims=4, name="after")
         reports = sweep([slow, dies, after], workers=2)
         # the first pool broke under the slow condition, which was rerun
@@ -405,10 +412,10 @@ class TestRuns:
     def test_reports_come_in_order_after_a_slow_first_condition(self, monkeypatch):
         iterate = qshift.simulation._iterate
 
-        def slow_iterate(cond, i):
+        def slow_iterate(cond, i, siblings=()):
             if cond.name == "slow":
                 time.sleep(0.05)
-            return iterate(cond, i)
+            return iterate(cond, i, siblings=())
 
         monkeypatch.setattr(qshift.simulation, "_iterate", slow_iterate)
         conditions = [
@@ -432,14 +439,16 @@ class TestRuns:
     def test_dead_worker_in_the_last_condition(self, monkeypatch, pools, names):
         iterate = qshift.simulation._iterate
 
-        def dying_iterate(cond, i):
+        def dying_iterate(cond, i, siblings=()):
             if cond.name == "dies":
                 os._exit(1)
-            return iterate(cond, i)
+            return iterate(cond, i, siblings=())
 
         monkeypatch.setattr(qshift.simulation, "_iterate", dying_iterate)
         methods = {"before": "decinter_t7", "anova": "anova_means", "dies": "anova_means"}
-        conditions = [_null_condition(method=methods[name], n_sims=6, n_boot=100, name=name)
+        seeds = {"before": 5, "anova": 5, "dies": 6}
+        conditions = [_null_condition(method=methods[name], n_sims=6, n_boot=100,
+                                      seed=seeds[name], name=name)
                       for name in names]
         reports = sweep(conditions, workers=2)
         # nothing is queued after it, yet the condition is rerun once on a
@@ -448,6 +457,62 @@ class TestRuns:
         assert reports[-1].error.startswith("BrokenProcessPool")
         assert np.isnan(reports[-1].rate)
         assert reports[:-1] == [sweep([cond], workers=1)[0] for cond in conditions[:-1]]
+
+    def test_dead_worker_fails_its_whole_unit(self, monkeypatch, pools):
+        iterate = qshift.simulation._iterate
+
+        def dying_iterate(cond, i, siblings=()):
+            if any(member.name == "dies" for member in (cond, *siblings)):
+                os._exit(1)
+            return iterate(cond, i, siblings)
+
+        monkeypatch.setattr(qshift.simulation, "_iterate", dying_iterate)
+        sibling = _null_condition(method="anova_means", n_sims=6, name="sibling")
+        after = _null_condition(method="anova_means", n_sims=6, seed=6, name="after")
+        dies = _null_condition(method="anova_means", contrast=MAIN_A, n_sims=6, name="dies")
+        reports = sweep([sibling, after, dies], workers=2)
+        # the unit broke its pool and its rerun's; "after" ran on a third
+        assert pools == [2, 2, 2]
+        assert reports[0].error.startswith("BrokenProcessPool")
+        assert reports[0].error.endswith(" (shared with dies)")
+        assert reports[2].error == reports[0].error.replace("(shared with dies)",
+                                                            "(shared with sibling)")
+        assert np.isnan(reports[0].rate) and np.isnan(reports[2].rate)
+        assert reports[1] == sweep([after], workers=1)[0]
+
+    def test_sharing_a_unit_changes_no_bit(self):
+        """Siblings anywhere in the list share each iteration's data,
+        resamples and sort, yet each reports what it reports alone."""
+        poisson = (DistributionSpec("poisson", mean=9.0),) * 4
+        small = dict(n_per_group=20, n_boot=200, n_sims=6)
+        conditions = [
+            _null_condition(**small, name="hd"),
+            _null_condition(method="anova_means", contrast=MAIN_A, n_sims=6, name="anova-a"),
+            _null_condition(method="iband_hd", cell_specs=poisson, **small, name="tied-hd"),
+            _null_condition(method="decinter_t7", **small, name="t7"),
+            _null_condition(contrast=MAIN_A, **small, name="main-a"),
+            _null_condition(method="decinter_t7", contrast=MAIN_B, alpha=0.1,
+                            correction="hochberg", **small, name="main-b"),
+            _null_condition(method="iband_t7", cell_specs=poisson, **small, name="tied-t7"),
+            # two sort threads in a serial sweep on two CPUs or more
+            _null_condition(method="iband_hd", n_per_group=100, n_boot=600, n_sims=2,
+                            name="continuous-hd"),
+            _null_condition(method="iband_t7", n_per_group=100, n_boot=600, n_sims=2,
+                            name="continuous-t7"),
+            _null_condition(method="anova_means", n_sims=6, name="anova-ab"),
+            _null_condition(method="decinter_t7", **small, seed=9, name="lone"),
+        ]
+        assert [len(u) for u in qshift.simulation._units(conditions)] == [4, 2, 2, 2, 1]
+        alone = [sweep([cond], workers=1)[0] for cond in conditions]
+        for workers in (1, 2):
+            calls = []
+            t0 = time.perf_counter()
+            reports = sweep(conditions, workers, progress=lambda i, cond, rep: calls.append(i))
+            elapsed = time.perf_counter() - t0
+            assert reports == alone
+            assert calls == list(range(len(conditions)))
+            assert all(r.wall_time > 0.0 for r in reports)
+            assert sum(r.wall_time for r in reports) <= elapsed
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="sweep needs at least one condition"):

@@ -26,7 +26,12 @@ The sort runs on one thread per usable CPU (the affinity mask, so
 at n = 100 per cell and B = 2,000; inside a simulation pool worker it runs
 on one.  numpy's subtraction and sort release the GIL, and each thread
 fills its own contiguous replicates, so results never depend on the count.
-The counting path and the one-row point estimates stay on one thread.
+Each thread works through its replicates in blocks of at most 2^17
+differences (1 MB), so a block is subtracted, sorted and reduced while
+it stays in the core's cache, and a level's scratch is about 1 MB per
+thread whatever B is.  Type 7 gathers its order statistics from each
+block and interpolates once per level.  The counting path and the
+one-row point estimates stay on one thread.
 """
 
 import functools
@@ -46,7 +51,15 @@ from .bootstrap import (
     percentile_ci,
     signed_pvalue,
 )
-from .quantiles import _as_sample, _build_weights, _from_cumulative_counts, _from_sorted_rows
+from .quantiles import (
+    TYPE7,
+    _as_sample,
+    _build_weights,
+    _from_cumulative_counts,
+    _from_sorted_rows,
+    _t7_from_order_stats,
+    _t7_interp,
+)
 
 __all__ = [
     "IBAND_QUANTILES",
@@ -58,8 +71,11 @@ __all__ = [
 
 IBAND_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
-# cap on elements per pairwise scratch block, ~32 MB of float64
-_BLOCK_ELEMENTS = 1 << 22
+# differences in one block of a sort thread: 1 MB of float64, inside one
+# core's 2 MB L2, so a block is built, sorted and reduced in cache.  One
+# 32 MB block split among the threads was not faster, and it set iband's
+# peak RSS: 154 against 95 MB at n = 100, B = 2,000 (2-core VM)
+_BLOCK_ELEMENTS = 1 << 17
 
 # differences a sort thread must have to itself: at n=30, B=600 (5.4e5
 # differences) a second thread at 1 << 18 made iband 9-17% slower on a
@@ -161,23 +177,27 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     ``mx`` and ``my`` are (B, n1) and (B, n2) resample matrices; replicate
     b pairs row b of each, and its differences are built and sorted.  The
     replicates are split into contiguous parts, one per thread (see
-    ``_sort_threads``), and each part into equal blocks that bound the
-    scratch buffer.  A replicate's estimates depend on its own row only,
-    so neither split changes a bit: the one exception, the dense
-    Harrell-Davis product of a lone row (matrix-vector, not matrix-matrix
-    bits), cannot occur while every part and block holds two rows or more.
+    ``_sort_threads``), and each part into equal blocks of at most
+    ``_BLOCK_ELEMENTS`` differences, each built, sorted and reduced while
+    it stays in cache.  Type 7 only gathers its order statistics from each
+    block and interpolates them once, after the last.  A replicate's
+    estimates depend on its own row only, so neither split changes a bit:
+    the one exception, the dense Harrell-Davis product of a lone row
+    (matrix-vector, not matrix-matrix bits), cannot occur while every part
+    and block holds two rows or more.
     """
     quantiles = tuple(quantiles)
     (n_boot, n1), n2 = mx.shape, my.shape[1]
     n_pairs = n1 * n2
-    outs = [np.empty((n_boot, len(quantiles))) for _ in estimators]
+    cols, g = _t7_interp(n_pairs, quantiles)
+    outs = [np.empty((n_boot, cols.size if e == TYPE7 else len(quantiles)))
+            for e in estimators]
     threads = _sort_threads(n_boot, n_pairs)
     spent = [[0.0] * len(estimators) for _ in range(threads)]
     parts = [n_boot * t // threads for t in range(threads + 1)]
-    step = max(1, min(-(-n_boot // threads), _BLOCK_ELEMENTS // (threads * n_pairs)))
+    step = max(1, min(-(-n_boot // threads), _BLOCK_ELEMENTS // n_pairs))
     # one scratch buffer for every block of every thread, freed as one:
-    # a fresh block per step would fault in its pages again, and a buffer
-    # per thread raised the sweep's peak RSS by 17-25%
+    # a fresh block per step would fault in its pages again
     buf = np.empty((threads, step, n1, n2))
 
     def sort_part(t: int) -> None:
@@ -189,10 +209,16 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
                             out=buf[t, :stop - start])
             d = d.reshape(stop - start, n_pairs)
             d.sort(axis=1)
-            reduced = _by_estimator(lambda e: _from_sorted_rows(d, quantiles, e),
-                                    estimators, spent[t])
-            for out, r in zip(outs, reduced):
-                out[start:stop] = r
+
+            def reduce(k: int) -> None:
+                if estimators[k] == TYPE7:
+                    # every column is in range; "clip" only skips the
+                    # buffered copy that checking them costs
+                    np.take(d, cols, axis=1, out=outs[k][start:stop], mode="clip")
+                else:
+                    outs[k][start:stop] = _from_sorted_rows(d, quantiles, estimators[k])
+
+            _by_estimator(reduce, range(len(estimators)), spent[t])
 
     if threads == 1:
         sort_part(0)
@@ -203,6 +229,12 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
         # inherited by the sweep's forked workers
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(sort_part, range(threads)))
+    # type 7 interpolates once per level: a sweep splits a unit's time by
+    # each estimator's own seconds, and a call per block cut type 7's
+    # iterations per second on the FWER desk grid by about a third
+    outs = _by_estimator(lambda k: _t7_from_order_stats(outs[k], g)
+                         if estimators[k] == TYPE7 else outs[k],
+                         range(len(estimators)), spent[0])
     if seconds is not None:
         for k, part_seconds in enumerate(zip(*spent)):
             seconds[k] += sum(part_seconds)

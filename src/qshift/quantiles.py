@@ -388,12 +388,42 @@ def _window_masses(n: int, lo: int, w: np.ndarray) -> tuple:
 
 @lru_cache(maxsize=512)
 def _t7_interp(n: int, quantiles: tuple) -> tuple:
+    """(cols, g): the order statistics type 7 reads from rows of length n,
+    and its interpolation weights.  ``cols`` lists each level's order
+    statistic j = floor((n-1)q) (0-based), then each level's j + 1; for
+    n == 1 it lists the lone element once per level, as the estimate."""
     h = (n - 1) * np.array([_check_quantile(q) for q in quantiles])
     j = np.floor(h).astype(np.intp)
     g = h - j
-    j.setflags(write=False)
+    cols = j if n == 1 else np.concatenate([j, j + 1])
+    cols.setflags(write=False)
     g.setflags(write=False)
-    return j, g
+    return cols, g
+
+
+def _t7_from_order_stats(stats: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Type-7 estimates from the (m, cols.size) order statistics that
+    ``_t7_interp`` lists, as an (m, g.size) matrix."""
+    q = g.size
+    if stats.shape[1] == q:  # rows of one element
+        return stats
+    lo = stats[:, :q]
+    return lo + g * (stats[:, q:] - lo)
+
+
+def _value_ranks(cum: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """For each row r of the (D, m) cumulative counts of
+    ``_from_cumulative_counts`` and each 0-based order statistic j in
+    ``ranks``, the index of the value it holds: how many values k have
+    cum[k, r] <= j.  Adding r * (n + 1) to row r lays the rows end to end
+    as one ascending sequence, so one search finds every rank of every
+    row; the (m, ranks.size) result does not depend on the rows with it."""
+    d, m = cum.shape
+    offsets = np.arange(m) * (int(cum[-1, 0]) + 1)
+    flat = np.add(cum.T, offsets[:, None], order="C").ravel()
+    found = np.searchsorted(flat, offsets[:, None] + ranks, side="right")
+    found -= d * np.arange(m)[:, None]
+    return found
 
 
 def _build_weights(n: int, quantiles: tuple, estimator: str) -> None:
@@ -430,11 +460,8 @@ def _from_sorted_rows(rows: np.ndarray, quantiles: tuple, estimator: str) -> np.
             _mirror_pairs(rows, *hd.windows[j], out[:, j])
         return out
     if estimator == TYPE7:
-        if n == 1:
-            return np.repeat(rows, len(quantiles), axis=1)
-        j, g = _t7_interp(n, quantiles)
-        lo = rows[:, j]
-        return lo + g * (rows[:, j + 1] - lo)
+        cols, g = _t7_interp(n, quantiles)
+        return _t7_from_order_stats(rows[:, cols], g)
     raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
 
 
@@ -475,7 +502,6 @@ def _from_cumulative_counts(values: np.ndarray, cum: np.ndarray, quantiles: tupl
             out[:, j] = (mass[order] * terms).cumsum(axis=0)[-1]
         return out
     if estimator == TYPE7:
-        j, g = _t7_interp(n, quantiles)
-        lo = values[(cum[:, :, None] <= j).sum(axis=0)]
-        return lo + g * (values[(cum[:, :, None] <= j + 1).sum(axis=0)] - lo)
+        cols, g = _t7_interp(n, quantiles)
+        return _t7_from_order_stats(values[_value_ranks(cum, cols)], g)
     raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")

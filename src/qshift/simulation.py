@@ -242,10 +242,13 @@ class SimulationReport:
     ``wall_time`` is the condition's share of its unit's interval, in
     proportion to the seconds its chunks spent on the condition's own
     work: its estimator's reduction, split evenly among the conditions
-    that share the estimator, plus its p-values and decision.  A
-    condition alone in its unit gets the whole interval.  A failed
-    condition reports 0, and the time up to its failure is charged to no
-    condition.  Wall time is informational and excluded from equality.
+    that share the estimator, plus its p-values and decision.  So the
+    shares of siblings are coupled: a condition's ``wall_time`` moves
+    when a sibling's own work gets faster or slower, even if its own
+    does not.  A condition alone in its unit gets the whole interval.  A
+    failed condition reports 0, and the time up to its failure is
+    charged to no condition.  Wall time is informational and excluded
+    from equality.
     """
 
     condition: SimCondition

@@ -6,7 +6,8 @@ continued fraction), quantile weights are integrated interval by
 interval (in mpmath for the multiprecision weights), the ANOVA F
 statistics come from explicit textbook sums computed with plain Python
 floats, the type-7 quantile is read off one sorted sample at a time,
-and the generic bootstrap calls a scalar
+the order statistics of counted samples are ranked by comparing every
+count with every rank, and the generic bootstrap calls a scalar
 statistic once per replicate on the library's own resamples.  The
 multiplicity decisions come from the step-up scans of Hochberg and
 Benjamini-Hochberg, which walk the sorted p-values down to the first one
@@ -213,6 +214,15 @@ def type7_quantile(values, q: float) -> float:
     j = int(h)
     g = h - j
     return float(xs[j] + g * (xs[j + 1] - xs[j]))
+
+
+def counted_value_ranks(cum, ranks) -> np.ndarray:
+    """For each row r of the (D, m) cumulative counts ``cum`` (``cum[k, r]``
+    elements of row r are at most value k) and each 0-based order
+    statistic j in ``ranks``, the index of the value holding it: the
+    number of values k with cum[k, r] <= j, from a comparison of every
+    count with every rank."""
+    return (cum[:, :, None] <= np.asarray(ranks)).sum(axis=0)
 
 
 class NonFiniteStatisticError(ArithmeticError):

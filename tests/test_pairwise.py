@@ -1,9 +1,10 @@
 """Tests for the all-pairwise-difference quantile tests."""
 
+import math
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,28 @@ class TestPairwiseDifferences:
         d_swapped = pairwise_differences(y, x)
         # same multiset with signs flipped
         assert sorted(d_swapped.tolist()) == sorted((-d).tolist())
+
+
+@pytest.mark.filterwarnings("ignore:smallest cell:UserWarning")
+@pytest.mark.parametrize("estimator", ["hd", "t7"])
+def test_one_observation_per_cell(estimator):
+    """With N = 1 every replicate holds the one difference of each level,
+    and each estimate is that difference.  Type 7 returns the lone element
+    itself, so a -0.0 keeps its sign; Harrell-Davis weighs it by 1 in a
+    sum that starts at +0.0."""
+    config = BootstrapConfig(n_boot=40, seed=2, estimator=estimator)
+    zero = -0.0 if estimator == "t7" else 0.0
+    rows = iband(FactorialSample.from_cells([3.0], [0.5], [-0.0], [0.0]), config)
+    assert [r.q for r in rows] == list(IBAND_QUANTILES)
+    for r in rows:
+        assert (r.est_lev1, r.dif, r.ci_low, r.ci_high, r.p_value, r.p_adjusted) == (
+            2.5, 2.5, 2.5, 2.5, 0.0, 0.0)
+        assert math.copysign(1.0, r.est_lev2) == math.copysign(1.0, zero) and r.est_lev2 == 0.0
+    for (x, y), expected in [(([1.5], [4.0]), (-2.5, -2.5, -2.5, 0.0)),
+                             (([-0.0], [0.0]), (zero, zero, zero, 1.0))]:
+        result = astuple(median_diff_test(x, y, config))
+        assert result == expected
+        assert [math.copysign(1.0, v) for v in result] == [math.copysign(1.0, v) for v in expected]
 
 
 @pytest.mark.parametrize("bad", [[], [1.0, np.nan], [np.inf, 1.0]], ids=["empty", "nan", "inf"])
@@ -378,18 +401,35 @@ def _on_one_thread(fn, *args):
         return fn(*args)
 
 
+class _BlockRecorder:
+    """numpy as ``pairwise`` sees it, keeping the scratch view that each
+    block of differences is built into."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, out):
+        self.blocks.append(out)
+        return np.subtract(*args, out=out)
+
+
 class TestSortThreads:
     @pytest.mark.parametrize("estimator", ["hd", "t7"])
     @pytest.mark.parametrize("n,n_boot", [(30, 200), (31, 7), (30, 2), (30, 1), (10, 400)],
                              ids=["windowed", "windowed-B7", "B2", "B1", "dense"])
     @pytest.mark.parametrize("blocks", ["one", "several"])
     def test_threads_change_no_bit(self, three_cpus, monkeypatch, estimator, n, n_boot, blocks):
-        """Each thread's part of the replicates gives the rows of one pass,
-        with every block in one shared scratch buffer of bounded size.  No
-        block holds a lone row of several: the dense product would reduce
-        it with matrix-vector bits."""
+        """Each thread's part of the replicates gives the rows of one pass.
+        Every block is built in one shared scratch buffer holding at most
+        ``_BLOCK_ELEMENTS`` differences per thread, or one row.  No block
+        holds a lone row of several: the dense product would reduce it with
+        matrix-vector bits.  Harrell-Davis reduces each block as it is
+        sorted; type 7 reads its order statistics with no call per block."""
         if blocks == "several":
-            # three rows per block on three threads, nine on one
+            # nine rows per block on every thread
             monkeypatch.setattr(pairwise_mod, "_BLOCK_ELEMENTS", 9 * n * (n + 1))
         rng = stream(12, "threads", n)
         config = BootstrapConfig(n_boot=max(n_boot, 200), seed=5)
@@ -398,22 +438,27 @@ class TestSortThreads:
         expected = _on_one_thread(pairwise_mod._diff_quantiles_by_block, *args)
         assert three_cpus == []
 
-        rows = []
+        recorder, reduced = _BlockRecorder(), []
         reduce = pairwise_mod._from_sorted_rows
+        monkeypatch.setattr(pairwise_mod, "np", recorder)
         monkeypatch.setattr(pairwise_mod, "_from_sorted_rows",
-                            lambda d, *a: rows.append(d) or reduce(d, *a))
+                            lambda d, *a: reduced.append(d) or reduce(d, *a))
         got = pairwise_mod._diff_quantiles_by_block(*args)
         np.testing.assert_array_equal(got, expected)
         threads = max(1, min(3, n_boot // 2))
         assert three_cpus == ([threads] if threads > 1 else [])
-        assert sum(d.shape[0] for d in rows) == n_boot
-        assert min(d.shape[0] for d in rows) >= min(2, n_boot)
+        built = recorder.blocks
+        assert sum(b.shape[0] for b in built) == n_boot
+        assert min(b.shape[0] for b in built) >= min(2, n_boot)
         if blocks == "several" and n_boot >= 200:
-            assert len(rows) > 3 * threads
-        scratch = {id(d.base): d.base.size for d in rows}
+            assert len(built) > 3 * threads
+        scratch = {id(b.base): b.base.size for b in built}
         assert len(scratch) == 1
         n_pairs = n * (n + 1)
-        assert scratch.popitem()[1] <= max(pairwise_mod._BLOCK_ELEMENTS, threads * n_pairs)
+        assert max(b.size for b in built) <= max(pairwise_mod._BLOCK_ELEMENTS, n_pairs)
+        assert scratch.popitem()[1] <= threads * max(pairwise_mod._BLOCK_ELEMENTS, n_pairs)
+        shapes = sorted((b.shape[0], n_pairs) for b in built) if estimator == "hd" else []
+        assert sorted(d.shape for d in reduced) == shapes
 
     @pytest.mark.parametrize("estimator", ["hd", "t7"])
     def test_iband_and_median_diff_test_change_no_bit(self, three_cpus, estimator):

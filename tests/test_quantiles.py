@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, betaincc
 from scipy.stats import f as f_dist
@@ -27,14 +27,22 @@ from qshift.quantiles import (
     _beta_tails,
     _betacf,
     _betainc_grid,
+    _from_cumulative_counts,
     _from_sorted_rows,
     _hd_bracket,
     _hd_weight_matrix,
     _log_beta_norm,
+    _value_ranks,
 )
 from qshift.simulation import anova_f_statistics, anova_f_test
 
-from oracles import beta_cdf_quad, hd_quantile_quad, hd_weights_mp, type7_quantile
+from oracles import (
+    beta_cdf_quad,
+    counted_value_ranks,
+    hd_quantile_quad,
+    hd_weights_mp,
+    type7_quantile,
+)
 
 # computed with oracles.beta_cdf_quad (adaptive quadrature of the density)
 BETAINC_ORACLE_X03_A255_B255 = 0.0015007606871103277
@@ -352,6 +360,39 @@ def test_windowed_reduction_matches_dense_product(case):
                 full = math.fsum(row[start + k] * float(v) for k, v in enumerate(exact))
                 bound = (2 * _HD_TAIL_MASS + rounding) * np.max(np.abs(row))
                 assert abs(estimate - full) <= bound, (n, q, estimate, full)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 120), n_rows=st.integers(1, 12), n_values=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, n_rows=1, n_values=1, seed=0)  # a constant cell: one difference
+@example(n=120, n_rows=1, n_values=1, seed=0)
+@example(n=120, n_rows=12, n_values=1, seed=0)
+@example(n=2, n_rows=5, n_values=12, seed=1)  # most values drawn by no row
+def test_counted_type7_search_matches_comparison_oracle(n, n_rows, n_values, seed):
+    """The single search over row-offset cumulative counts ranks every
+    order statistic as comparing every count with every rank does, and
+    type 7 read from the counts is bit-identical to the same ranks
+    interpolated by hand.  Rows hold n elements over n_values distinct
+    values, some of which a row (or every row) does not hold."""
+    rng = np.random.default_rng(seed)
+    held = rng.random(n_values) < 0.7
+    held[rng.integers(n_values)] = True
+    weights = rng.dirichlet(np.ones(n_values)) * held
+    cum = rng.multinomial(n, weights / weights.sum(), size=n_rows).T.cumsum(axis=0)
+    ranks = np.arange(n)
+    expected = counted_value_ranks(cum, ranks)
+    got = _value_ranks(cum, ranks)
+    assert got.shape == (n_rows, n)
+    np.testing.assert_array_equal(got, expected)
+
+    values = np.cumsum(rng.uniform(0.5, 1.5, n_values)) - n_values
+    h = (n - 1) * np.array(IBAND_QUANTILES)
+    j = np.floor(h).astype(int)
+    lo = values[counted_value_ranks(cum, j)]
+    by_hand = lo + (h - j) * (values[counted_value_ranks(cum, j + 1)] - lo)
+    counted = _from_cumulative_counts(values, cum, IBAND_QUANTILES, "t7")
+    assert counted.tobytes() == by_hand.tobytes()
 
 
 class TestWindows:

@@ -48,10 +48,10 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
     """Read a long-format CSV into a FactorialSample.
 
     Each row holds a factor-A label, a factor-B label and a numeric
-    value; column names are given by the caller.  Rows whose value cell
-    is missing are dropped and counted.  Levels are ordered
-    lexicographically unless ``level_order`` (a pair of level pairs)
-    says otherwise.
+    value, written in ASCII without digit-group underscores; column names
+    are given by the caller.  Rows whose value cell is missing are
+    dropped and counted.  Levels are ordered lexicographically unless
+    ``level_order`` (a pair of level pairs) says otherwise.
 
     Returns
     -------
@@ -76,6 +76,10 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
                 dropped += 1
                 continue
             try:
+                # float() also reads "1_0" as 10 and non-ASCII digits such
+                # as the Arabic-Indic three as 3; a data file holds neither
+                if not raw.isascii() or "_" in raw:
+                    raise ValueError(raw)
                 v = float(raw)
             except ValueError:
                 raise DataError(

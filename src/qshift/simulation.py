@@ -13,6 +13,7 @@ Iterations reduce the same bootstrap replicates as the analysis
 functions, through the column-wise signed-count p-value.
 """
 
+import ctypes
 import json
 import math
 import platform
@@ -126,11 +127,29 @@ def anova_f_statistics(data) -> tuple:
     return tuple(f.tolist()), df_w
 
 
+def _f_sf(f, df_w: int) -> np.ndarray:
+    """P(F(1, df_w) > f) elementwise over an array of F statistics, in one
+    ``_betainc_grid`` call.
+
+    P(F(1, d) > f) = I_x(d/2, 1/2) at x = d/(d + f), so f = 0 gives p = 1
+    and f = inf gives p = 0; 1 - x is passed as f/(d + f), which keeps its
+    digits for f near 0.  The continued fraction runs each element to its
+    own convergence, so a p-value keeps its bits whatever else is
+    evaluated with it.
+    """
+    f = np.asarray(f, dtype=float)
+    with np.errstate(invalid="ignore"):
+        tail = np.where(f == np.inf, 1.0, f / (df_w + f))
+    return _betainc_grid(df_w / (df_w + f), tail, df_w / 2.0, 0.5)
+
+
 def anova_f_test(data) -> tuple:
     """Balanced two-way fixed-effects ANOVA p-values (pA, pB, pAB).
 
     Requires equal cell sizes n >= 2; each F statistic has (1, 4(n-1))
-    degrees of freedom.
+    degrees of freedom.  The three tails come from the evaluator a
+    simulation chunk uses for all of its iterations at once, with the
+    same bits.
 
     Raises
     ------
@@ -140,13 +159,7 @@ def anova_f_test(data) -> tuple:
         If the within-cell variance is zero.
     """
     stats, df_w = anova_f_statistics(data)
-    # P(F(1, d) > f) = I_x(d/2, 1/2) at x = d/(d + f), so f = 0 gives p = 1
-    # and f = inf gives p = 0; 1 - x is passed as f/(d + f), which keeps
-    # its digits for f near 0
-    f = np.array(stats)
-    with np.errstate(invalid="ignore"):
-        tail = np.where(f == np.inf, 1.0, f / (df_w + f))
-    return tuple(_betainc_grid(df_w / (df_w + f), tail, df_w / 2.0, 0.5).tolist())
+    return tuple(_f_sf(stats, df_w).tolist())
 
 
 @dataclass(frozen=True)
@@ -269,7 +282,7 @@ def _unit_key(cond: SimCondition) -> tuple:
             cond.n_sims, cond.n_boot, cond.seed, cond.quantiles)
 
 
-def _iterate(cond: SimCondition, i: int, siblings: tuple = ()) -> list:
+def _iterate(cond: SimCondition, i: int, siblings: tuple = ()):
     """Run iteration i of the unit ``(cond, *siblings)``.
 
     The cells are generated, resampled and sorted once; each estimator the
@@ -278,22 +291,18 @@ def _iterate(cond: SimCondition, i: int, siblings: tuple = ()) -> list:
     own_s) per condition, ``cond`` first.  ``own_s`` is the seconds of the
     condition's own work: its estimator's reduction, split evenly among the
     conditions that share the estimator, plus its p-values and decision.
+    An ANOVA unit's iteration returns ``anova_f_statistics`` of its cells
+    instead; ``_run_chunk`` turns them into p-values and decisions.
     """
     unit = (cond, *siblings)
     cells = [
         generate(spec, cond.n_per_group, stream(cond.seed, "data", i, c))
         for c, spec in enumerate(cond.cell_specs)
     ]
-    outcomes = []
     if cond.method == "anova_means":
-        pvals = anova_f_test(cells)
-        for member in unit:
-            start = time.perf_counter()
-            rejected = pvals[_EFFECTS.index(member.contrast)] <= member.alpha
-            outcomes.append((rejected, rejected, np.zeros(0, dtype=bool),
-                             time.perf_counter() - start))
-        return outcomes
+        return anova_f_statistics(cells)
 
+    outcomes = []
     methods = [member.method for member in unit]
     estimators = tuple(dict.fromkeys(m.partition("_")[2] for m in methods))
     seconds = [0.0] * len(estimators)
@@ -318,8 +327,24 @@ def _iterate(cond: SimCondition, i: int, siblings: tuple = ()) -> list:
 
 def _run_chunk(args):
     """Per condition of the unit, (n_corrected, n_uncorrected, per_q, own_s)
-    summed over the iterations start .. stop - 1."""
+    summed over the iterations start .. stop - 1.
+
+    An ANOVA unit's F statistics of all the chunk's iterations become
+    p-values in one ``_f_sf`` call; each condition then decides its
+    contrast at its alpha, and its ``own_s`` is that decision's seconds.
+    """
     unit, start, stop = args
+    if unit[0].method == "anova_means":
+        stats = [_iterate(unit[0], i, unit[1:]) for i in range(start, stop)]
+        pvals = _f_sf([f for f, _ in stats], stats[0][1])
+        totals = []
+        for member in unit:
+            mark = time.perf_counter()
+            rejected = int(np.count_nonzero(
+                pvals[:, _EFFECTS.index(member.contrast)] <= member.alpha))
+            totals.append((rejected, rejected, np.zeros(0, dtype=np.int64),
+                           time.perf_counter() - mark))
+        return totals
     totals = [(0, 0, np.zeros(len(cond.quantiles), dtype=np.int64), 0.0) for cond in unit]
     for i in range(start, stop):
         outcomes = _iterate(unit[0], i, unit[1:])
@@ -621,13 +646,36 @@ def _blas_name():
     return deps.get("blas", {}).get("name")
 
 
+# the OpenBLAS build that numpy (and scipy) wheels ship
+_OPENBLAS = "libscipy_openblas64_"
+
+
+def _blas_threads():
+    """The thread count of the loaded scipy-openblas library, read through
+    its own getter; None where no such library is loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = [line.split(maxsplit=5)[5].strip() for line in fh if _OPENBLAS in line]
+    except OSError:
+        return None
+    for path in dict.fromkeys(paths):
+        try:
+            get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
+
+
 def report_metadata(reports, workers: int | None = None) -> dict:
     """JSON-ready metadata block for a batch of reports.
 
     The ``run`` block holds the facts of the run that do not change the
-    numbers: versions, BLAS, the worker count the sweep was given, and
-    each condition's wall time and iterations per second (null for a
-    failed condition).
+    numbers: versions, BLAS and its thread count in this process (null
+    where no scipy-openblas library is loaded), the worker count the
+    sweep was given, and each condition's wall time and iterations per
+    second (null for a failed condition).
     """
     from . import __version__
 
@@ -641,6 +689,7 @@ def report_metadata(reports, workers: int | None = None) -> dict:
             "numpy_version": np.__version__,
             "python_version": platform.python_version(),
             "blas": _blas_name(),
+            "blas_threads": _blas_threads(),
             "workers": workers,
             "conditions": [{
                 "name": r.condition.name,

@@ -12,9 +12,11 @@ statistic once per replicate on the library's own resamples.  The
 multiplicity decisions come from the step-up scans of Hochberg and
 Benjamini-Hochberg, which walk the sorted p-values down to the first one
 under its threshold instead of comparing adjusted p-values with alpha.
-The kurtosis helpers back the heavy-tail diagnostics of the population
-tests, and the relabelling helpers build the re-oriented samples of the
-orientation tests.
+The ANOVA rates of a simulated condition come from a loop of lone
+``anova_f_test`` calls, one per iteration, where the harness evaluates a
+whole chunk's F tails at once.  The kurtosis helpers back the heavy-tail
+diagnostics of the population tests, and the relabelling helpers build
+the re-oriented samples of the orientation tests.
 """
 
 import math
@@ -24,8 +26,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from qshift.bootstrap import _cell_resample_matrices
-from qshift.design import FactorialSample
+from qshift.design import INTERACTION, MAIN_A, MAIN_B, FactorialSample
+from qshift.distributions import generate
 from qshift.multcomp import _validate_pvalues
+from qshift.rng import stream
+from qshift.simulation import anova_f_test
 
 
 def beta_cdf_quad(x: float, a: float, b: float) -> float:
@@ -163,6 +168,20 @@ def anova_f_textbook(cells) -> tuple:
             ss_w += (float(v) - m) ** 2
     ms_w = ss_w / (4 * (n - 1))
     return ss_a / ms_w, ss_b / ms_w, ss_ab / ms_w
+
+
+def anova_rates(cond) -> tuple:
+    """(rate, se, rate_uncorrected) of an ``anova_means`` condition from
+    one lone ``anova_f_test`` call per iteration, on the cells the
+    simulation draws, each deciding the condition's contrast at its alpha."""
+    effects = (MAIN_A, MAIN_B, INTERACTION)
+    rejected = 0
+    for i in range(cond.n_sims):
+        cells = [generate(spec, cond.n_per_group, stream(cond.seed, "data", i, c))
+                 for c, spec in enumerate(cond.cell_specs)]
+        rejected += anova_f_test(cells)[effects.index(cond.contrast)] <= cond.alpha
+    rate = rejected / cond.n_sims
+    return rate, math.sqrt(rate * (1.0 - rate) / cond.n_sims), rate
 
 
 def sample_kurtosis(x) -> float:

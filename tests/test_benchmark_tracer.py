@@ -34,9 +34,8 @@ KNOWN_MISSING = {f"qshift.{name}" for name in (
     "contrasts._bootstrap_thetas", "contrasts.adjust_pvalues", "contrasts.percentile_ci",
     "contrasts.signed_pvalue", "pairwise._cell_resample_matrices", "pairwise.adjust_pvalues",
     "pairwise.estimate_quantiles", "quantiles._hd_weights_cached", "simulation.FactorialSample",
-    "simulation._f_sf", "simulation.bh_reject", "simulation.contrast_pvalues",
-    "simulation.hochberg_reject", "simulation.iband_pvalues",
-    "simulation.regularized_incomplete_beta",
+    "simulation.bh_reject", "simulation.contrast_pvalues", "simulation.hochberg_reject",
+    "simulation.iband_pvalues", "simulation.regularized_incomplete_beta",
 )}
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from qshift import (
     MAIN_A,
     MAIN_B,
     BootstrapConfig,
+    DataError,
     adjust_pvalues,
     decinter,
     load_experiment,
@@ -192,6 +194,23 @@ def test_malformed_input_exit_codes(capsys, tmp_path, body, extra, code, message
     assert message in err
     if code == 3:
         assert f"error: {path}: " in err
+
+
+@pytest.mark.parametrize("raw", ["1_0", "\u0663", "\uff11\uff12", "2\u00a0"],
+                         ids=["underscore", "arabic-indic", "fullwidth", "no-break-space"])
+@pytest.mark.filterwarnings("ignore:smallest cell:UserWarning")
+def test_values_only_float_reads_are_non_numeric(tmp_path, raw):
+    """float() reads "1_0" as 10 and the Arabic-Indic digit three as 3; a
+    data file's value is plain ASCII, so each is the non-numeric error
+    naming its row, and ASCII spaces around a number are still fine."""
+    path = tmp_path / "odd.csv"
+    path.write_text(_ROWS + f"a1,b1,{raw}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"row 6: column 'y' has non-numeric value "
+                                        f"{re.escape(repr(raw))}"):
+        read_long_csv(path, "a", "b", "y")
+    path.write_text(_ROWS + "a1,b1, 10 \n", encoding="utf-8")
+    sample, _ = read_long_csv(path, "a", "b", "y")
+    assert sample.flat_cells()[0].tolist() == [1.0, 10.0]
 
 
 class TestIbandCommand:

@@ -138,6 +138,48 @@ class TestAnovaFTail:
                                    rtol=0, atol=1e-14)
 
 
+@st.composite
+def tail_sets(draw):
+    """A few sets of points (x, 1 - x) that share one pair of shapes: F
+    tails P(F(1, d) > f) at the within degrees of freedom of the desk
+    grids' ANOVA, or the grid points j/n of a Harrell-Davis bracket."""
+    if draw(st.booleans()):
+        d = draw(st.sampled_from((4, 76, 396)))
+        f = st.one_of(st.sampled_from((0.0, 4.5e-10, math.inf)),
+                      st.floats(min_value=0.0, max_value=1e6))
+
+        def points(values):
+            f = np.array(values, dtype=float)
+            with np.errstate(invalid="ignore"):
+                return d / (d + f), np.where(f == np.inf, 1.0, f / (d + f))
+
+        return d / 2.0, 0.5, [points(s) for s in draw(
+            st.lists(st.lists(f, max_size=40), min_size=1, max_size=5))]
+    n = draw(st.sampled_from((30, 100, 900)))
+    q = draw(st.sampled_from(sorted(set(IBAND_QUANTILES) | set(DECILES))))
+    j0, j1 = _hd_bracket(n, q)
+    sets = draw(st.lists(st.lists(st.integers(j0, j1), max_size=40), min_size=1, max_size=5))
+    return ((n + 1.0) * q, (n + 1.0) * (1.0 - q),
+            [(np.array(s) / n, (n - np.array(s)) / n) for s in sets])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tail_sets())
+@example((38.0, 0.5, [(np.array([1.0, 38 / (38 + 4.5e-10), 0.0]),
+                       np.array([0.0, 4.5e-10 / (38 + 4.5e-10), 1.0])),
+                      (np.linspace(0.2, 1.0, 90), 1.0 - np.linspace(0.2, 1.0, 90))]))
+def test_betainc_of_concatenated_sets_keeps_every_bit(case):
+    """One call over the concatenation of several tail sets equals the
+    separate calls bit for bit, as a simulation chunk's F tails must
+    equal each iteration's own.  Sets of up to 200 points also cover the
+    continued fraction dropping its converged elements mid-loop."""
+    a, b, sets = case
+    together = _betainc_grid(np.concatenate([x for x, _ in sets]),
+                             np.concatenate([y for _, y in sets]), a, b)
+    apart = np.concatenate([_betainc_grid(x, y, a, b) for x, y in sets])
+    assert together.tobytes() == apart.tobytes()
+
+
 class TestHDWeights:
     def test_single_observation(self):
         assert _hd_weights(1, 0.5).tolist() == [1.0]

@@ -1,7 +1,10 @@
 """Tests for the Monte Carlo harness and the ANOVA baseline."""
 
+import json
 import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -14,6 +17,7 @@ import scipy.stats
 from qshift import (
     DECILES,
     IBAND_QUANTILES,
+    INTERACTION,
     MAIN_A,
     MAIN_B,
     DegenerateDataError,
@@ -33,7 +37,7 @@ from qshift import (
 import qshift.simulation
 from qshift.simulation import REPORT_COLUMNS, report_csv_rows, report_metadata
 
-from oracles import anova_f_textbook, transposed
+from oracles import anova_f_textbook, anova_rates, transposed
 
 NORMAL = DistributionSpec("normal")
 
@@ -514,6 +518,49 @@ class TestRuns:
             assert all(r.wall_time > 0.0 for r in reports)
             assert sum(r.wall_time for r in reports) <= elapsed
 
+    @pytest.mark.parametrize("n_sims", [1, 7, 40])
+    def test_anova_chunks_match_lone_tests_per_iteration(self, n_sims):
+        """A chunk turns all its iterations' F statistics into p-values in
+        one call; every member of a unit mixing contrasts and alphas gets
+        the rates of one lone anova_f_test per iteration, however the
+        iterations are chunked."""
+        shifted = tuple(replace(NORMAL, shift=d) for d in (0.0, 0.5, 0.3, 0.0))
+        conditions = [
+            _null_condition(cell_specs=shifted, method="anova_means", n_per_group=12,
+                            contrast=contrast, alpha=alpha, n_sims=n_sims,
+                            name=f"{contrast}-{alpha}")
+            for contrast in (MAIN_A, MAIN_B, INTERACTION) for alpha in (0.05, 0.3)
+        ]
+        assert len(qshift.simulation._units(conditions)) == 1
+        expected = [anova_rates(cond) for cond in conditions]
+        if n_sims == 40:
+            assert len({rate for rate, _, _ in expected}) > 2
+        for workers in (1, 2):
+            reports = sweep(conditions, workers)
+            assert [(r.rate, r.se, r.rate_uncorrected) for r in reports] == expected
+            assert all(r.error is None and r.per_quantile_rates == () for r in reports)
+
+    def test_degenerate_iteration_inside_a_chunk_fails_the_unit(self):
+        """Iteration 6 of this Poisson(0.2) condition has constant cells;
+        iterations 0-5 and 7 do not.  The chunk 4..7 of a serial sweep of
+        16 iterations fails at it, with the lone test's message."""
+        spec = DistributionSpec("poisson", mean=0.2)
+        unit = tuple(_null_condition(cell_specs=(spec,) * 4, method="anova_means",
+                                     n_per_group=3, n_sims=16, seed=0, contrast=contrast,
+                                     name=contrast)
+                     for contrast in (INTERACTION, MAIN_A))
+        message = "zero within-cell variance; F statistics are undefined"
+        assert qshift.simulation._chunks(unit, 1)[1][1:] == (4, 8)
+        qshift.simulation._run_chunk((unit, 0, 6))
+        qshift.simulation._run_chunk((unit, 7, 8))
+        for start in (4, 5):
+            with pytest.raises(DegenerateDataError, match=message):
+                qshift.simulation._run_chunk((unit, start, 8))
+        for workers in (1, 2):
+            assert [r.error for r in sweep(unit, workers)] == [
+                f"DegenerateDataError: {message} (shared with {MAIN_A})",
+                f"DegenerateDataError: {message} (shared with {INTERACTION})"]
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="sweep needs at least one condition"):
             sweep([])
@@ -746,6 +793,36 @@ class TestReportSerialization:
         assert ok["name"] == "null" and ok["wall_time_s"] == reports[0].wall_time > 0
         assert ok["iters_per_s"] == pytest.approx(4 / reports[0].wall_time)
         assert failed == {"name": "degenerate", "wall_time_s": 0.0, "iters_per_s": None}
+
+    def test_metadata_records_blas_threads(self, monkeypatch, tmp_path):
+        """blas_threads is the loaded scipy-openblas library's own count,
+        1 under OPENBLAS_NUM_THREADS=1, and null where no such library is
+        loaded; the CSV bytes do not depend on it."""
+        loaded = qshift.simulation._blas_threads() is not None
+        experiment = tmp_path / "exp.json"
+        experiment.write_text(json.dumps({
+            "defaults": {"n_sims": 3, "n_boot": 200},
+            "conditions": [{"method": ["decinter_hd", "anova_means"], "n_per_group": 10,
+                            "cells": {"kind": "normal"}}]}))
+        src = str(Path(qshift.__file__).resolve().parents[1])
+        runs = []
+        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env.update(extra, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))))
+            meta = tmp_path / f"meta-{len(runs)}.json"
+            out = subprocess.run(
+                [sys.executable, "-m", "qshift.cli", "simulate", str(experiment),
+                 "--threads", "1", "--metadata", str(meta)],
+                env=env, check=True, capture_output=True, timeout=120)
+            runs.append((out.stdout, json.loads(meta.read_text())["run"]["blas_threads"]))
+        (csv_one, threads_one), (csv_default, threads_default) = runs
+        assert csv_one == csv_default
+        assert threads_one == (1 if loaded else None)
+        assert threads_default is None or threads_default >= 1
+        report = run_fwer(_null_condition(method="anova_means", n_sims=2))
+        monkeypatch.setattr(qshift.simulation, "_OPENBLAS", "libno_such_blas_")
+        assert report_metadata([report])["run"]["blas_threads"] is None
 
     def test_anova_rows_leave_bootstrap_cells_empty(self):
         conditions = load_experiment({

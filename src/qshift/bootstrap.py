@@ -168,6 +168,8 @@ def signed_pvalue(values):
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("bootstrap distribution is empty")
+    if np.isnan(values).any():  # neither below nor at zero: it would count as > 0
+        raise ValueError("bootstrap replicates contain NaN")
     b = values.shape[0]
     a = np.count_nonzero(values < 0.0, axis=0)
     d = np.count_nonzero(values == 0.0, axis=0)
@@ -186,6 +188,8 @@ def percentile_ci(values, alpha: float) -> tuple:
     (B, Q) matrix.
     """
     values = np.sort(np.asarray(values, dtype=float), axis=0)
+    if np.isnan(values[-1:]).any():  # NaN sorts last, as if the largest replicate
+        raise ValueError("bootstrap replicates contain NaN")
     b = values.shape[0]
     ell = round(alpha * b / 2.0)
     if ell < 1:

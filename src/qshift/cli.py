@@ -178,12 +178,9 @@ def _cmd_iband(args) -> int:
     extra = {"contrast": INTERACTION}
     ph = None
     if args.ph:
-        ph = (
-            ph_probability(pairwise_differences(sample.cell(1, 1), sample.cell(1, 2))),
-            ph_probability(pairwise_differences(sample.cell(2, 1), sample.cell(2, 2))),
-        )
-        extra["ph_level1"] = ph[0]
-        extra["ph_level2"] = ph[1]
+        ph = [ph_probability(pairwise_differences(sample.cell(a, 1), sample.cell(a, 2)))
+              for a in (1, 2)]
+        extra.update(ph_level1=ph[0], ph_level2=ph[1])
     payload = _result_payload("iband", args, sample, rows, extra)
     _emit_table(rows, args, payload)
     if ph is not None and args.format == "tsv":
@@ -302,15 +299,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # ExperimentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ distinct values, producing heavy ties.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,8 +40,9 @@ _CONTAMINATION_SCALE = 10.0
 class DistributionSpec:
     """A named population with its parameters and a post-generation shift.
 
-    Only the fields relevant to ``kind`` are used: ``mean`` for poisson;
-    ``r``, ``s``, ``nbin`` for beta_binomial; ``g``, ``h`` for g_and_h.
+    Each kind reads ``shift`` and only its own parameters, ``mean`` for
+    poisson; ``r``, ``s``, ``nbin`` for beta_binomial; ``g``, ``h`` for
+    g_and_h.  Any other field must keep its default.
     """
 
     kind: str
@@ -61,6 +62,12 @@ class DistributionSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        own = {"poisson": ("mean",), "beta_binomial": ("r", "s", "nbin"),
+               "g_and_h": ("g", "h")}.get(self.kind, ())
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("kind", "shift", *own) and value != f.default:
+                raise ValueError(f"{self.kind} does not read {f.name}, got {f.name}={value!r}")
         if self.kind == "poisson" and not self.mean > 0:
             raise ValueError(f"poisson mean must be positive, got {self.mean}")
         if self.kind == "beta_binomial":

@@ -109,6 +109,8 @@ def ph_probability(diffs) -> float:
     d = np.asarray(diffs, dtype=float)
     if d.size == 0:
         raise ValueError("difference set must be non-empty")
+    if np.isnan(d).any():
+        raise ValueError("difference set contains NaN")
     return float(np.count_nonzero(d < 0.0) / d.size)
 
 
@@ -223,8 +225,7 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     if threads == 1:
         sort_part(0)
     else:
-        for estimator in estimators:
-            _build_weights(n_pairs, quantiles, estimator)
+        _build_weights(n_pairs, quantiles, estimators)
         # a pool per call: an idle pool kept across calls would be
         # inherited by the sweep's forked workers
         with ThreadPoolExecutor(threads) as pool:

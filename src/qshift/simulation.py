@@ -30,7 +30,7 @@ from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
 from .distributions import DistributionSpec, generate
 from .multcomp import CORRECTIONS, adjust_pvalues
 from .pairwise import IBAND_QUANTILES, _iband_star
-from .quantiles import _as_sample, _betainc_grid
+from .quantiles import _as_sample, _f_sf
 from .rng import derive_seed, stream
 
 __all__ = [
@@ -127,22 +127,6 @@ def anova_f_statistics(data) -> tuple:
     return tuple(f.tolist()), df_w
 
 
-def _f_sf(f, df_w: int) -> np.ndarray:
-    """P(F(1, df_w) > f) elementwise over an array of F statistics, in one
-    ``_betainc_grid`` call.
-
-    P(F(1, d) > f) = I_x(d/2, 1/2) at x = d/(d + f), so f = 0 gives p = 1
-    and f = inf gives p = 0; 1 - x is passed as f/(d + f), which keeps its
-    digits for f near 0.  The continued fraction runs each element to its
-    own convergence, so a p-value keeps its bits whatever else is
-    evaluated with it.
-    """
-    f = np.asarray(f, dtype=float)
-    with np.errstate(invalid="ignore"):
-        tail = np.where(f == np.inf, 1.0, f / (df_w + f))
-    return _betainc_grid(df_w / (df_w + f), tail, df_w / 2.0, 0.5)
-
-
 def anova_f_test(data) -> tuple:
     """Balanced two-way fixed-effects ANOVA p-values (pA, pB, pAB).
 
@@ -225,14 +209,8 @@ class SimCondition:
         return "fwer" if all(s == self.cell_specs[0] for s in self.cell_specs) else "power"
 
     def bootstrap_config(self, seed: int = 0) -> BootstrapConfig:
-        estimator = "hd" if self.method.endswith("_hd") else "t7"
-        return BootstrapConfig(
-            n_boot=self.n_boot,
-            alpha=self.alpha,
-            seed=seed,
-            estimator=estimator,
-            quantiles=self.quantiles,
-        )
+        return BootstrapConfig(n_boot=self.n_boot, alpha=self.alpha, seed=seed,
+                               estimator=self.method.partition("_")[2], quantiles=self.quantiles)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,16 @@ class TestSignedPValue:
         with pytest.raises(ValueError, match="bootstrap distribution is empty"):
             signed_pvalue([])
 
+    def test_nan_replicates_rejected(self):
+        """A NaN is neither below nor at zero, so all-NaN replicates would
+        read as p = 0, significant."""
+        with pytest.raises(ValueError, match="bootstrap replicates contain NaN"):
+            signed_pvalue(np.full(10, np.nan))
+        reps = np.ones((600, 9))
+        reps[599, 4] = np.nan
+        with pytest.raises(ValueError, match="contain NaN"):
+            signed_pvalue(reps)
+
     def test_accepts_distribution_object(self):
         dist = BootstrapDistribution(np.array([-1.0, 0.5, 2.0]))
         assert signed_pvalue(dist) == signed_pvalue([-1.0, 0.5, 2.0])
@@ -111,6 +121,15 @@ class TestPercentileCI:
     def test_unsorted_input_ok(self):
         values = np.arange(2000.0)[::-1] + 1
         assert percentile_ci(values, 0.05) == (51.0, 1950.0)
+
+    def test_nan_replicates_rejected(self):
+        """A NaN sorts last, so it would stand in for the largest replicate."""
+        with pytest.raises(ValueError, match="bootstrap replicates contain NaN"):
+            percentile_ci(np.r_[np.arange(99.0), np.nan], 0.1)
+        reps = stream(5, "cols").normal(size=(400, 4))
+        reps[7, 2] = np.nan
+        with pytest.raises(ValueError, match="contain NaN"):
+            percentile_ci(reps, 0.05)
 
     def test_columnwise_matches_each_column(self):
         reps = stream(5, "cols").normal(size=(400, 4))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qshift import DistributionSpec, generate, stream
+from qshift.distributions import KINDS
 
 from oracles import lognormal_kurtosis, sample_kurtosis
 
@@ -102,6 +103,23 @@ class TestGenerate:
         for kind in ("poisson", "beta_binomial", "g_and_h", "normal"):
             with pytest.raises(ValueError, match=f"{field} must be a finite number"):
                 DistributionSpec(kind, **{field: value})
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("normal", "mean", 5.0), ("lognormal", "nbin", 4), ("mixed_normal", "h", 0.1),
+        ("poisson", "r", 2.0), ("poisson", "g", 0.5), ("beta_binomial", "mean", 3.0),
+        ("beta_binomial", "h", 0.2), ("g_and_h", "s", 1.0), ("g_and_h", "nbin", 3),
+    ])
+    def test_parameters_the_kind_does_not_read_rejected(self, kind, field, value):
+        """Such a spec would draw what the default spec draws yet compare
+        unequal to it."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{kind} does not read {field}, got {field}={value!r}")):
+            DistributionSpec(kind, **{field: value})
+
+    def test_unread_parameters_at_their_defaults_pass(self):
+        assert DistributionSpec("normal", mean=9.0, nbin=10, g=0.0) == DistributionSpec("normal")
+        for kind in KINDS:
+            assert DistributionSpec(kind, shift=1.5).shift == 1.5
 
     @pytest.mark.parametrize("spec, rng", [
         # cell (1,2) of iteration 4 of a seed-0 simulation: one draw is inf

@@ -120,6 +120,11 @@ class TestPHProbability:
         with pytest.raises(ValueError, match="difference set must be non-empty"):
             ph_probability([])
 
+    def test_nan_difference_rejected(self):
+        # a NaN is not negative, so it would count as a tie
+        with pytest.raises(ValueError, match="difference set contains NaN"):
+            ph_probability([np.nan, np.nan, -1.0])
+
     def test_tie_not_counted(self):
         assert ph_probability(pairwise_differences([1], [1])) == 0.0
 

@@ -26,7 +26,7 @@ from qshift.quantiles import (
     _HD_TAIL_MASS,
     _beta_tails,
     _betacf,
-    _betainc_grid,
+    _f_sf,
     _from_cumulative_counts,
     _from_sorted_rows,
     _hd_bracket,
@@ -59,7 +59,11 @@ def _hd_weights(n: int, q: float) -> np.ndarray:
 
 
 def _ibeta(x: float, a: float, b: float) -> float:
-    return _betainc_grid([x], [1.0 - x], a, b)[0]
+    """I_x(a, b) through ``_beta_tails``, in the tail the split point picks."""
+    lognorm = _log_beta_norm(a, b)
+    if x >= (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _beta_tails(np.array([1.0 - x]), np.array([x]), b, a, lognorm)[0]
+    return _beta_tails(np.array([x]), np.array([1.0 - x]), a, b, lognorm)[0]
 
 
 class TestRegularizedIncompleteBeta:
@@ -126,9 +130,8 @@ class TestAnovaFTail:
         above 0, where forming 1 - d/(d + f) would lose the digits."""
         n = d // 4 + 1
         for f in (0.0, 4.5e-10, 1e-6, 1.0, 10.0, 1e3):
-            x = d / (d + f)
-            p = _betainc_grid([x], [f / (d + f)], d / 2.0, 0.5)[0]
-            assert abs(p - f_dist.sf(f, 1, d)) <= 1e-14, (f, d)
+            assert abs(float(_f_sf(f, d)) - f_dist.sf(f, 1, d)) <= 1e-14, (f, d)
+        assert float(_f_sf(math.inf, d)) == 0.0
         # the same tails through the ANOVA itself
         rng = np.random.default_rng(d)
         cells = [rng.normal(size=n) for _ in range(4)]
@@ -138,45 +141,57 @@ class TestAnovaFTail:
                                    rtol=0, atol=1e-14)
 
 
+def _hd_tails(n: int, q: float, j: np.ndarray) -> tuple:
+    """The ``_beta_tails`` arguments a Harrell-Davis build of level q at n
+    passes for grid points j: the lower tail of Beta(a, b) at j/n below
+    the split point, that of Beta(b, a) at (n - j)/n from it up."""
+    a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+    upper = j / n >= (a + 1.0) / (a + b + 2.0)
+    k = np.where(upper, n - j, j)
+    return (k / n, (n - k) / n, np.where(upper, b, a), np.where(upper, a, b),
+            np.full(j.size, _log_beta_norm(a, b)))
+
+
 @st.composite
 def tail_sets(draw):
-    """A few sets of points (x, 1 - x) that share one pair of shapes: F
-    tails P(F(1, d) > f) at the within degrees of freedom of the desk
-    grids' ANOVA, or the grid points j/n of a Harrell-Davis bracket."""
+    """Either a few chunks of (iterations, 3) F statistics at one of the
+    within degrees of freedom of the desk grids' ANOVA, or a few sets of
+    grid points of Harrell-Davis brackets at one n, each set at its own
+    level."""
     if draw(st.booleans()):
         d = draw(st.sampled_from((4, 76, 396)))
         f = st.one_of(st.sampled_from((0.0, 4.5e-10, math.inf)),
                       st.floats(min_value=0.0, max_value=1e6))
-
-        def points(values):
-            f = np.array(values, dtype=float)
-            with np.errstate(invalid="ignore"):
-                return d / (d + f), np.where(f == np.inf, 1.0, f / (d + f))
-
-        return d / 2.0, 0.5, [points(s) for s in draw(
-            st.lists(st.lists(f, max_size=40), min_size=1, max_size=5))]
+        chunks = draw(st.lists(st.lists(st.tuples(f, f, f), max_size=14), min_size=1, max_size=5))
+        return "f", d, [np.array(c, dtype=float).reshape(-1, 3) for c in chunks]
     n = draw(st.sampled_from((30, 100, 900)))
-    q = draw(st.sampled_from(sorted(set(IBAND_QUANTILES) | set(DECILES))))
-    j0, j1 = _hd_bracket(n, q)
-    sets = draw(st.lists(st.lists(st.integers(j0, j1), max_size=40), min_size=1, max_size=5))
-    return ((n + 1.0) * q, (n + 1.0) * (1.0 - q),
-            [(np.array(s) / n, (n - np.array(s)) / n) for s in sets])
+    sets = []
+    for _ in range(draw(st.integers(1, 5))):
+        q = draw(st.sampled_from(sorted(set(IBAND_QUANTILES) | set(DECILES))))
+        j0, j1 = _hd_bracket(n, q)
+        sets.append(_hd_tails(n, q, np.array(draw(st.lists(st.integers(j0, j1), max_size=40)),
+                                              dtype=np.intp)))
+    return "hd", None, sets
 
 
 @settings(max_examples=150, deadline=None)
 @given(tail_sets())
-@example((38.0, 0.5, [(np.array([1.0, 38 / (38 + 4.5e-10), 0.0]),
-                       np.array([0.0, 4.5e-10 / (38 + 4.5e-10), 1.0])),
-                      (np.linspace(0.2, 1.0, 90), 1.0 - np.linspace(0.2, 1.0, 90))]))
+@example(("f", 76, [np.array([[0.0, 4.5e-10, math.inf]]),
+                    np.linspace(0.0, 40.0, 90).reshape(30, 3)]))
 def test_betainc_of_concatenated_sets_keeps_every_bit(case):
-    """One call over the concatenation of several tail sets equals the
-    separate calls bit for bit, as a simulation chunk's F tails must
-    equal each iteration's own.  Sets of up to 200 points also cover the
+    """One evaluation over the concatenation of several tail sets equals
+    the separate ones bit for bit: a simulation chunk's (iterations, 3) F
+    tails equal each statistic's own, and a Harrell-Davis build's tails
+    those of each level alone.  Sets of up to 210 points also cover the
     continued fraction dropping its converged elements mid-loop."""
-    a, b, sets = case
-    together = _betainc_grid(np.concatenate([x for x, _ in sets]),
-                             np.concatenate([y for _, y in sets]), a, b)
-    apart = np.concatenate([_betainc_grid(x, y, a, b) for x, y in sets])
+    kind, d, sets = case
+    if kind == "f":
+        together = _f_sf(np.concatenate(sets), d)
+        assert together.shape == (sum(len(c) for c in sets), 3)
+        apart = np.array([_f_sf(f, d) for c in sets for f in c.ravel()])
+    else:
+        together = _beta_tails(*(np.concatenate(parts) for parts in zip(*sets)))
+        apart = np.concatenate([_beta_tails(*args) for args in sets])
     assert together.tobytes() == apart.tobytes()
 
 

@@ -718,6 +718,9 @@ class TestExperimentFiles:
         ({"cells": "normal"}, "'cells' must be one spec or a list of four"),
         ({"shifts": [0, 0, 1]}, "'shifts' must list four numbers"),
         ({"shifts": 1.0}, "'shifts' must list four numbers"),
+        ({"cells": {"kind": "normal", "mean": 5.0}}, "normal does not read mean, got mean=5.0"),
+        ({"cells": [{"kind": "normal"}] * 3 + [{"kind": "poisson", "mean": 3.0, "nbin": 4}]},
+         "poisson does not read nbin, got nbin=4"),
     ])
     def test_bad_entry_names_its_index(self, change, message):
         good = {"name": "good", "method": "anova_means", "n_per_group": 10,
@@ -726,6 +729,15 @@ class TestExperimentFiles:
         with pytest.raises(ExperimentError, match=re.escape("conditions[1]: ") + ".*"
                            + re.escape(message)):
             load_experiment({"conditions": [good, bad]})
+
+    def test_unread_parameter_error_starts_with_its_entry(self):
+        """A parameter its kind never reads would make a null entry a
+        power condition that draws exactly the null cells."""
+        entry = {"method": "anova_means", "n_per_group": 10,
+                 "cells": {"kind": "lognormal", "g": 0.5}}
+        with pytest.raises(ExperimentError,
+                           match=r"^conditions\[0\]: lognormal does not read g, got g=0\.5$"):
+            load_experiment({"conditions": [entry]})
 
     def test_empty_grid_list_names_its_entry(self):
         good = {"method": "anova_means", "n_per_group": 10, "cells": {"kind": "normal"}}

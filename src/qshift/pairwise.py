@@ -24,14 +24,23 @@ differ in the last bits.  Continuous cells always take the sort.
 The sort runs on one thread per usable CPU (the affinity mask, so
 ``taskset`` limits it) once each thread has 2^20 differences or more, as
 at n = 100 per cell and B = 2,000; inside a simulation pool worker it runs
-on one.  numpy's subtraction and sort release the GIL, and each thread
+on one.  numpy's product and sort release the GIL, and each thread
 fills its own contiguous replicates, so results never depend on the count.
 Each thread works through its replicates in blocks of at most 2^17
-differences (1 MB), so a block is subtracted, sorted and reduced while
+differences (1 MB), so a block is built, sorted and reduced while
 it stays in the core's cache, and a level's scratch is about 1 MB per
 thread whatever B is.  Type 7 gathers its order statistics from each
 block and interpolates once per level.  The counting path and the
 one-row point estimates stay on one thread.
+
+A block's differences are built as one batched matrix product: the rows
+[x_i, 1] of each replicate times its columns [1, -y_j].  Both products
+are exact, so each difference is rounded once, as by a subtraction, and
+every bit is kept, whatever BLAS and however many BLAS threads run it.
+The one exception is a signed zero: a product sum starts at +0.0, so
+-0.0 - (+0.0) comes out +0.0.  A level whose first cell's resamples hold
+a -0.0 and whose second cell's hold a +0.0 is therefore built by
+subtraction.  Each thread keeps the two operands of one block, tens of KB.
 """
 
 import functools
@@ -171,17 +180,33 @@ def _level(x: np.ndarray, y: np.ndarray, rows: int, draw):
     return functools.partial(_diff_quantiles_by_block, mx, my)
 
 
+def _product_is_exact(mx: np.ndarray, my: np.ndarray) -> bool:
+    """Whether the product [x_i, 1] . [1, -y_j] gives every difference
+    x_i - y_j of a level bit for bit.
+
+    Both products are exact, so the sum rounds as the subtraction does,
+    but it starts at +0.0: -0.0 - (+0.0) comes out +0.0, not -0.0.  No
+    other pair differs, so only a level whose x holds a -0.0 and whose y
+    holds a +0.0 is not exact.
+    """
+    negative_zero_in_x = np.signbit(mx[mx == 0.0]).any()
+    return not negative_zero_in_x or np.signbit(my[my == 0.0]).all()
+
+
 def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimators,
                              seconds=None) -> list:
     """Sorted-difference quantile estimates for each replicate, one
     (B, n_quantiles) matrix per estimator.
 
     ``mx`` and ``my`` are (B, n1) and (B, n2) resample matrices; replicate
-    b pairs row b of each, and its differences are built and sorted.  The
-    replicates are split into contiguous parts, one per thread (see
-    ``_sort_threads``), and each part into equal blocks of at most
-    ``_BLOCK_ELEMENTS`` differences, each built, sorted and reduced while
-    it stays in cache.  Type 7 only gathers its order statistics from each
+    b pairs row b of each, and its differences are built and sorted.  A
+    block's differences are one batched product of its rows [x_i, 1] and
+    columns [1, -y_j] (see ``_product_is_exact``), which pays numpy's
+    per-loop cost once per block where a broadcast subtraction pays it
+    once per n2 differences.  The replicates are split into contiguous
+    parts, one per thread (see ``_sort_threads``), and each part into
+    equal blocks of at most ``_BLOCK_ELEMENTS`` differences, each built,
+    sorted and reduced while it stays in cache.  Type 7 only gathers its order statistics from each
     block and interpolates them once, after the last.  A replicate's
     estimates depend on its own row only, so neither split changes a bit:
     the one exception, the dense Harrell-Davis product of a lone row
@@ -201,15 +226,28 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     # one scratch buffer for every block of every thread, freed as one:
     # a fresh block per step would fault in its pages again
     buf = np.empty((threads, step, n1, n2))
+    by_product = _product_is_exact(mx, my)
 
     def sort_part(t: int) -> None:
         lo, size = parts[t], parts[t + 1] - parts[t]
         blocks = -(-size // step)
+        if by_product:
+            # the operands [x_i, 1] and [1, -y_j] of one block, per thread:
+            # tens of KB, where a level's operands would add MBs of peak RSS
+            xs, ys = np.empty((step, n1, 2)), np.empty((step, 2, n2))
+            xs[:, :, 1] = 1.0
+            ys[:, 0] = 1.0
         for i in range(blocks):
             start, stop = lo + size * i // blocks, lo + size * (i + 1) // blocks
-            d = np.subtract(mx[start:stop, :, None], my[start:stop, None, :],
-                            out=buf[t, :stop - start])
-            d = d.reshape(stop - start, n_pairs)
+            rows = stop - start
+            if by_product:
+                xs[:rows, :, 0] = mx[start:stop]
+                np.negative(my[start:stop], out=ys[:rows, 1])
+                d = np.matmul(xs[:rows], ys[:rows], out=buf[t, :rows])
+            else:
+                d = np.subtract(mx[start:stop, :, None], my[start:stop, None, :],
+                                out=buf[t, :rows])
+            d = d.reshape(rows, n_pairs)
             d.sort(axis=1)
 
             def reduce(k: int) -> None:

@@ -209,6 +209,11 @@ class SimCondition:
         return "fwer" if all(s == self.cell_specs[0] for s in self.cell_specs) else "power"
 
     def bootstrap_config(self, seed: int = 0) -> BootstrapConfig:
+        """The bootstrap settings of an iteration whose resamples draw from
+        ``seed``; raises ValueError for ``anova_means``, which resamples
+        nothing."""
+        if self.method == "anova_means":
+            raise ValueError("anova_means draws no bootstrap, so it has no bootstrap config")
         return BootstrapConfig(n_boot=self.n_boot, alpha=self.alpha, seed=seed,
                                estimator=self.method.partition("_")[2], quantiles=self.quantiles)
 

@@ -7,8 +7,10 @@ interval (in mpmath for the multiprecision weights), the ANOVA F
 statistics come from explicit textbook sums computed with plain Python
 floats, the type-7 quantile is read off one sorted sample at a time,
 the order statistics of counted samples are ranked by comparing every
-count with every rank, and the generic bootstrap calls a scalar
-statistic once per replicate on the library's own resamples.  The
+count with every rank, the pairwise differences of resampled cells are
+built by one broadcast subtraction (not the library's blocked product),
+and the generic bootstrap calls a scalar statistic once per replicate
+on the library's own resamples.  The
 multiplicity decisions come from the step-up scans of Hochberg and
 Benjamini-Hochberg, which walk the sorted p-values down to the first one
 under its threshold instead of comparing adjusted p-values with alpha.
@@ -29,6 +31,7 @@ from qshift.bootstrap import _cell_resample_matrices
 from qshift.design import INTERACTION, MAIN_A, MAIN_B, FactorialSample
 from qshift.distributions import generate
 from qshift.multcomp import _validate_pvalues
+from qshift.quantiles import _from_sorted_rows
 from qshift.rng import stream
 from qshift.simulation import anova_f_test
 
@@ -242,6 +245,16 @@ def counted_value_ranks(cum, ranks) -> np.ndarray:
     number of values k with cum[k, r] <= j, from a comparison of every
     count with every rank."""
     return (cum[:, :, None] <= np.asarray(ranks)).sum(axis=0)
+
+
+def pairwise_quantiles_by_subtraction(mx, my, quantiles, estimators) -> list:
+    """Per estimator, the (B, n_quantiles) estimates of each replicate's
+    differences: row b of the (B, n1) ``mx`` minus row b of the (B, n2)
+    ``my``, every pair built by one broadcast ``np.subtract``, then sorted
+    and reduced all at once."""
+    d = np.subtract(mx[:, :, None], my[:, None, :]).reshape(mx.shape[0], -1)
+    d.sort(axis=1)
+    return [_from_sorted_rows(d, tuple(quantiles), e) for e in estimators]
 
 
 class NonFiniteStatisticError(ArithmeticError):

@@ -28,7 +28,12 @@ from qshift import (
 from qshift.bootstrap import _cell_resample_matrices, _resample_indices
 from qshift.rng import derive_seed
 
-from oracles import bootstrap_statistic, transposed, type7_quantile
+from oracles import (
+    bootstrap_statistic,
+    pairwise_quantiles_by_subtraction,
+    transposed,
+    type7_quantile,
+)
 
 # 10-20 draws from at most five points of a lattice with step 1 or 0.5,
 # negative values included: V1*V2 <= 25 <= n1*n2/4, few enough to count
@@ -408,17 +413,25 @@ def _on_one_thread(fn, *args):
 
 class _BlockRecorder:
     """numpy as ``pairwise`` sees it, keeping the scratch view that each
-    block of differences is built into."""
+    block of differences is built into, and the name of the operation
+    that built it: the product, or the subtraction of a signed-zero level."""
 
     def __init__(self):
-        self.blocks = []
+        self.blocks, self.ops = [], []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def subtract(self, *args, out):
+    def _build(self, op, *args, out):
         self.blocks.append(out)
-        return np.subtract(*args, out=out)
+        self.ops.append(op.__name__)
+        return op(*args, out=out)
+
+    def matmul(self, *args, out):
+        return self._build(np.matmul, *args, out=out)
+
+    def subtract(self, *args, out):
+        return self._build(np.subtract, *args, out=out)
 
 
 class TestSortThreads:
@@ -453,6 +466,7 @@ class TestSortThreads:
         threads = max(1, min(3, n_boot // 2))
         assert three_cpus == ([threads] if threads > 1 else [])
         built = recorder.blocks
+        assert set(recorder.ops) == {"matmul"}
         assert sum(b.shape[0] for b in built) == n_boot
         assert min(b.shape[0] for b in built) >= min(2, n_boot)
         if blocks == "several" and n_boot >= 200:
@@ -535,6 +549,67 @@ class TestSortThreads:
             assert got.tobytes() == level(IBAND_QUANTILES, (estimator,))[0].tobytes()
         assert all(s > 0.0 for s in seconds)
         assert three_cpus == ([] if tied else [3] * 3)
+
+
+_MAX4 = sys.float_info.max / 4
+# signed zeros, subnormals, values near the sample bound and integer ties
+_edge_value = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, _MAX4, -_MAX4,
+                     np.nextafter(_MAX4, 0.0), -np.nextafter(_MAX4, 0.0)]),
+    st.integers(-3, 3).map(float),
+    st.floats(-_MAX4, _MAX4),
+)
+_edge_cell = st.lists(_edge_value, min_size=1, max_size=24).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_edge_cell, y=_edge_cell,
+       n_boot=st.sampled_from([1, 2]) | st.integers(1, 20).map(lambda k: 2 * k + 1),
+       estimators=st.sampled_from([("hd",), ("t7",), ("hd", "t7")]),
+       threads=st.sampled_from([1, 3]), several=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(x=np.array([-0.0]), y=np.array([0.0]), n_boot=1, estimators=("hd", "t7"),
+         threads=1, several=False, seed=0)
+@example(x=np.array([-0.0]), y=np.array([0.0, 0.0]), n_boot=7, estimators=("t7",),
+         threads=3, several=True, seed=0)
+@example(x=np.array([-0.0, 0.0, 5e-324, _MAX4]), y=np.array([-0.0, -_MAX4, 1.0]), n_boot=41,
+         estimators=("hd", "t7"), threads=3, several=True, seed=1)
+@example(x=np.array([-0.0, 0.0, 3.0]), y=np.array([0.0, 3.0]), n_boot=7,
+         estimators=("t7",), threads=3, several=True, seed=2)
+def test_blocked_build_matches_subtraction(x, y, n_boot, estimators, threads, several, seed):
+    """Every replicate's estimates are those of differences built by one
+    broadcast subtraction of the whole level, byte for byte, with one or
+    three threads and one or several blocks, each of two rows or more
+    unless B = 1."""
+    rng = np.random.default_rng(seed)
+    mx = x[rng.integers(0, x.size, (n_boot, x.size))]
+    my = y[rng.integers(0, y.size, (n_boot, y.size))]
+    expected = pairwise_quantiles_by_subtraction(mx, my, IBAND_QUANTILES, estimators)
+    block = 4 * x.size * y.size if several else pairwise_mod._BLOCK_ELEMENTS
+    with mock.patch.object(pairwise_mod, "_usable_cpus", lambda: threads), \
+            mock.patch.object(pairwise_mod, "_THREAD_ELEMENTS", 1), \
+            mock.patch.object(pairwise_mod, "_BLOCK_ELEMENTS", block):
+        got = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, estimators)
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("x0, y0, built_by", [
+    (-0.0, 0.0, "subtract"), (-0.0, -0.0, "matmul"), (0.0, 0.0, "matmul"), (0.0, -0.0, "matmul"),
+])
+def test_signed_zero_rule(monkeypatch, x0, y0, built_by):
+    """A product sum starts at +0.0, so -0.0 - (+0.0) would come out +0.0:
+    only a level with a -0.0 in x and a +0.0 in y is subtracted, and every
+    level keeps each difference's bits, zero signs included."""
+    x, y = np.array([x0, 1.5, -2.0]), np.array([y0, 1.5, 4.0])
+    mx, my = np.tile(x, (6, 1)), np.tile(y, (6, 1))
+    expected = pairwise_quantiles_by_subtraction(mx, my, IBAND_QUANTILES, ("hd", "t7"))
+    recorder = _BlockRecorder()
+    monkeypatch.setattr(pairwise_mod, "np", recorder)
+    got = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, ("hd", "t7"))
+    assert recorder.ops == [built_by]
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+    # the block holds the sorted differences; -0.0 and +0.0 sort in either order
+    built = np.sort(recorder.blocks[0].reshape(6, -1).view(np.int64), axis=1)
+    assert (built == np.sort((x[:, None] - y).ravel().view(np.int64))).all()
 
 
 class TestMedianDiffTest:

@@ -226,6 +226,16 @@ class TestConditions:
         with pytest.raises(ValueError, match=match):
             _null_condition(**kwargs)
 
+    def test_anova_has_no_bootstrap_config(self):
+        """The ANOVA baseline draws no bootstrap, and says so, on the first
+        ANOVA condition of the FWER desk grid as on any other."""
+        desk = Path(__file__).resolve().parents[1] / "experiments" / "fwer_desk.json"
+        anova = next(c for c in load_experiment(str(desk)) if c.method == "anova_means")
+        for cond in (anova, _null_condition(method="anova_means")):
+            with pytest.raises(ValueError, match="^anova_means draws no bootstrap"):
+                cond.bootstrap_config()
+        assert _null_condition().bootstrap_config(seed=4).seed == 4
+
     def test_numpy_integer_counts_pass(self):
         cond = _null_condition(n_per_group=np.int64(25), n_sims=np.int32(40),
                                n_boot=np.int64(400), seed=np.uint32(5))

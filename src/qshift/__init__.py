@@ -31,8 +31,6 @@ from .simulation import (
     anova_f_statistics,
     anova_f_test,
     load_experiment,
-    run_fwer,
-    run_power,
     sweep,
 )
 
@@ -75,8 +73,6 @@ __all__ = [
     "percentile_ci",
     "ph_probability",
     "read_long_csv",
-    "run_fwer",
-    "run_power",
     "signed_pvalue",
     "stream",
     "sweep",

@@ -41,8 +41,6 @@ __all__ = [
     "ExperimentError",
     "anova_f_test",
     "anova_f_statistics",
-    "run_fwer",
-    "run_power",
     "sweep",
     "load_experiment",
     "report_csv_rows",
@@ -401,24 +399,26 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
     The conditions that share a unit (see ``_unit_key``: the same method
     family, cells, sizes, iterations, replicates, seed and quantiles) share
     every iteration's data, resamples and sort, wherever they stand in the
-    list; a chunk runs a range of one unit's iterations.  ``workers`` is
-    capped at the largest ``n_sims``; at one, the chunks run in this
-    process.  Above one, the pool starts with the first unit and the
-    chunks of every unit are queued on it at once, in order of each unit's
-    first condition, so a worker never idles at a unit boundary.  A unit
-    that raises gives each of its conditions a report with the exception
-    on ``error`` (naming the others it was shared with) and NaN rates; its
-    queued chunks are cancelled and the sweep goes on.  A dead worker
-    breaks the pool and every chunk on it, and any of them may have killed
-    it, so the unit is rerun once, alone, on a fresh pool, and fails only
-    if that pool breaks too; the units after it are queued again.
+    list; a chunk runs a range of one unit's iterations.  ``workers``, an
+    integer of at least 1, is capped at the largest ``n_sims``; at one,
+    the chunks run in this process.  Above one, the pool starts with the
+    first unit and the chunks of every unit are queued on it at once, in
+    order of each unit's first condition, so a worker never idles at a
+    unit boundary.  A unit that raises gives each of its conditions a
+    report with the exception on ``error`` (naming the others it was
+    shared with) and NaN rates; its queued chunks are cancelled and the
+    sweep goes on.  A dead worker breaks the pool and every chunk on it,
+    and any of them may have killed it, so the unit is rerun once, alone,
+    on a fresh pool, and fails only if that pool breaks too; the units
+    after it are queued again.
     ``progress(i, condition, report)`` is called for each condition, in
     condition order, once its unit is done, when given.
     """
     conditions = list(conditions)
     if not conditions:
         raise ValueError("sweep needs at least one condition")
-    workers = 1 if workers is None else int(workers)
+    workers = 1 if workers is None else workers
+    _check_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, max(cond.n_sims for cond in conditions))
@@ -474,27 +474,6 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return reports
-
-
-def run_fwer(cond: SimCondition, workers: int | None = None) -> SimulationReport:
-    """Estimate the familywise Type I error rate of a null condition.
-
-    All four cell populations must be identical so every hypothesis in
-    the family is true.  A failure is a report, as in :func:`sweep`.
-    """
-    if cond.mode != "fwer":
-        raise ValueError("FWER conditions need four identical cell populations")
-    return sweep([cond], workers)[0]
-
-
-def run_power(cond: SimCondition, workers: int | None = None) -> SimulationReport:
-    """Estimate familywise power for a condition with unequal populations.
-
-    A failure is a report, as in :func:`sweep`.
-    """
-    if cond.mode != "power":
-        raise ValueError("power conditions need at least one differing cell population")
-    return sweep([cond], workers)[0]
 
 
 # --- experiment files -------------------------------------------------

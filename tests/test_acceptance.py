@@ -88,7 +88,7 @@ def test_c02_hd_oracle_equivalence():
 
 
 def test_c03_fwer_under_normality():
-    rep = qs.run_fwer(_null_cond(NORMAL, "decinter_hd", seed=1001), workers=WORKERS)
+    [rep] = qs.sweep([_null_cond(NORMAL, "decinter_hd", seed=1001)], workers=WORKERS)
     ok = rep.rate <= 0.075 and rep.rate_uncorrected <= 0.25
     _report("C3", ok, f"BH-corrected FWER = {rep.rate:.4f} (bound .075); "
                       f"uncorrected = {rep.rate_uncorrected:.4f} (bound .25)")
@@ -96,8 +96,8 @@ def test_c03_fwer_under_normality():
 
 
 def test_c04_tie_robustness_gap():
-    hd = qs.run_fwer(_null_cond(BETABIN, "decinter_hd", seed=1002), workers=WORKERS)
-    t7 = qs.run_fwer(_null_cond(BETABIN, "decinter_t7", seed=1002), workers=WORKERS)
+    hd, t7 = qs.sweep([_null_cond(BETABIN, method, seed=1002)
+                       for method in ("decinter_hd", "decinter_t7")], workers=WORKERS)
     gap = hd.rate - t7.rate
     sigma = float(np.hypot(hd.se, t7.se))
     interior_hd = float(np.mean(hd.per_quantile_rates[2:7]))
@@ -110,13 +110,12 @@ def test_c04_tie_robustness_gap():
 
 
 def test_c05_anova_baseline():
-    rates = {}
-    for contrast in ("main_a", "main_b", "interaction"):
-        cond = qs.SimCondition(
-            cell_specs=(NORMAL,) * 4, n_per_group=30, method="anova_means",
-            contrast=contrast, n_sims=2000, n_boot=600, seed=1010, name=contrast,
-        )
-        rates[contrast] = qs.run_fwer(cond, workers=WORKERS).rate
+    conditions = [qs.SimCondition(
+        cell_specs=(NORMAL,) * 4, n_per_group=30, method="anova_means",
+        contrast=contrast, n_sims=2000, n_boot=600, seed=1010, name=contrast,
+    ) for contrast in ("main_a", "main_b", "interaction")]
+    rates = {rep.condition.contrast: rep.rate
+             for rep in qs.sweep(conditions, workers=WORKERS)}
     ok_rates = all(0.035 <= r <= 0.065 for r in rates.values())
 
     rng = qs.stream(55, "c5-oracle")
@@ -134,15 +133,14 @@ def test_c05_anova_baseline():
 
 
 def test_c06_power_ordering():
-    results = {}
-    for kind, base in (("lognormal", LOGNORMAL), ("normal", NORMAL)):
-        specs = (base, base, base, qs.DistributionSpec(kind, shift=POWER_SHIFT))
-        for method in ("decinter_hd", "anova_means"):
-            cond = qs.SimCondition(
-                cell_specs=specs, n_per_group=100, method=method, correction="bh",
-                n_sims=1000, n_boot=600, seed=1003, name=f"{kind}-{method}",
-            )
-            results[(kind, method)] = qs.run_power(cond, workers=WORKERS)
+    conditions = [qs.SimCondition(
+        cell_specs=(base, base, base, qs.DistributionSpec(kind, shift=POWER_SHIFT)),
+        n_per_group=100, method=method, correction="bh",
+        n_sims=1000, n_boot=600, seed=1003, name=f"{kind}-{method}",
+    ) for kind, base in (("lognormal", LOGNORMAL), ("normal", NORMAL))
+        for method in ("decinter_hd", "anova_means")]
+    results = {(rep.condition.cell_specs[0].kind, rep.condition.method): rep
+               for rep in qs.sweep(conditions, workers=WORKERS)}
     def gap_over_sigma(a, b):
         return (a.rate - b.rate) / max(np.hypot(a.se, b.se), 1e-12)
     ln_margin = gap_over_sigma(results[("lognormal", "decinter_hd")],
@@ -160,10 +158,10 @@ def test_c06_power_ordering():
 
 @pytest.mark.slow
 def test_c07_iband_null_behavior():
-    null = qs.run_fwer(_null_cond(NORMAL, "iband_hd", seed=1004), workers=WORKERS)
+    null, hd, t7 = qs.sweep([_null_cond(NORMAL, "iband_hd", seed=1004),
+                             _null_cond(POISSON9, "iband_hd", seed=1005),
+                             _null_cond(POISSON9, "iband_t7", seed=1005)], workers=WORKERS)
     in_band = all(0.01 <= r <= 0.075 for r in null.per_quantile_rates)
-    hd = qs.run_fwer(_null_cond(POISSON9, "iband_hd", seed=1005), workers=WORKERS)
-    t7 = qs.run_fwer(_null_cond(POISSON9, "iband_t7", seed=1005), workers=WORKERS)
     dominates = all(a >= b for a, b in zip(hd.per_quantile_rates, t7.per_quantile_rates))
     ok = in_band and dominates
     _report("C7", ok, f"normal per-quantile rates {np.round(null.per_quantile_rates, 4).tolist()} "

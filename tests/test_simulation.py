@@ -29,8 +29,6 @@ from qshift import (
     anova_f_statistics,
     anova_f_test,
     load_experiment,
-    run_fwer,
-    run_power,
     stream,
     sweep,
 )
@@ -172,21 +170,14 @@ class TestConditions:
         shifted = _null_condition(cell_specs=(NORMAL,) * 3 + (DistributionSpec("normal", shift=1.0),))
         assert shifted.mode == "power"
 
-    def test_run_fwer_requires_null(self):
-        shifted = _null_condition(cell_specs=(NORMAL,) * 3 + (DistributionSpec("normal", shift=1.0),))
-        with pytest.raises(ValueError):
-            run_fwer(shifted)
-
-    def test_run_power_requires_difference(self):
-        with pytest.raises(ValueError):
-            run_power(_null_condition())
-
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_fwer_and_run_power_report_a_failure(self, workers):
+    def test_a_failure_is_a_report_in_either_mode(self, workers):
         null = _degenerate_anova()
         spec = null.cell_specs[0]
         shifted = replace(null, cell_specs=(spec,) * 3 + (replace(spec, shift=1.0),))
-        for rep, cond in ((run_fwer(null, workers), null), (run_power(shifted, workers), shifted)):
+        assert (null.mode, shifted.mode) == ("fwer", "power")
+        reports = sweep([null, shifted], workers)
+        for rep, cond in zip(reports, (null, shifted)):
             assert rep.error.startswith("DegenerateDataError")
             assert np.isnan([rep.rate, rep.se, rep.rate_uncorrected]).all()
             assert report_csv_rows([rep]) == report_csv_rows(sweep([cond], workers))
@@ -261,11 +252,11 @@ class TestRuns:
     def test_small_cells_do_not_warn_per_iteration(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_fwer(_null_condition(n_per_group=10, n_sims=20))
+            sweep([_null_condition(n_per_group=10, n_sims=20)])
         assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == []
 
     def test_report_shape(self):
-        rep = run_fwer(_null_condition(n_sims=30))
+        [rep] = sweep([_null_condition(n_sims=30)])
         assert 0.0 <= rep.rate <= 1.0
         assert rep.rate <= rep.rate_uncorrected
         assert len(rep.per_quantile_rates) == 9
@@ -273,20 +264,19 @@ class TestRuns:
         assert rep.se == pytest.approx(np.sqrt(rep.rate * (1 - rep.rate) / 30))
 
     def test_anova_report_has_no_quantile_rates(self):
-        rep = run_fwer(_null_condition(method="anova_means", n_sims=30))
+        [rep] = sweep([_null_condition(method="anova_means", n_sims=30)])
         assert rep.per_quantile_rates == ()
 
     def test_worker_count_does_not_change_results(self):
         cond = _null_condition(n_sims=60)
-        assert run_fwer(cond, workers=1) == run_fwer(cond, workers=2)
+        assert sweep([cond], workers=1) == sweep([cond], workers=2)
 
     def test_bh_power_dominates_hochberg(self):
         shifted = _null_condition(
             cell_specs=(NORMAL,) * 3 + (DistributionSpec("normal", shift=0.55),),
             n_per_group=40, n_sims=200, n_boot=400, seed=7,
         )
-        bh = run_power(shifted)
-        hoch = run_power(SimCondition(**{**shifted.__dict__, "correction": "hochberg"}))
+        bh, hoch = sweep([shifted, replace(shifted, correction="hochberg")])
         # same seed means the same simulated data, where BH rejection sets
         # contain Hochberg's, so the dominance is deterministic
         assert bh.rate >= hoch.rate
@@ -336,8 +326,7 @@ class TestRuns:
         assert failed.error.startswith("DegenerateDataError")
         assert np.isnan(failed.rate) and np.isnan(failed.se)
         assert failed.per_quantile_rates == ()
-        assert before == run_fwer(good)
-        assert after == run_fwer(baseline)
+        assert [before, after] == sweep([good, baseline])
 
     def test_parallel_sweep_equals_serial(self):
         conditions = [
@@ -387,8 +376,7 @@ class TestRuns:
         reports = sweep([before, dies, after], workers=2)
         assert reports[1].error.startswith("BrokenProcessPool")
         assert np.isnan(reports[1].rate)
-        assert reports[0] == run_fwer(before)
-        assert reports[2] == run_fwer(after)
+        assert [reports[0], reports[2]] == sweep([before, after])
 
     def test_dead_worker_while_an_earlier_condition_runs(self, monkeypatch, tmp_path, pools):
         iterate = qshift.simulation._iterate
@@ -418,10 +406,9 @@ class TestRuns:
         # the first pool broke under the slow condition, which was rerun
         # alone (pool 2); the dying one broke pool 2 and its rerun (pool 3)
         assert pools == [2, 2, 2, 2]
-        assert reports[0] == run_fwer(slow)
+        assert [reports[0], reports[2]] == sweep([slow, after])
         assert reports[1].error.startswith("BrokenProcessPool")
         assert np.isnan(reports[1].rate)
-        assert reports[2] == run_fwer(after)
 
     def test_reports_come_in_order_after_a_slow_first_condition(self, monkeypatch):
         iterate = qshift.simulation._iterate
@@ -450,11 +437,17 @@ class TestRuns:
         assert sum(r.wall_time for r in parallel) <= elapsed
 
     @pytest.mark.parametrize("names", [("before", "anova", "dies"), ("dies",)])
-    def test_dead_worker_in_the_last_condition(self, monkeypatch, pools, names):
+    def test_dead_worker_in_the_last_condition(self, monkeypatch, tmp_path, pools, names):
         iterate = qshift.simulation._iterate
+        reported = [tmp_path / name for name in names[:-1]]
 
         def dying_iterate(cond, i, siblings=()):
             if cond.name == "dies":
+                # die only once every earlier unit is reported, so that none
+                # of their chunks is lost with the pool and rerun
+                deadline = time.monotonic() + 60.0
+                while not all(p.exists() for p in reported) and time.monotonic() < deadline:
+                    time.sleep(0.005)
                 os._exit(1)
             return iterate(cond, i, siblings=())
 
@@ -464,7 +457,8 @@ class TestRuns:
         conditions = [_null_condition(method=methods[name], n_sims=6, n_boot=100,
                                       seed=seeds[name], name=name)
                       for name in names]
-        reports = sweep(conditions, workers=2)
+        reports = sweep(conditions, workers=2,
+                        progress=lambda i, cond, rep: (tmp_path / cond.name).touch())
         # nothing is queued after it, yet the condition is rerun once on a
         # fresh pool, which breaks too
         assert pools == [2, 2]
@@ -580,11 +574,20 @@ class TestRuns:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             sweep([_null_condition(n_sims=2)], workers=workers)
 
+    @pytest.mark.parametrize("workers", [1.9, 2.0, "2", True])
+    def test_non_integer_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            sweep([_null_condition(n_sims=2)], workers=workers)
+
+    def test_numpy_integer_workers_pass(self):
+        cond = _null_condition(method="anova_means", n_sims=4)
+        assert sweep([cond], workers=np.int64(2)) == sweep([cond], workers=1)
+
     def test_uncorrected_family_needs_no_correction(self):
         shifted = _null_condition(
             cell_specs=(NORMAL,) * 3 + (DistributionSpec("normal", shift=1.0),),
             correction="none", n_sims=30)
-        rep = run_power(shifted)
+        [rep] = sweep([shifted])
         assert rep.rate == rep.rate_uncorrected > 0.0
 
     def test_per_decile_rates_narrow_with_n(self):
@@ -793,7 +796,7 @@ class TestExperimentFiles:
 
 class TestReportSerialization:
     def test_csv_rows_and_metadata(self):
-        rep = run_fwer(_null_condition(n_sims=10))
+        [rep] = sweep([_null_condition(n_sims=10)])
         rows = report_csv_rows([rep])
         assert rows[0][0] == "null"
         assert rows[0][1] == "fwer"
@@ -842,7 +845,7 @@ class TestReportSerialization:
         assert csv_one == csv_default
         assert threads_one == (1 if loaded else None)
         assert threads_default is None or threads_default >= 1
-        report = run_fwer(_null_condition(method="anova_means", n_sims=2))
+        [report] = sweep([_null_condition(method="anova_means", n_sims=2)])
         monkeypatch.setattr(qshift.simulation, "_OPENBLAS", "libno_such_blas_")
         assert report_metadata([report])["run"]["blas_threads"] is None
 

@@ -112,7 +112,9 @@ def generate(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.nda
         x = rng.binomial(spec.nbin - 1, p).astype(float)
     elif kind == "g_and_h":
         z = rng.standard_normal(n)
-        tail = np.exp(spec.h * z * z / 2.0)
+        # an overflow to inf is reported by the bound check below
+        with np.errstate(over="ignore"):
+            tail = np.exp(spec.h * z * z / 2.0)
         if spec.g == 0.0:
             x = z * tail
         else:

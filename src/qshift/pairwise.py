@@ -15,11 +15,15 @@ two cells hold V1 and V2 distinct values with V1*V2 at most a quarter of
 n1*n2 (counts, ratings, rounded data), the differences are counted
 instead of built and sorted: the histogram of a replicate's differences
 follows from the counts of the two cells' values among its resample
-indices, and its cumulative counts give the order statistics.  The rule reads the two cells' distinct values, not the
-resamples, so it is deterministic: the same cells take the same path at
-every B and seed.  The counting path is exact up to summation order:
-type-7 estimates are bit-identical to the sort, Harrell-Davis estimates
-differ in the last bits.  Continuous cells always take the sort.
+indices, and its cumulative counts give the order statistics.  A
+Harrell-Davis window sums only the distinct differences that some
+replicate's window reaches, and the counts are int32 below 2^31
+differences (int64 from there up).  The rule reads the two cells'
+distinct values, not the resamples, so it is deterministic: the same
+cells take the same path at every B and seed.  The counting path is
+exact up to summation order: type-7 estimates are bit-identical to the
+sort, Harrell-Davis estimates differ in the last bits.  Continuous cells
+always take the sort.
 
 The sort runs on one thread per usable CPU (the affinity mask, so
 ``taskset`` limits it) once each thread has 2^20 differences or more, as
@@ -92,8 +96,9 @@ _BLOCK_ELEMENTS = 1 << 17
 _THREAD_ELEMENTS = 1 << 20
 
 # value pairs times replicates in one block of the counting path: its
-# (pairs, rows) count products, 2 MB of int64 at most, are reused across
-# blocks instead of being mapped and faulted in afresh on every call
+# (pairs, rows) count products, 1 MB of int32 at most (2 MB of int64 from
+# 2^31 differences up), are reused across blocks instead of being mapped
+# and faulted in afresh on every call
 _COUNT_ELEMENTS = 1 << 18
 
 # counting beats sorting once the distinct value pairs are this many times
@@ -280,14 +285,15 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     return outs
 
 
-def _value_counts(inverse: np.ndarray, index: np.ndarray, n_values: int) -> np.ndarray:
+def _value_counts(inverse: np.ndarray, index: np.ndarray, n_values: int, dtype) -> np.ndarray:
     """(n_values, rows) occurrences of each value in each row of ``index``,
-    where element e of the cell is value ``inverse[e]``."""
+    as ``dtype``, where element e of the cell is value ``inverse[e]``."""
     rows = index.shape[0]
     # value v in row r counts at v * rows + r: one gather and one in-place add
     key = np.take(inverse * rows, index)
     key += np.arange(rows)[:, None]
-    return np.bincount(key.ravel(), minlength=n_values * rows).reshape(n_values, rows)
+    counts = np.bincount(key.ravel(), minlength=n_values * rows)
+    return counts.astype(dtype, copy=False).reshape(n_values, rows)
 
 
 def _diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles: tuple, estimators,
@@ -302,19 +308,25 @@ def _diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles: tuple, estimator
     pairs of each distinct difference, in ascending order, gives the exact
     cumulative counts of the n1*n2 sorted differences without building
     them.  A value no replicate draws has count zero and changes no bit.
+    No product or cumulative count exceeds n1*n2, so they are int32 below
+    2^31 differences, which halves the traffic of the (pairs, rows)
+    products, and int64 from there up.
     """
     diffs = (ux[:, None] - uy[None, :]).ravel()
     order = np.argsort(diffs, kind="stable")
     i, h = np.divmod(order, uy.size)
     values, first = np.unique(diffs[order], return_index=True)
     n_boot = ix.shape[0]
+    dtype = np.int32 if vx.size * vy.size < 1 << 31 else np.int64
     outs = [np.empty((n_boot, len(quantiles))) for _ in estimators]
     step = max(1, _COUNT_ELEMENTS // diffs.size)
     for start in range(0, n_boot, step):
         stop = min(start + step, n_boot)
-        cx = _value_counts(vx, ix[start:stop], ux.size)
-        cy = _value_counts(vy, iy[start:stop], uy.size)
-        cum = np.add.reduceat(cx[i] * cy[h], first, axis=0).cumsum(axis=0)
+        cx = _value_counts(vx, ix[start:stop], ux.size, dtype)
+        cy = _value_counts(vy, iy[start:stop], uy.size, dtype)
+        # reduceat and cumsum would widen int32 to int64 unless told not to
+        cum = np.add.reduceat(cx[i] * cy[h], first, axis=0, dtype=dtype)
+        np.cumsum(cum, axis=0, out=cum)
         reduced = _by_estimator(lambda e: _from_cumulative_counts(values, cum, quantiles, e),
                                 estimators, seconds)
         for out, r in zip(outs, reduced):

@@ -386,18 +386,27 @@ def _mirror_pairs(rows: np.ndarray, lo: int, w: np.ndarray, out: np.ndarray) -> 
         out[r] = pairs
 
 
-def _window_masses(n: int, lo: int, w: np.ndarray) -> tuple:
-    """(below, above), each of length n + 1: the weight of window
-    (lo, w) on the order statistics below j, and on those from j up, each
-    summed from the window's near end."""
-    hi = lo + w.size
-    below = np.zeros(n + 1)
-    np.cumsum(w, out=below[lo + 1:hi + 1])
-    below[hi + 1:] = below[hi]
-    above = np.zeros(n + 1)
-    above[lo:hi] = np.cumsum(w[::-1])[::-1]
-    above[:lo] = above[lo]
-    return below, above
+@lru_cache(maxsize=512)
+def _window_masses(n: int, quantiles: tuple) -> tuple:
+    """Per level of ``_hd_weight_matrix(n, quantiles)``, (lo, below, above,
+    rest): for window (lo, w), tables of length w.size + 1 that order
+    statistic j reads at i = clip(j - lo, 0, w.size).  ``below[i]`` is the
+    window's weight on its first i order statistics and ``above[i]`` that
+    on its order statistics from lo + i up, each summed from the window's
+    near end.  ``rest[i]`` is the weight from lo + i up as a mass that ends
+    in the upper half subtracts it: ``above[i]`` from the upper half on,
+    ``above[0] - below[i]`` below it."""
+    out = []
+    for lo, w in _hd_weight_matrix(n, quantiles).windows:
+        below = np.zeros(w.size + 1)
+        np.cumsum(w, out=below[1:])
+        above = np.zeros(w.size + 1)
+        above[:-1] = np.cumsum(w[::-1])[::-1]
+        rest = np.where(np.arange(w.size + 1) >= w.size - w.size // 2, above, above[0] - below)
+        for table in (below, above, rest):
+            table.setflags(write=False)
+        out.append((lo, below, above, rest))
+    return tuple(out)
 
 
 @lru_cache(maxsize=512)
@@ -484,11 +493,19 @@ def _from_cumulative_counts(values: np.ndarray, cum: np.ndarray, quantiles: tupl
 
     ``values`` holds D ascending distinct values, and ``cum[k, r]`` is how
     many elements of row r are at most ``values[k]``, so the last line of
-    the (D, m) matrix holds the row length n >= 2.  Type 7 reads the same
-    two order statistics as the sorted rows, so it is bit-identical;
-    Harrell-Davis weighs each value by the window mass of its order
-    statistics, which changes only the summation order, and gives exactly
-    zero where the sorted rows do.
+    the (D, m) integer matrix holds the row length n >= 2.  Type 7 reads
+    the same two order statistics as the sorted rows, so it is
+    bit-identical; Harrell-Davis weighs each value by the window mass of
+    its order statistics, which changes only the summation order, and
+    gives exactly zero where the sorted rows do.
+
+    A window sums only the values k0 .. k1 that some row's window reaches.
+    Every other value has mass exactly +0.0 in every row, so its term is a
+    zero and leaves a nonzero partial sum as it is; the kept terms keep
+    their order, so the sum comes out bit for bit, save the sign of an
+    exact zero.  A sum is -0.0 only when every term is, so where a left-out
+    value has its sign bit clear, the window adds the +0.0 its term would
+    have added.
     """
     n = int(cum[-1, 0])
     if estimator == HARRELL_DAVIS:
@@ -498,21 +515,37 @@ def _from_cumulative_counts(values: np.ndarray, cum: np.ndarray, quantiles: tupl
         # masses sums to exactly zero, and a value of zero mass leaves the
         # bits of the estimate unchanged
         order = np.lexsort((values > 0.0, np.abs(values)))
-        terms = values[order, None]
+        # both non-decreasing in k: value k reaches some row's window
+        # (lo, w) iff top[k] > lo and (k == 0 or bottom[k - 1] < lo + w.size)
+        top, bottom = cum.max(axis=1), cum.min(axis=1)
         out = np.empty((cum.shape[1], len(quantiles)))
-        for j, (lo, w) in enumerate(_hd_weight_matrix(n, quantiles).windows):
+        for j, (lo, below_w, above_w, rest_w) in enumerate(_window_masses(n, quantiles)):
+            size = below_w.size - 1
+            k0 = int(np.searchsorted(top, lo, side="right"))
+            k1 = min(int(np.searchsorted(bottom, lo + size - 1, side="right")), values.size - 1)
             # value k holds order statistics c0 .. c1 - 1 of each row; its
-            # mass is a difference of the window weight below c1 and c0 in
-            # the lower half of the window and of that from c0 and c1 up in
-            # the upper half, so neither tail loses its digits and mirror-
-            # image runs of a mirrored window get equal masses
-            below, above = (t[bounds] for t in _window_masses(n, lo, w))
+            # mass is a difference of the window weight below c1 and c0
+            # where c1 ends in the lower half of the window, and of that
+            # from c0 and c1 up elsewhere, so neither tail loses its digits
+            # and mirror-image runs of a mirrored window get equal masses
+            at = np.clip(bounds[k0:k1 + 2] - lo, 0, size)
+            below = np.take(below_w, at)
             mass = below[1:] - below[:-1]
-            upper = bounds[:-1] >= lo + w.size - w.size // 2
-            np.subtract(above[:-1], above[1:], out=mass, where=upper)
-            across = ~upper & (bounds[1:] > lo + w.size // 2)
-            np.subtract(above[0] - below[:-1], above[1:], out=mass, where=across)
-            out[:, j] = (mass[order] * terms).cumsum(axis=0)[-1]
+            np.subtract(np.take(rest_w, at[:-1]), np.take(above_w, at[1:]), out=mass,
+                        where=at[1:] > size // 2)
+            kept = order[(order >= k0) & (order <= k1)]
+            terms = mass[kept - k0] * values[kept, None]
+            # one value at a time, in order: cumsum's bits, summed along
+            # the contiguous rows
+            total = terms[0]
+            for term in terms[1:]:
+                total += term
+            # values are ascending, so a left-out value has its sign bit
+            # clear iff the nearest one below k0 or the largest above k1 has
+            if ((k0 > 0 and not np.signbit(values[k0 - 1]))
+                    or (k1 + 1 < values.size and not np.signbit(values[-1]))):
+                total += 0.0
+            out[:, j] = total
         return out
     if estimator == TYPE7:
         cols, g = _t7_interp(n, quantiles)

@@ -393,6 +393,13 @@ def _failed_reports(unit: tuple, exc: Exception) -> list:
     return reports
 
 
+def _check_workers(workers) -> None:
+    """Reject a worker count that is not an integer of at least 1."""
+    _check_integer("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def sweep(conditions, workers: int | None = None, progress=None) -> list:
     """Run every condition on at most one process pool, reporting in order.
 
@@ -418,9 +425,7 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
     if not conditions:
         raise ValueError("sweep needs at least one condition")
     workers = 1 if workers is None else workers
-    _check_integer("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_workers(workers)
     workers = min(workers, max(cond.n_sims for cond in conditions))
     units = _units(conditions)
     groups = [tuple(conditions[k] for k in members) for members in units]
@@ -636,10 +641,15 @@ def report_metadata(reports, workers: int | None = None) -> dict:
     The ``run`` block holds the facts of the run that do not change the
     numbers: versions, BLAS and its thread count in this process (null
     where no scipy-openblas library is loaded), the worker count the
-    sweep was given, and each condition's wall time and iterations per
-    second (null for a failed condition).
+    sweep was given (null when not given; otherwise an integer of at
+    least 1, as ``sweep`` takes it), and each condition's wall time and
+    iterations per second (null for a failed condition).
     """
     from . import __version__
+
+    if workers is not None:
+        _check_workers(workers)
+        workers = int(workers)
 
     return {
         "schema_version": 1,

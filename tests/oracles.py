@@ -7,7 +7,9 @@ interval (in mpmath for the multiprecision weights), the ANOVA F
 statistics come from explicit textbook sums computed with plain Python
 floats, the type-7 quantile is read off one sorted sample at a time,
 the order statistics of counted samples are ranked by comparing every
-count with every rank, the pairwise differences of resampled cells are
+count with every rank, the Harrell-Davis estimates of counted samples sum
+every distinct value's term with masses laid out over all n + 1 order
+statistics (not only the values each window reaches), the pairwise differences of resampled cells are
 built by one broadcast subtraction (not the library's blocked product),
 and the generic bootstrap calls a scalar statistic once per replicate
 on the library's own resamples.  The
@@ -31,7 +33,7 @@ from qshift.bootstrap import _cell_resample_matrices
 from qshift.design import INTERACTION, MAIN_A, MAIN_B, FactorialSample
 from qshift.distributions import generate
 from qshift.multcomp import _validate_pvalues
-from qshift.quantiles import _from_sorted_rows
+from qshift.quantiles import _from_sorted_rows, _hd_weight_matrix
 from qshift.rng import stream
 from qshift.simulation import anova_f_test
 
@@ -245,6 +247,41 @@ def counted_value_ranks(cum, ranks) -> np.ndarray:
     number of values k with cum[k, r] <= j, from a comparison of every
     count with every rank."""
     return (cum[:, :, None] <= np.asarray(ranks)).sum(axis=0)
+
+
+def hd_from_counts_dense(values, cum, quantiles) -> np.ndarray:
+    """Harrell-Davis estimates of the rows that ``cum`` counts over the
+    ascending distinct ``values`` (as in ``_from_cumulative_counts``),
+    every window summed over every value.
+
+    Each window's weight below and from every order statistic is laid out
+    over all n + 1 boundaries, a value's mass is a difference of the two
+    at its first and one-past-last order statistic (in the lower half of
+    the window of the weight below, elsewhere of the weight from there
+    up), and the terms of all D values are accumulated with one cumsum in
+    |value| order, each negative value before its positive mirror.
+    """
+    n = int(cum[-1, 0])
+    bounds = np.concatenate([np.zeros((1, cum.shape[1]), dtype=cum.dtype), cum])
+    order = np.lexsort((values > 0.0, np.abs(values)))
+    terms = values[order, None]
+    out = np.empty((cum.shape[1], len(quantiles)))
+    for j, (lo, w) in enumerate(_hd_weight_matrix(n, tuple(quantiles)).windows):
+        hi = lo + w.size
+        below = np.zeros(n + 1)
+        np.cumsum(w, out=below[lo + 1:hi + 1])
+        below[hi + 1:] = below[hi]
+        above = np.zeros(n + 1)
+        above[lo:hi] = np.cumsum(w[::-1])[::-1]
+        above[:lo] = above[lo]
+        below, above = below[bounds], above[bounds]
+        mass = below[1:] - below[:-1]
+        upper = bounds[:-1] >= hi - w.size // 2
+        np.subtract(above[:-1], above[1:], out=mass, where=upper)
+        across = ~upper & (bounds[1:] > lo + w.size // 2)
+        np.subtract(above[0] - below[:-1], above[1:], out=mass, where=across)
+        out[:, j] = (mass[order] * terms).cumsum(axis=0)[-1]
+    return out
 
 
 def pairwise_quantiles_by_subtraction(mx, my, quantiles, estimators) -> list:

@@ -1,5 +1,7 @@
 """Tests for the all-pairwise-difference quantile tests."""
 
+import bisect
+import itertools
 import math
 import multiprocessing
 import sys
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 import qshift.pairwise as pairwise_mod
 
 from qshift import (
+    DECILES,
     BootstrapConfig,
     FactorialSample,
     IBAND_QUANTILES,
@@ -30,6 +33,7 @@ from qshift.rng import derive_seed
 
 from oracles import (
     bootstrap_statistic,
+    hd_from_counts_dense,
     pairwise_quantiles_by_subtraction,
     transposed,
     type7_quantile,
@@ -339,6 +343,107 @@ def test_values_no_replicate_draws_change_no_bit(estimator, seed):
     else:
         np.testing.assert_allclose(counted, by_sort, rtol=1e-12, atol=1e-12 * 5.5)
         np.testing.assert_array_equal(counted == 0.0, by_sort == 0.0)
+
+
+# 2-24 draws from at most five lattice points: the smallest cells give a
+# few differences, where every window spans every value
+_small_lattice_cell = st.tuples(
+    st.sampled_from([1.0, 0.5]),
+    st.lists(st.integers(-2, 2), min_size=2, max_size=24),
+).map(lambda c: c[0] * np.array(c[1], dtype=float))
+
+
+@pytest.mark.parametrize("quantiles", [DECILES, IBAND_QUANTILES], ids=["deciles", "iband"])
+@settings(max_examples=80, deadline=None)
+@given(x=_small_lattice_cell, y=_small_lattice_cell, mirrored=st.booleans(),
+       negative_zero=st.booleans(), undrawn=st.sampled_from([None, -7.5, 0.25, 7.5]),
+       rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@example(x=np.array([-1.0, 0.0, 0.0, 1.0] * 3), y=np.zeros(6),
+         mirrored=False, negative_zero=True, undrawn=7.5, rows=8, seed=0)
+# the median's window reaches only the -0.0 differences, and the +0.0
+# term of the difference 1 it leaves out makes the full sum +0.0
+@example(x=np.array([-1.0, 1.0] + [0.0] * 18), y=np.zeros(20),
+         mirrored=False, negative_zero=True, undrawn=None, rows=1, seed=0)
+def test_counted_hd_sums_only_the_values_its_windows_reach(quantiles, x, y, mirrored,
+                                                           negative_zero, undrawn, rows, seed):
+    """Each Harrell-Davis window of the counting path, summed over only the
+    distinct differences some row's window reaches, gives the bits of the
+    sum over every distinct difference, signs of exact zeros included: on
+    cells mirrored about zero, with a -0.0 among the differences, with a
+    value no row draws, and for the one row of a point estimate."""
+    if mirrored:
+        y = x.copy()
+    if negative_zero:
+        x = np.where(x == 0.0, -0.0, x)
+    rng = np.random.default_rng(seed)
+    n1, n2 = x.size, y.size
+    if rows == 1:
+        ix, iy = np.arange(n1)[None, :], np.arange(n2)[None, :]
+    else:
+        ix, iy = rng.integers(0, n1, (rows, n1)), rng.integers(0, n2, (rows, n2))
+    if undrawn is not None:
+        x = np.append(x, undrawn)  # an element no row lists
+    ux, vx = np.unique(x, return_inverse=True)
+    uy, vy = np.unique(y, return_inverse=True)
+    calls = []
+    original = pairwise_mod._from_cumulative_counts
+
+    def checked(values, cum, levels, estimator):
+        out = original(values, cum, levels, estimator)
+        dense = hd_from_counts_dense(values, cum, levels)
+        assert out.tobytes() == dense.tobytes(), np.flatnonzero(out.ravel() != dense.ravel())
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(dense))
+        calls.append(cum.shape[1])
+        return out
+
+    with mock.patch.object(pairwise_mod, "_from_cumulative_counts", checked):
+        pairwise_mod._diff_quantiles_by_count(ux, vx, ix, uy, vy, iy, quantiles, ("hd",))
+    assert sum(calls) == rows
+
+
+def test_counts_past_int32_stay_exact():
+    """Type-7 iband on four cells of 46,400 values in {0, 1, 2}: their
+    46,400^2 differences pass 2^31, so counts and cumulative counts are
+    int64, and every estimate equals the one ranked with exact integer
+    counts.  Each level's estimate lies strictly inside the range of the
+    differences, where a wrapped int32 total would rank every order
+    statistic at the lowest value."""
+    n = 46_400
+    assert n * n >= 1 << 31
+    cells = [(np.arange(n) // (c + 1)) % 3.0 for c in range(4)]
+    quantiles = (0.2, 0.5, 0.8)
+    config = BootstrapConfig(n_boot=40, seed=1, estimator="t7", quantiles=quantiles)
+    h = (n * n - 1) * np.array(quantiles)
+    j = np.floor(h)
+
+    def estimate(cx, cy):
+        """Type 7 of the differences of a sample holding value v cx[v] times
+        and one holding it cy[v] times, ranked with Python integers."""
+        counts = {}
+        for a, b in itertools.product(range(3), repeat=2):
+            counts[a - b] = counts.get(a - b, 0) + int(cx[a]) * int(cy[b])
+        values = sorted(counts)
+        cum = list(itertools.accumulate(counts[v] for v in values))
+        lo, hi = (np.array([values[bisect.bisect_right(cum, r + up)] for r in j.astype(int)],
+                           dtype=float) for up in (0, 1))
+        return lo + (h - j) * (hi - lo)
+
+    def counts(c, index):
+        """Per value of {0, 1, 2}, its count in each row of cell c's ``index``."""
+        return [np.count_nonzero(cells[c][index] == v, axis=-1) for v in range(3)]
+
+    rows = iband(FactorialSample.from_cells(*cells), config)
+    star = pairwise_mod._iband_star(cells, config, ("t7",))[0]
+    points, replicates = [], []
+    for level in (0, 2):
+        points.append(estimate(counts(level, np.arange(n)), counts(level + 1, np.arange(n))))
+        assert np.all((points[-1] > -2.0) & (points[-1] < 2.0))
+        cx = counts(level, _resample_indices(config, level, n))
+        cy = counts(level + 1, _resample_indices(config, level + 1, n))
+        replicates.append(np.array([estimate([c[b] for c in cx], [c[b] for c in cy])
+                                    for b in range(config.n_boot)]))
+    assert [(r.est_lev1, r.est_lev2) for r in rows] == list(zip(*(p.tolist() for p in points)))
+    assert star.tobytes() == (replicates[0] - replicates[1]).tobytes()
 
 
 @pytest.mark.parametrize("x,y,seed", [

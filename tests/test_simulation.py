@@ -819,6 +819,18 @@ class TestReportSerialization:
         assert ok["iters_per_s"] == pytest.approx(4 / reports[0].wall_time)
         assert failed == {"name": "degenerate", "wall_time_s": 0.0, "iters_per_s": None}
 
+    @pytest.mark.parametrize("workers", [1.9, "2", True, 0, -1])
+    def test_metadata_rejects_a_worker_count_sweep_rejects(self, workers):
+        [report] = sweep([_null_condition(method="anova_means", n_sims=2)])
+        with pytest.raises(ValueError, match="workers must be"):
+            report_metadata([report], workers=workers)
+
+    def test_metadata_worker_count_is_a_json_integer_or_null(self):
+        [report] = sweep([_null_condition(method="anova_means", n_sims=2)])
+        assert report_metadata([report])["run"]["workers"] is None
+        run = json.loads(json.dumps(report_metadata([report], workers=np.int64(3))["run"]))
+        assert run["workers"] == 3
+
     def test_metadata_records_blas_threads(self, monkeypatch, tmp_path):
         """blas_threads is the loaded scipy-openblas library's own count,
         1 under OPENBLAS_NUM_THREADS=1, and null where no such library is

@@ -35,16 +35,20 @@ differences (1 MB), so a block is built, sorted and reduced while
 it stays in the core's cache, and a level's scratch is about 1 MB per
 thread whatever B is.  Type 7 gathers its order statistics from each
 block and interpolates once per level.  The counting path and the
-one-row point estimates stay on one thread.
+one-row point estimates stay on one thread.  So does a Harrell-Davis
+level whose weights are dense (n1*n2 up to about 157 for the iband
+quantiles, 257 for a lone median): the last bits of a row of the dense
+product depend on how many rows are multiplied with it, so all B rows are
+one block, of B*n1*n2 differences (2.5 MB at n1*n2 = 157, B = 2,000).
 
 A block's differences are built as one batched matrix product: the rows
 [x_i, 1] of each replicate times its columns [1, -y_j].  Both products
 are exact, so each difference is rounded once, as by a subtraction, and
 every bit is kept, whatever BLAS and however many BLAS threads run it.
-The one exception is a signed zero: a product sum starts at +0.0, so
--0.0 - (+0.0) comes out +0.0.  A level whose first cell's resamples hold
-a -0.0 and whose second cell's hold a +0.0 is therefore built by
-subtraction.  Each thread keeps the two operands of one block, tens of KB.
+A product sum starts at +0.0, so a difference of equal values is +0.0;
+the samples hold no -0.0 (see ``_as_sample``), so that is the
+subtraction's bit too.  Each thread keeps the two operands of one block,
+tens of KB.
 """
 
 import functools
@@ -65,11 +69,12 @@ from .bootstrap import (
     signed_pvalue,
 )
 from .quantiles import (
+    HARRELL_DAVIS,
     TYPE7,
     _as_sample,
-    _build_weights,
     _from_cumulative_counts,
     _from_sorted_rows,
+    _hd_weight_matrix,
     _t7_from_order_stats,
     _t7_interp,
 )
@@ -185,19 +190,6 @@ def _level(x: np.ndarray, y: np.ndarray, rows: int, draw):
     return functools.partial(_diff_quantiles_by_block, mx, my)
 
 
-def _product_is_exact(mx: np.ndarray, my: np.ndarray) -> bool:
-    """Whether the product [x_i, 1] . [1, -y_j] gives every difference
-    x_i - y_j of a level bit for bit.
-
-    Both products are exact, so the sum rounds as the subtraction does,
-    but it starts at +0.0: -0.0 - (+0.0) comes out +0.0, not -0.0.  No
-    other pair differs, so only a level whose x holds a -0.0 and whose y
-    holds a +0.0 is not exact.
-    """
-    negative_zero_in_x = np.signbit(mx[mx == 0.0]).any()
-    return not negative_zero_in_x or np.signbit(my[my == 0.0]).all()
-
-
 def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimators,
                              seconds=None) -> list:
     """Sorted-difference quantile estimates for each replicate, one
@@ -206,17 +198,20 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     ``mx`` and ``my`` are (B, n1) and (B, n2) resample matrices; replicate
     b pairs row b of each, and its differences are built and sorted.  A
     block's differences are one batched product of its rows [x_i, 1] and
-    columns [1, -y_j] (see ``_product_is_exact``), which pays numpy's
-    per-loop cost once per block where a broadcast subtraction pays it
-    once per n2 differences.  The replicates are split into contiguous
-    parts, one per thread (see ``_sort_threads``), and each part into
-    equal blocks of at most ``_BLOCK_ELEMENTS`` differences, each built,
-    sorted and reduced while it stays in cache.  Type 7 only gathers its order statistics from each
+    columns [1, -y_j], which pays numpy's per-loop cost once per block
+    where a broadcast subtraction pays it once per n2 differences.  Both
+    products are exact and the sum starts at +0.0, so each difference has
+    the bits of x_i - y_j for samples without -0.0 (see ``_as_sample``).
+    The replicates are split into contiguous parts, one per thread (see
+    ``_sort_threads``), and each part into equal blocks of at most
+    ``_BLOCK_ELEMENTS`` differences, each built, sorted and reduced while
+    it stays in cache.  Type 7 only gathers its order statistics from each
     block and interpolates them once, after the last.  A replicate's
-    estimates depend on its own row only, so neither split changes a bit:
-    the one exception, the dense Harrell-Davis product of a lone row
-    (matrix-vector, not matrix-matrix bits), cannot occur while every part
-    and block holds two rows or more.
+    windowed estimates depend on its own row only, so neither split
+    changes a bit.  The last bits of a row of the dense Harrell-Davis
+    product depend on how many rows are multiplied with it (OpenBLAS's
+    Haswell and Zen kernels), so a level whose weights are dense is one
+    block of all B rows on one thread.
     """
     quantiles = tuple(quantiles)
     (n_boot, n1), n2 = mx.shape, my.shape[1]
@@ -224,35 +219,31 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     cols, g = _t7_interp(n_pairs, quantiles)
     outs = [np.empty((n_boot, cols.size if e == TYPE7 else len(quantiles)))
             for e in estimators]
-    threads = _sort_threads(n_boot, n_pairs)
+    # building the weights here also fills the cache before any thread reads it
+    dense = HARRELL_DAVIS in estimators and _hd_weight_matrix(n_pairs, quantiles).dense is not None
+    threads = 1 if dense else _sort_threads(n_boot, n_pairs)
     spent = [[0.0] * len(estimators) for _ in range(threads)]
     parts = [n_boot * t // threads for t in range(threads + 1)]
-    step = max(1, min(-(-n_boot // threads), _BLOCK_ELEMENTS // n_pairs))
+    step = n_boot if dense else max(1, min(-(-n_boot // threads), _BLOCK_ELEMENTS // n_pairs))
     # one scratch buffer for every block of every thread, freed as one:
     # a fresh block per step would fault in its pages again
     buf = np.empty((threads, step, n1, n2))
-    by_product = _product_is_exact(mx, my)
 
     def sort_part(t: int) -> None:
         lo, size = parts[t], parts[t + 1] - parts[t]
         blocks = -(-size // step)
-        if by_product:
-            # the operands [x_i, 1] and [1, -y_j] of one block, per thread:
-            # tens of KB, where a level's operands would add MBs of peak RSS
-            xs, ys = np.empty((step, n1, 2)), np.empty((step, 2, n2))
-            xs[:, :, 1] = 1.0
-            ys[:, 0] = 1.0
+        # the operands [x_i, 1] and [1, -y_j] of one block, per thread:
+        # tens of KB, where a level's operands would add MBs of peak RSS
+        # (a dense level's one block holds (n1 + n2) * 2 * B doubles)
+        xs, ys = np.empty((step, n1, 2)), np.empty((step, 2, n2))
+        xs[:, :, 1] = 1.0
+        ys[:, 0] = 1.0
         for i in range(blocks):
             start, stop = lo + size * i // blocks, lo + size * (i + 1) // blocks
             rows = stop - start
-            if by_product:
-                xs[:rows, :, 0] = mx[start:stop]
-                np.negative(my[start:stop], out=ys[:rows, 1])
-                d = np.matmul(xs[:rows], ys[:rows], out=buf[t, :rows])
-            else:
-                d = np.subtract(mx[start:stop, :, None], my[start:stop, None, :],
-                                out=buf[t, :rows])
-            d = d.reshape(rows, n_pairs)
+            xs[:rows, :, 0] = mx[start:stop]
+            np.negative(my[start:stop], out=ys[:rows, 1])
+            d = np.matmul(xs[:rows], ys[:rows], out=buf[t, :rows]).reshape(rows, n_pairs)
             d.sort(axis=1)
 
             def reduce(k: int) -> None:
@@ -268,7 +259,6 @@ def _diff_quantiles_by_block(mx: np.ndarray, my: np.ndarray, quantiles, estimato
     if threads == 1:
         sort_part(0)
     else:
-        _build_weights(n_pairs, quantiles, estimators)
         # a pool per call: an idle pool kept across calls would be
         # inherited by the sweep's forked workers
         with ThreadPoolExecutor(threads) as pool:
@@ -341,8 +331,9 @@ def _point_quantiles(x: np.ndarray, y: np.ndarray, quantiles, estimator) -> np.n
 
 def _resampled_level(cells, first: int, config: BootstrapConfig):
     """``_level`` of cells ``first`` and ``first + 1``, each resampled from
-    its own (seed, cell) stream."""
-    x, y = (np.asarray(cells[i], dtype=float) for i in (first, first + 1))
+    its own (seed, cell) stream.  A simulated cell does not pass through
+    ``_as_sample``, so -0.0 is read as +0.0 here too."""
+    x, y = (np.asarray(cells[i], dtype=float) + 0.0 for i in (first, first + 1))
     return _level(x, y, config.n_boot,
                   lambda i, n: _resample_indices(config, first + i, n))
 

@@ -232,12 +232,14 @@ def _check_quantile(q: float) -> float:
 
 
 def _as_sample(values, name: str) -> np.ndarray:
-    """``values`` as a flat float array.
+    """``values`` as a flat float array, with -0.0 read as +0.0.
 
     Rejects an empty sample, and one holding NaN, infinity or a value
-    beyond ``_MAX_ABS`` in magnitude.
+    beyond ``_MAX_ABS`` in magnitude.  No estimand tells -0.0 from +0.0,
+    so the sign of zero ends here: adding +0.0 maps -0.0 to +0.0 and keeps
+    every other value's bits.
     """
-    xs = np.asarray(values, dtype=float).ravel()
+    xs = np.asarray(values, dtype=float).ravel() + 0.0
     if xs.size == 0:
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.abs(xs) <= _MAX_ABS):  # false on NaN too
@@ -449,18 +451,6 @@ def _value_ranks(cum: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return found
 
 
-def _build_weights(n: int, quantiles: tuple, estimators) -> None:
-    """Fill the cache that ``_from_sorted_rows`` reads for rows of length n
-    (type 7's gather needs none).
-
-    An ``lru_cache`` is not a lock: threads that miss together each build
-    the weights, so a caller about to reduce on several threads builds
-    them first.
-    """
-    if HARRELL_DAVIS in estimators:
-        _hd_weight_matrix(n, quantiles)
-
-
 def _from_sorted_rows(rows: np.ndarray, quantiles: tuple, estimator: str) -> np.ndarray:
     """Quantile estimates for every row of an already-sorted (m, n) matrix.
 
@@ -501,11 +491,9 @@ def _from_cumulative_counts(values: np.ndarray, cum: np.ndarray, quantiles: tupl
 
     A window sums only the values k0 .. k1 that some row's window reaches.
     Every other value has mass exactly +0.0 in every row, so its term is a
-    zero and leaves a nonzero partial sum as it is; the kept terms keep
-    their order, so the sum comes out bit for bit, save the sign of an
-    exact zero.  A sum is -0.0 only when every term is, so where a left-out
-    value has its sign bit clear, the window adds the +0.0 its term would
-    have added.
+    signed zero.  The sum starts at +0.0, as a product sum does, so no
+    partial sum is ever -0.0 and no zero term, kept or left out, changes
+    one; the kept terms keep their order, so the sum comes out bit for bit.
     """
     n = int(cum[-1, 0])
     if estimator == HARRELL_DAVIS:
@@ -535,16 +523,11 @@ def _from_cumulative_counts(values: np.ndarray, cum: np.ndarray, quantiles: tupl
                         where=at[1:] > size // 2)
             kept = order[(order >= k0) & (order <= k1)]
             terms = mass[kept - k0] * values[kept, None]
-            # one value at a time, in order: cumsum's bits, summed along
-            # the contiguous rows
-            total = terms[0]
-            for term in terms[1:]:
+            # one value at a time, in order, from +0.0 as the sorted rows'
+            # products start: cumsum's bits, summed along the contiguous rows
+            total = np.zeros(cum.shape[1])
+            for term in terms:
                 total += term
-            # values are ascending, so a left-out value has its sign bit
-            # clear iff the nearest one below k0 or the largest above k1 has
-            if ((k0 > 0 and not np.signbit(values[k0 - 1]))
-                    or (k1 + 1 < values.size and not np.signbit(values[-1]))):
-                total += 0.0
             out[:, j] = total
         return out
     if estimator == TYPE7:

@@ -28,6 +28,8 @@ def _coerce_tag(tag) -> int:
 
 
 def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     key = tuple(_coerce_tag(t) for t in path)

@@ -259,7 +259,8 @@ def hd_from_counts_dense(values, cum, quantiles) -> np.ndarray:
     at its first and one-past-last order statistic (in the lower half of
     the window of the weight below, elsewhere of the weight from there
     up), and the terms of all D values are accumulated with one cumsum in
-    |value| order, each negative value before its positive mirror.
+    |value| order, each negative value before its positive mirror, from
+    +0.0 as a product sum starts.
     """
     n = int(cum[-1, 0])
     bounds = np.concatenate([np.zeros((1, cum.shape[1]), dtype=cum.dtype), cum])
@@ -280,7 +281,7 @@ def hd_from_counts_dense(values, cum, quantiles) -> np.ndarray:
         np.subtract(above[:-1], above[1:], out=mass, where=upper)
         across = ~upper & (bounds[1:] > lo + w.size // 2)
         np.subtract(above[0] - below[:-1], above[1:], out=mass, where=across)
-        out[:, j] = (mass[order] * terms).cumsum(axis=0)[-1]
+        out[:, j] = (mass[order] * terms).cumsum(axis=0)[-1] + 0.0
     return out
 
 

@@ -19,6 +19,15 @@ its estimate and CI bounds.  ``plotdata`` prints six significant digits, so a
 value there may move only to an adjacent six-digit neighbour; its
 differences and CI bounds are the ``decinter`` rows, which are compared at
 full precision.
+
+The committed Harrell-Davis bytes are not those of a fresh run on every
+host.  On an Intel Xeon with AVX-512 (OpenBLAS 0.3.31 choosing its
+SkylakeX kernels), a fresh run differs from 12 committed HD files by up
+to 1.73e-13 of the row scale, and from 13 under
+``OPENBLAS_CORETYPE=Haswell``, all inside the 1e-12 rule.  So a claim
+that a change moves no bit compares fresh runs of the parent and of the
+change on one host (``bless_golden.py`` lists the same files and moves
+for both), not a fresh run with these files.
 """
 
 import contextlib

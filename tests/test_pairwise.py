@@ -4,6 +4,7 @@ import bisect
 import itertools
 import math
 import multiprocessing
+import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import astuple, replace
@@ -21,6 +22,8 @@ from qshift import (
     BootstrapConfig,
     FactorialSample,
     IBAND_QUANTILES,
+    decinter,
+    estimate_quantiles,
     hd_quantile,
     iband,
     median_diff_test,
@@ -88,22 +91,56 @@ class TestPairwiseDifferences:
 @pytest.mark.parametrize("estimator", ["hd", "t7"])
 def test_one_observation_per_cell(estimator):
     """With N = 1 every replicate holds the one difference of each level,
-    and each estimate is that difference.  Type 7 returns the lone element
-    itself, so a -0.0 keeps its sign; Harrell-Davis weighs it by 1 in a
-    sum that starts at +0.0."""
+    and each estimate is that difference.  A sample's -0.0 is read as
+    +0.0, so the difference -0.0 - 0.0 is +0.0 for either estimator."""
     config = BootstrapConfig(n_boot=40, seed=2, estimator=estimator)
-    zero = -0.0 if estimator == "t7" else 0.0
     rows = iband(FactorialSample.from_cells([3.0], [0.5], [-0.0], [0.0]), config)
     assert [r.q for r in rows] == list(IBAND_QUANTILES)
     for r in rows:
         assert (r.est_lev1, r.dif, r.ci_low, r.ci_high, r.p_value, r.p_adjusted) == (
             2.5, 2.5, 2.5, 2.5, 0.0, 0.0)
-        assert math.copysign(1.0, r.est_lev2) == math.copysign(1.0, zero) and r.est_lev2 == 0.0
+        assert math.copysign(1.0, r.est_lev2) == 1.0 and r.est_lev2 == 0.0
     for (x, y), expected in [(([1.5], [4.0]), (-2.5, -2.5, -2.5, 0.0)),
-                             (([-0.0], [0.0]), (zero, zero, zero, 1.0))]:
+                             (([-0.0], [0.0]), (0.0, 0.0, 0.0, 1.0))]:
         result = astuple(median_diff_test(x, y, config))
         assert result == expected
         assert [math.copysign(1.0, v) for v in result] == [math.copysign(1.0, v) for v in expected]
+
+
+# 1-12 (value, flip) draws: integer ties with zeros, or continuous values
+# with zeros; a flipped zero is given as -0.0
+_flip_cell = (st.lists(st.tuples(st.integers(-2, 2).map(float), st.booleans()),
+                       min_size=1, max_size=12)
+              | st.lists(st.tuples(st.just(0.0) | st.floats(-5.0, 5.0), st.booleans()),
+                         min_size=1, max_size=12))
+
+
+@pytest.mark.filterwarnings("ignore:smallest cell:UserWarning")
+@pytest.mark.parametrize("estimator", ["hd", "t7"])
+@settings(max_examples=30, deadline=None)
+@given(cells=st.lists(_flip_cell, min_size=4, max_size=4))
+@example(cells=[[(3.0, False)], [(0.5, False)], [(0.0, True)], [(0.0, False)]])
+# tied levels, counted from the cells' distinct values
+@example(cells=[[(0.0, True), (1.0, False)] * 6, [(0.0, False), (1.0, False)] * 6] * 2)
+def test_negative_zero_reads_as_zero(estimator, cells):
+    """A sample with some zeros given as -0.0 gives the bytes of the same
+    sample with +0.0 everywhere: decinter, iband, median_diff_test,
+    estimate_quantiles and the resampled iband levels a simulation reads."""
+    plus = [np.array([v for v, _ in c]) + 0.0 for c in cells]
+    minus = [np.array([-0.0 if v == 0.0 and flip else v for v, flip in c]) for c in cells]
+    config = BootstrapConfig(n_boot=40, seed=1, estimator=estimator)
+
+    def results(cells):
+        sample = FactorialSample.from_cells(*cells)
+        return pickle.dumps((
+            decinter(sample, config=config), iband(sample, config),
+            [median_diff_test(cells[i], cells[i + 1], config) for i in (0, 2)],
+            [estimate_quantiles(c, DECILES, estimator) for c in cells],
+            pairwise_mod._iband_star(cells, replace(config, quantiles=IBAND_QUANTILES),
+                                     ("hd", "t7")),
+        ))
+
+    assert results(minus) == results(plus)
 
 
 @pytest.mark.parametrize("bad", [[], [1.0, np.nan], [np.inf, 1.0]], ids=["empty", "nan", "inf"])
@@ -356,25 +393,25 @@ _small_lattice_cell = st.tuples(
 @pytest.mark.parametrize("quantiles", [DECILES, IBAND_QUANTILES], ids=["deciles", "iband"])
 @settings(max_examples=80, deadline=None)
 @given(x=_small_lattice_cell, y=_small_lattice_cell, mirrored=st.booleans(),
-       negative_zero=st.booleans(), undrawn=st.sampled_from([None, -7.5, 0.25, 7.5]),
+       undrawn=st.sampled_from([None, -7.5, 0.25, 7.5]),
        rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
 @example(x=np.array([-1.0, 0.0, 0.0, 1.0] * 3), y=np.zeros(6),
-         mirrored=False, negative_zero=True, undrawn=7.5, rows=8, seed=0)
-# the median's window reaches only the -0.0 differences, and the +0.0
-# term of the difference 1 it leaves out makes the full sum +0.0
-@example(x=np.array([-1.0, 1.0] + [0.0] * 18), y=np.zeros(20),
-         mirrored=False, negative_zero=True, undrawn=None, rows=1, seed=0)
+         mirrored=False, undrawn=7.5, rows=8, seed=0)
+# the differences are -m * 5e-324 for m = 1..7, and 1.0: the lowest
+# window reaches only negative ones, and weights each by less than 1/(2m),
+# so every kept term underflows to -0.0; the sum over every value is +0.0,
+# and so is the kept terms' sum from +0.0
+@example(x=np.array([0.0, 1.0]), y=5e-324 * np.array([1.0] * 38 + [2, 3, 4, 5, 6] + [7] * 5),
+         mirrored=False, undrawn=None, rows=1, seed=0)
 def test_counted_hd_sums_only_the_values_its_windows_reach(quantiles, x, y, mirrored,
-                                                           negative_zero, undrawn, rows, seed):
+                                                           undrawn, rows, seed):
     """Each Harrell-Davis window of the counting path, summed over only the
     distinct differences some row's window reaches, gives the bits of the
     sum over every distinct difference, signs of exact zeros included: on
-    cells mirrored about zero, with a -0.0 among the differences, with a
-    value no row draws, and for the one row of a point estimate."""
+    cells mirrored about zero, with a value no row draws, for the one row
+    of a point estimate, and where every kept term underflows to -0.0."""
     if mirrored:
         y = x.copy()
-    if negative_zero:
-        x = np.where(x == 0.0, -0.0, x)
     rng = np.random.default_rng(seed)
     n1, n2 = x.size, y.size
     if rows == 1:
@@ -519,7 +556,7 @@ def _on_one_thread(fn, *args):
 class _BlockRecorder:
     """numpy as ``pairwise`` sees it, keeping the scratch view that each
     block of differences is built into, and the name of the operation
-    that built it: the product, or the subtraction of a signed-zero level."""
+    that built it: the product, or a subtraction."""
 
     def __init__(self):
         self.blocks, self.ops = [], []
@@ -549,8 +586,11 @@ class TestSortThreads:
         Every block is built in one shared scratch buffer holding at most
         ``_BLOCK_ELEMENTS`` differences per thread, or one row.  No block
         holds a lone row of several: the dense product would reduce it with
-        matrix-vector bits.  Harrell-Davis reduces each block as it is
-        sorted; type 7 reads its order statistics with no call per block."""
+        matrix-vector bits.  A Harrell-Davis level with dense weights starts
+        no pool and is one block of all rows, since the dense product's
+        bits depend on its row count.  Harrell-Davis reduces each block as
+        it is sorted; type 7 reads its order statistics with no call per
+        block."""
         if blocks == "several":
             # nine rows per block on every thread
             monkeypatch.setattr(pairwise_mod, "_BLOCK_ELEMENTS", 9 * n * (n + 1))
@@ -568,19 +608,25 @@ class TestSortThreads:
                             lambda d, *a: reduced.append(d) or reduce(d, *a))
         got = pairwise_mod._diff_quantiles_by_block(*args)
         np.testing.assert_array_equal(got, expected)
-        threads = max(1, min(3, n_boot // 2))
+        n_pairs = n * (n + 1)
+        dense = (estimator == "hd"
+                 and pairwise_mod._hd_weight_matrix(n_pairs, IBAND_QUANTILES).dense is not None)
+        assert dense == (estimator == "hd" and n == 10)
+        threads = 1 if dense else max(1, min(3, n_boot // 2))
         assert three_cpus == ([threads] if threads > 1 else [])
         built = recorder.blocks
         assert set(recorder.ops) == {"matmul"}
         assert sum(b.shape[0] for b in built) == n_boot
-        assert min(b.shape[0] for b in built) >= min(2, n_boot)
-        if blocks == "several" and n_boot >= 200:
-            assert len(built) > 3 * threads
         scratch = {id(b.base): b.base.size for b in built}
         assert len(scratch) == 1
-        n_pairs = n * (n + 1)
-        assert max(b.size for b in built) <= max(pairwise_mod._BLOCK_ELEMENTS, n_pairs)
-        assert scratch.popitem()[1] <= threads * max(pairwise_mod._BLOCK_ELEMENTS, n_pairs)
+        if dense:
+            assert len(built) == 1 and scratch.popitem()[1] == n_boot * n_pairs
+        else:
+            assert min(b.shape[0] for b in built) >= min(2, n_boot)
+            if blocks == "several" and n_boot >= 200:
+                assert len(built) > 3 * threads
+            assert max(b.size for b in built) <= max(pairwise_mod._BLOCK_ELEMENTS, n_pairs)
+            assert scratch.popitem()[1] <= threads * max(pairwise_mod._BLOCK_ELEMENTS, n_pairs)
         shapes = sorted((b.shape[0], n_pairs) for b in built) if estimator == "hd" else []
         assert sorted(d.shape for d in reduced) == shapes
 
@@ -657,14 +703,15 @@ class TestSortThreads:
 
 
 _MAX4 = sys.float_info.max / 4
-# signed zeros, subnormals, values near the sample bound and integer ties
+# zeros, subnormals, values near the sample bound and integer ties; no
+# -0.0, which a sample reads as +0.0 where it enters
 _edge_value = st.one_of(
-    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, _MAX4, -_MAX4,
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, _MAX4, -_MAX4,
                      np.nextafter(_MAX4, 0.0), -np.nextafter(_MAX4, 0.0)]),
     st.integers(-3, 3).map(float),
     st.floats(-_MAX4, _MAX4),
 )
-_edge_cell = st.lists(_edge_value, min_size=1, max_size=24).map(np.array)
+_edge_cell = st.lists(_edge_value, min_size=1, max_size=24).map(lambda c: np.array(c) + 0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -672,14 +719,18 @@ _edge_cell = st.lists(_edge_value, min_size=1, max_size=24).map(np.array)
        n_boot=st.sampled_from([1, 2]) | st.integers(1, 20).map(lambda k: 2 * k + 1),
        estimators=st.sampled_from([("hd",), ("t7",), ("hd", "t7")]),
        threads=st.sampled_from([1, 3]), several=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(x=np.array([-0.0]), y=np.array([0.0]), n_boot=1, estimators=("hd", "t7"),
+@example(x=np.array([0.0]), y=np.array([0.0]), n_boot=1, estimators=("hd", "t7"),
          threads=1, several=False, seed=0)
-@example(x=np.array([-0.0]), y=np.array([0.0, 0.0]), n_boot=7, estimators=("t7",),
+@example(x=np.array([0.0]), y=np.array([0.0, 0.0]), n_boot=7, estimators=("t7",),
          threads=3, several=True, seed=0)
-@example(x=np.array([-0.0, 0.0, 5e-324, _MAX4]), y=np.array([-0.0, -_MAX4, 1.0]), n_boot=41,
+@example(x=np.array([0.0, 5e-324, _MAX4]), y=np.array([0.0, -_MAX4, 1.0]), n_boot=41,
          estimators=("hd", "t7"), threads=3, several=True, seed=1)
-@example(x=np.array([-0.0, 0.0, 3.0]), y=np.array([0.0, 3.0]), n_boot=7,
+@example(x=np.array([0.0, 3.0]), y=np.array([0.0, 3.0]), n_boot=7,
          estimators=("t7",), threads=3, several=True, seed=2)
+# a dense Harrell-Davis level of many rows: its blocks would hold three,
+# whose product rows differ in the last bits from those of one product
+@example(x=np.arange(12.0), y=np.linspace(0.0, 1.0, 12), n_boot=41,
+         estimators=("hd",), threads=3, several=True, seed=3)
 def test_blocked_build_matches_subtraction(x, y, n_boot, estimators, threads, several, seed):
     """Every replicate's estimates are those of differences built by one
     broadcast subtraction of the whole level, byte for byte, with one or
@@ -698,23 +749,25 @@ def test_blocked_build_matches_subtraction(x, y, n_boot, estimators, threads, se
 
 
 @pytest.mark.parametrize("x0, y0, built_by", [
-    (-0.0, 0.0, "subtract"), (-0.0, -0.0, "matmul"), (0.0, 0.0, "matmul"), (0.0, -0.0, "matmul"),
+    (-0.0, 0.0, "matmul"), (-0.0, -0.0, "matmul"), (0.0, 0.0, "matmul"), (0.0, -0.0, "matmul"),
 ])
 def test_signed_zero_rule(monkeypatch, x0, y0, built_by):
-    """A product sum starts at +0.0, so -0.0 - (+0.0) would come out +0.0:
-    only a level with a -0.0 in x and a +0.0 in y is subtracted, and every
-    level keeps each difference's bits, zero signs included."""
+    """A resampled level reads a -0.0 as +0.0, so every level is built by
+    the product, and each difference has the bits of the subtraction of
+    the cells with +0.0: a difference of equal values is +0.0."""
     x, y = np.array([x0, 1.5, -2.0]), np.array([y0, 1.5, 4.0])
-    mx, my = np.tile(x, (6, 1)), np.tile(y, (6, 1))
+    config = BootstrapConfig(n_boot=40, seed=3)
+    ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)
+    mx, my = (x + 0.0)[ix], (y + 0.0)[iy]
+    assert ((mx == 0.0).any(axis=1) & (my == 0.0).any(axis=1)).any()
     expected = pairwise_quantiles_by_subtraction(mx, my, IBAND_QUANTILES, ("hd", "t7"))
     recorder = _BlockRecorder()
     monkeypatch.setattr(pairwise_mod, "np", recorder)
-    got = pairwise_mod._diff_quantiles_by_block(mx, my, IBAND_QUANTILES, ("hd", "t7"))
+    got = pairwise_mod._resampled_level((x, y), 0, config)(IBAND_QUANTILES, ("hd", "t7"))
     assert recorder.ops == [built_by]
     assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-    # the block holds the sorted differences; -0.0 and +0.0 sort in either order
-    built = np.sort(recorder.blocks[0].reshape(6, -1).view(np.int64), axis=1)
-    assert (built == np.sort((x[:, None] - y).ravel().view(np.int64))).all()
+    built = recorder.blocks[0].reshape(40, -1)  # the sorted differences
+    assert built.tobytes() == np.sort((mx[:, :, None] - my[:, None, :]).reshape(40, -1)).tobytes()
 
 
 class TestMedianDiffTest:

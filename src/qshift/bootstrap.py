@@ -157,15 +157,24 @@ def _by_estimator(reduce, estimators, seconds=None) -> list:
     return results
 
 
+def _as_replicates(values) -> np.ndarray:
+    """``values`` as a float array with the replicates along its first axis."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0:
+        raise ValueError("bootstrap replicates must be an array, not a scalar")
+    return values
+
+
 def signed_pvalue(values):
     """Two-sided sign-count p-value of bootstrap replicates.
 
     With A replicates below zero and D exactly zero out of B, computes
     P = A/B + 0.5 D/B and returns 2 min(P, 1 - P).  The D term keeps the
     p-value calibrated when tied values make exact zeros likely.  A 1-D
-    input gives a float; a (B, Q) matrix gives one p-value per column.
+    input gives a float; a (B, Q) matrix gives one p-value per column; a
+    scalar, an empty input or a NaN replicate raises ValueError.
     """
-    values = np.asarray(values, dtype=float)
+    values = _as_replicates(values)
     if values.size == 0:
         raise ValueError("bootstrap distribution is empty")
     if np.isnan(values).any():  # neither below nor at zero: it would count as > 0
@@ -185,9 +194,9 @@ def percentile_ci(values, alpha: float) -> tuple:
     With l = alpha*B/2 rounded to the nearest integer (ties to even) and
     u = B - l, returns the (l+1)-th and u-th order statistics of the
     replicate values: floats for a 1-D input, one bound per column for a
-    (B, Q) matrix.
+    (B, Q) matrix; a scalar, too few replicates or a NaN raises ValueError.
     """
-    values = np.sort(np.asarray(values, dtype=float), axis=0)
+    values = np.sort(_as_replicates(values), axis=0)
     if np.isnan(values[-1:]).any():  # NaN sorts last, as if the largest replicate
         raise ValueError("bootstrap replicates contain NaN")
     b = values.shape[0]

@@ -236,13 +236,13 @@ class SimulationReport:
     ``wall_time`` is the condition's share of its unit's interval, in
     proportion to the seconds its chunks spent on the condition's own
     work: its estimator's reduction, split evenly among the conditions
-    that share the estimator, plus its p-values and decision.  So the
-    shares of siblings are coupled: a condition's ``wall_time`` moves
-    when a sibling's own work gets faster or slower, even if its own
-    does not.  A condition alone in its unit gets the whole interval.  A
-    failed condition reports 0, and the time up to its failure is
-    charged to no condition.  Wall time is informational and excluded
-    from equality.
+    that share the estimator, its p-values, and its part of each chunk's
+    decision (an ANOVA condition's only work).  So the shares of siblings
+    are coupled: a condition's ``wall_time`` moves when a sibling's own
+    work gets faster or slower, even if its own does not.  A condition
+    alone in its unit gets the whole interval.  A failed condition
+    reports 0, and the time up to its failure is charged to no
+    condition.  Wall time is informational and excluded from equality.
     """
 
     condition: SimCondition
@@ -266,14 +266,13 @@ def _unit_key(cond: SimCondition) -> tuple:
 def _iterate(cond: SimCondition, i: int, siblings: tuple = ()):
     """Run iteration i of the unit ``(cond, *siblings)``.
 
-    The cells are generated, resampled and sorted once; each estimator the
-    unit uses reduces them once, and each condition decides from its own
-    p-values.  Returns one (rejected_corrected, rejected_uncorrected, per_q,
-    own_s) per condition, ``cond`` first.  ``own_s`` is the seconds of the
-    condition's own work: its estimator's reduction, split evenly among the
-    conditions that share the estimator, plus its p-values and decision.
-    An ANOVA unit's iteration returns ``anova_f_statistics`` of its cells
-    instead; ``_run_chunk`` turns them into p-values and decisions.
+    The cells are generated, resampled and sorted once, and each estimator
+    the unit uses reduces them once.  Returns one (p-values, own_s) per
+    condition, ``cond`` first: the p-values of its quantile family, and the
+    seconds of its own work, its estimator's reduction (split evenly among
+    the conditions that share the estimator) plus its p-values.  An ANOVA
+    unit's iteration returns ``anova_f_statistics`` of its cells instead.
+    Nothing is decided here: ``_run_chunk`` decides the chunk.
     """
     unit = (cond, *siblings)
     cells = [
@@ -283,54 +282,49 @@ def _iterate(cond: SimCondition, i: int, siblings: tuple = ()):
     if cond.method == "anova_means":
         return anova_f_statistics(cells)
 
-    outcomes = []
+    pvalues = []
     methods = [member.method for member in unit]
     estimators = tuple(dict.fromkeys(m.partition("_")[2] for m in methods))
     seconds = [0.0] * len(estimators)
     config = cond.bootstrap_config(seed=derive_seed(cond.seed, "boot", i))
     decinter = cond.method.startswith("decinter")
-    if decinter:
-        thetas = _cell_thetas(cells, config, estimators, seconds)
-    else:
-        stars = _iband_star(cells, config, estimators, seconds)
+    reduced = (_cell_thetas if decinter else _iband_star)(cells, config, estimators, seconds)
     for member, method in zip(unit, methods):
         k = estimators.index(method.partition("_")[2])
         start = time.perf_counter()
-        star = contrast_value(thetas[k], member.contrast)[2] if decinter else stars[k]
-        pvals = signed_pvalue(star)
-        per_q = pvals <= member.alpha
-        # the rule the analysis tables print: reject where p.adj <= alpha
-        corrected = adjust_pvalues(pvals, member.correction) <= member.alpha
-        own = time.perf_counter() - start + seconds[k] / methods.count(method)
-        outcomes.append((bool(corrected.any()), bool(per_q.any()), per_q, own))
-    return outcomes
+        star = contrast_value(reduced[k], member.contrast)[2] if decinter else reduced[k]
+        own = seconds[k] / methods.count(method)
+        pvalues.append((signed_pvalue(star), own + time.perf_counter() - start))
+    return pvalues
 
 
 def _run_chunk(args):
     """Per condition of the unit, (n_corrected, n_uncorrected, per_q, own_s)
-    summed over the iterations start .. stop - 1.
+    over the iterations start .. stop - 1: the sweep's one decision site.
 
-    An ANOVA unit's F statistics of all the chunk's iterations become
-    p-values in one ``_f_sf`` call; each condition then decides its
-    contrast at its alpha, and its ``own_s`` is that decision's seconds.
+    Each condition's p-values form one (iterations, C) matrix; an ANOVA
+    condition's one column comes from the chunk's one ``_f_sf`` call.
+    Every condition decides alike: a level is hit where its p-value is at
+    most alpha, an iteration rejects where an adjusted p-value is (the
+    tables' rule).  ``own_s`` adds the decision's seconds to its
+    iterations' own (the F tails are charged to no condition).
     """
     unit, start, stop = args
+    outcomes = [_iterate(unit[0], i, unit[1:]) for i in range(start, stop)]
     if unit[0].method == "anova_means":
-        stats = [_iterate(unit[0], i, unit[1:]) for i in range(start, stop)]
-        pvals = _f_sf([f for f, _ in stats], stats[0][1])
-        totals = []
-        for member in unit:
-            mark = time.perf_counter()
-            rejected = int(np.count_nonzero(
-                pvals[:, _EFFECTS.index(member.contrast)] <= member.alpha))
-            totals.append((rejected, rejected, np.zeros(0, dtype=np.int64),
-                           time.perf_counter() - mark))
-        return totals
-    totals = [(0, 0, np.zeros(len(cond.quantiles), dtype=np.int64), 0.0) for cond in unit]
-    for i in range(start, stop):
-        outcomes = _iterate(unit[0], i, unit[1:])
-        totals = [tuple(a + b for a, b in zip(total, outcome))
-                  for total, outcome in zip(totals, outcomes)]
+        pvals = _f_sf([f for f, _ in outcomes], outcomes[0][1])
+        chunk = [(pvals[:, [_EFFECTS.index(member.contrast)]], 0.0) for member in unit]
+    else:
+        chunk = [(np.stack([p for p, _ in its]), sum(own for _, own in its))
+                 for its in zip(*outcomes)]
+    totals = []
+    for member, (pvals, own) in zip(unit, chunk):
+        mark = time.perf_counter()
+        hits = pvals <= member.alpha
+        rejected = adjust_pvalues(pvals, member.correction) <= member.alpha
+        per_q = hits[:, :len(member.quantiles)].sum(axis=0)
+        totals.append((int(rejected.any(axis=1).sum()), int(hits.any(axis=1).sum()), per_q,
+                       own + time.perf_counter() - mark))
     return totals
 
 
@@ -358,38 +352,27 @@ def _unit_reports(unit: tuple, chunks, interval: float) -> list:
             for cond, total in zip(unit, totals)]
 
 
-def _report(cond: SimCondition, totals, wall_time: float) -> SimulationReport:
+def _report(cond: SimCondition, totals, wall_time: float, error=None) -> SimulationReport:
     n_corr, n_uncorr, per_q, _ = totals
-    rate = n_corr / cond.n_sims
-    return SimulationReport(
-        condition=cond,
-        rate=rate,
-        se=math.sqrt(rate * (1.0 - rate) / cond.n_sims),
-        rate_uncorrected=n_uncorr / cond.n_sims,
-        per_quantile_rates=tuple((per_q / cond.n_sims).tolist()),
-        n_sims=cond.n_sims,
-        wall_time=wall_time,
-    )
+    n = cond.n_sims
+    rate = n_corr / n
+    return SimulationReport(condition=cond, rate=rate, se=math.sqrt(rate * (1.0 - rate) / n),
+                            rate_uncorrected=n_uncorr / n,
+                            per_quantile_rates=tuple((per_q / n).tolist()), n_sims=n,
+                            wall_time=wall_time, error=error)
 
 
 def _failed_reports(unit: tuple, exc: Exception) -> list:
-    """A failed report for each condition of the unit; each names the others."""
+    """A failed report for each condition of the unit, with NaN rates; each
+    names the others."""
     reports = []
     for k, cond in enumerate(unit):
         error = f"{type(exc).__name__}: {exc}"
         others = [member.name for j, member in enumerate(unit) if j != k]
         if others:
             error += f" (shared with {', '.join(others)})"
-        reports.append(SimulationReport(
-            condition=cond,
-            rate=float("nan"),
-            se=float("nan"),
-            rate_uncorrected=float("nan"),
-            per_quantile_rates=(float("nan"),) * len(cond.quantiles),
-            n_sims=cond.n_sims,
-            wall_time=0.0,
-            error=error,
-        ))
+        totals = (math.nan, math.nan, np.full(len(cond.quantiles), math.nan), 0.0)
+        reports.append(_report(cond, totals, 0.0, error))
     return reports
 
 
@@ -503,10 +486,10 @@ def _parse_cells(cells, shifts) -> tuple:
     return tuple(specs)
 
 
-def _grid_values(values, key: str) -> list:
-    if values is None or values == []:
-        raise ValueError(f"missing or empty {key!r}")
-    return values if isinstance(values, list) else [values]
+# the fields an experiment entry may list, each with the name suffix of a
+# value in a list of more than one; each field expands outside the ones
+# before it, and its suffix goes before theirs
+_GRID_FIELDS = (("n_per_group", "-n{}"), ("method", "-{}"))
 
 
 def load_experiment(source) -> list:
@@ -549,25 +532,25 @@ def load_experiment(source) -> list:
             rest = {"seed": master, "name": f"cond{idx}", **defaults, **entry}
             specs = _parse_cells(rest.pop("cells", None), rest.pop("shifts", None))
             declared = rest.pop("mode", None)
-            n_values = _grid_values(rest.pop("n_per_group", None), "n_per_group")
-            methods = _grid_values(rest.pop("method", None), "method")
+            grid = [("", {})]  # (name suffix, grid fields) of each condition
+            for key, template in _GRID_FIELDS:
+                values = rest.pop(key, None)
+                if values is None or values == []:
+                    raise ValueError(f"missing or empty {key!r}")
+                values = values if isinstance(values, list) else [values]
+                tag = template if len(values) > 1 else ""
+                grid = [(tag.format(v) + suffix, {key: v, **fields})
+                        for v in values for suffix, fields in grid]
             name = rest.pop("name")
-            for method in methods:
-                for n in n_values:
-                    suffix = ""
-                    if len(methods) > 1:
-                        suffix += f"-{method}"
-                    if len(n_values) > 1:
-                        suffix += f"-n{n}"
-                    cond = SimCondition(cell_specs=specs, n_per_group=n, method=method,
-                                        name=name + suffix, **rest)
-                    if declared is not None and declared != cond.mode:
-                        raise ValueError(f"declared mode {declared!r} but the cell "
-                                         f"populations imply {cond.mode!r}")
-                    if cond.name in names:
-                        raise ValueError(f"condition name {cond.name!r} is used twice")
-                    names.add(cond.name)
-                    conditions.append(cond)
+            for suffix, fields in grid:
+                cond = SimCondition(cell_specs=specs, name=name + suffix, **fields, **rest)
+                if declared is not None and declared != cond.mode:
+                    raise ValueError(f"declared mode {declared!r} but the cell "
+                                     f"populations imply {cond.mode!r}")
+                if cond.name in names:
+                    raise ValueError(f"condition name {cond.name!r} is used twice")
+                names.add(cond.name)
+                conditions.append(cond)
         except (TypeError, ValueError) as exc:
             raise ExperimentError(f"conditions[{idx}]: {exc}") from exc
     return conditions

@@ -68,6 +68,8 @@ class TestSignedPValue:
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValueError, match="bootstrap distribution is empty"):
             signed_pvalue([])
+        with pytest.raises(ValueError, match="not a scalar"):
+            signed_pvalue(0.3)
 
     def test_nan_replicates_rejected(self):
         """A NaN is neither below nor at zero, so all-NaN replicates would
@@ -112,6 +114,8 @@ class TestPercentileCI:
     def test_too_few_replicates(self):
         with pytest.raises(ValueError):
             percentile_ci(np.arange(10.0), 0.05)
+        with pytest.raises(ValueError, match="not a scalar"):
+            percentile_ci(0.3, 0.05)
 
     def test_alpha_too_large_for_the_replicates(self):
         # l = round(0.9 * 4 / 2) = 2 leaves no replicate between the bounds

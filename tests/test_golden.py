@@ -1,4 +1,4 @@
-"""Golden outputs: CLI results and a simulation CSV pinned to committed files.
+"""Golden outputs: CLI results and simulation CSVs pinned to committed files.
 
 The input data are drawn at test time from ``qshift.stream``, so no data
 file is committed; the expected outputs live in ``tests/golden/``.
@@ -6,7 +6,9 @@ file is committed; the expected outputs live in ``tests/golden/``.
 with the largest move of each, and writes nothing; ``bless_golden.py NAME
 ...`` rewrites the named files only.  A change that re-blesses any file
 must say which, by how much, and against which oracle.  The simulation
-CSV is checked at one and at two worker processes against the same file.
+CSVs (a subset of ``experiments/fwer_desk.json`` and both whole desk
+grids, at six iterations per condition) are each checked at one and at
+two worker processes against the same file.
 ``median_diff_test`` has no CLI command; its cases call the function on
 the two cells of each level of factor A and write the results as JSON.
 
@@ -59,9 +61,14 @@ DATASETS = {
     "ties": ((POISSON9, POISSON9, BETABIN, BETABIN), 100),
     "normal15": ((DistributionSpec("normal"),) * 4, 15),
 }
-# the fwer_desk.json groups whose conditions the simulation golden keeps,
-# each with the sample sizes kept (None: all of them)
-SIM_GROUPS = {"normal": [20], "poisson9": None, "beta-binomial-r1": None}
+# each simulation golden: its experiment file and the groups it keeps, each
+# with the sample sizes kept (None: all of them; no table: every group)
+SIM_EXPERIMENTS = {
+    "fwer_desk-subset": ("fwer_desk", {"normal": [20], "poisson9": None,
+                                       "beta-binomial-r1": None}),
+    "fwer_desk": ("fwer_desk", None),
+    "power_desk": ("power_desk", None),
+}
 SIM_N_SIMS = 6
 
 _EXACT_ROW_FIELDS = ("q", "level", "p_value", "p_adjusted")
@@ -78,20 +85,19 @@ def write_dataset(path: Path, name: str) -> None:
                 fh.write(f"A{a},B{b},{float(v)!r}\n")
 
 
-def write_experiment(path: Path) -> None:
-    spec = json.loads((EXPERIMENTS / "fwer_desk.json").read_text(encoding="utf-8"))
-    kept = []
-    for group in spec["conditions"]:
-        if group["name"] in SIM_GROUPS:
-            sizes = SIM_GROUPS[group["name"]]
-            kept.append(dict(group, **({"n_per_group": sizes} if sizes else {})))
-    spec["conditions"] = kept
+def write_experiment(path: Path, name: str) -> None:
+    source, groups = SIM_EXPERIMENTS[name]
+    spec = json.loads((EXPERIMENTS / f"{source}.json").read_text(encoding="utf-8"))
+    if groups is not None:
+        kept = [group for group in spec["conditions"] if group["name"] in groups]
+        spec["conditions"] = [dict(group, n_per_group=groups[group["name"]] or group["n_per_group"])
+                              for group in kept]
     spec["defaults"]["n_sims"] = SIM_N_SIMS
     path.write_text(json.dumps(spec, indent=2), encoding="utf-8")
 
 
 def cases() -> list:
-    """(golden file name, dataset or None, CLI arguments after the input)."""
+    """(golden file name, dataset or experiment, CLI arguments after the input)."""
     out = []
     for data in DATASETS:
         for est in ("hd", "t7"):
@@ -104,15 +110,16 @@ def cases() -> list:
             out.append((f"{data}-{est}-plotdata.csv", data, ["plotdata", *common]))
             if data in ("lognormal", "ties"):
                 out.append((f"{data}-{est}-median-diff.json", data, [MEDIAN_DIFF, *common]))
-    out.append(("fwer_desk-subset-simulate.csv", None, ["simulate", "--threads", "1"]))
+    for experiment in SIM_EXPERIMENTS:
+        out.append((f"{experiment}-simulate.csv", experiment, ["simulate", "--threads", "1"]))
     return out
 
 
 def run_case(workdir: Path, data, argv) -> str:
     """The stdout of one CLI case, its inputs written under ``workdir``."""
-    if data is None:
-        experiment = workdir / "fwer_desk_subset.json"
-        write_experiment(experiment)
+    if data in SIM_EXPERIMENTS:
+        experiment = workdir / f"{data}.json"
+        write_experiment(experiment, data)
         argv = [argv[0], str(experiment), *argv[1:], "--metadata", str(workdir / "meta.json")]
     else:
         csv_path = workdir / f"{data}.csv"
@@ -223,9 +230,12 @@ def test_iband_golden_on_one_and_three_threads(workdir, monkeypatch, name):
 
 
 def test_simulate_golden_on_two_workers(workdir):
-    """The process-pool path writes the bytes of the one-process run."""
-    out = run_case(workdir, None, ["simulate", "--threads", "2"])
-    assert out == (GOLDEN / "fwer_desk-subset-simulate.csv").read_text(encoding="utf-8")
+    """The process-pool path writes the bytes of the one-process run, for
+    every simulation golden."""
+    for experiment in SIM_EXPERIMENTS:
+        out = run_case(workdir, experiment, ["simulate", "--threads", "2"])
+        expected = (GOLDEN / f"{experiment}-simulate.csv").read_text(encoding="utf-8")
+        assert out == expected, experiment
 
 
 def test_bless_refuses_unknown_names(monkeypatch, capsys):

@@ -18,6 +18,21 @@ FAMILY_5_HOCHBERG = [0.607, 0.330, 0.174, 0.065, 0.156]
 pfamilies = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
 
 
+def _adjusted_by_formula(p, method):
+    """The docstring's formula, element by element, in float arithmetic:
+    the bytes of a one-family call."""
+    c = len(p)
+    if method == "none":
+        return [float(v) for v in p]
+    order = sorted(range(c), key=lambda i: p[i])
+    scaled = [(float(c - j) if method == "hochberg" else c / (j + 1)) * p[i]
+              for j, i in enumerate(order)]
+    out = [0.0] * c
+    for rank, i in enumerate(order):
+        out[i] = min(1.0, min(scaled[rank:]))
+    return out
+
+
 def _decide(p, alpha, scan, method):
     """The package's rejections, after checking them against the scan's."""
     mask = adjust_pvalues(p, method) <= alpha
@@ -116,6 +131,38 @@ class TestAdjustmentProperties:
             direct = adjust_pvalues(p, method)
             via_perm = adjust_pvalues(shuffled, method)
             assert via_perm.tolist() == pytest.approx([direct[i] for i in perm])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda c: st.lists(
+        st.lists(st.sampled_from((0.0, 0.25, 1.0)) | st.floats(0.0, 1.0),
+                 min_size=c, max_size=c),
+        min_size=1, max_size=8)))
+    @example([[0.0]])
+    @example([[1.0], [0.0], [0.04]])
+    @example([[0.04, 0.01, 0.04, 1.0, 0.0]])
+    def test_each_row_is_its_own_family(self, rows):
+        """An (m, C) matrix is adjusted row by row, each row to the bytes of
+        a call on that row alone."""
+        matrix = np.array(rows)
+        for method in ("none", "hochberg", "bh"):
+            whole = adjust_pvalues(matrix, method)
+            assert whole.shape == matrix.shape
+            apart = np.stack([adjust_pvalues(row, method) for row in matrix])
+            assert whole.tobytes() == apart.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pfamilies)
+    @example([0.0])
+    @example([1.0, 0.0, 0.5, 0.5])
+    def test_one_family_keeps_its_bytes_and_shape(self, p):
+        """A list or 1-D array is one family, a scalar a family of one."""
+        for method in ("none", "hochberg", "bh"):
+            adjusted = adjust_pvalues(np.array(p), method)
+            assert adjusted.shape == (len(p),)
+            assert adjusted.tolist() == _adjusted_by_formula(p, method)
+            scalar = adjust_pvalues(p[0], method)
+            assert scalar.shape == (1,)
+            assert scalar.tolist() == _adjusted_by_formula(p[:1], method)
 
     def test_ties_get_identical_adjusted_values(self):
         adjusted = adjust_pvalues([0.04, 0.01, 0.04, 0.2], "bh")

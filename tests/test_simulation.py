@@ -293,10 +293,27 @@ class TestRuns:
         monkeypatch.setattr(qshift.simulation, "signed_pvalue", lambda _: pvals.copy())
         cond = _null_condition(method="decinter_t7", alpha=0.01, correction="bh",
                                n_boot=600, n_sims=1)
-        [(corrected, uncorrected, per_q, _)] = qshift.simulation._iterate(cond, 0)
+        [(corrected, uncorrected, per_q, _)] = qshift.simulation._run_chunk(((cond,), 0, 1))
         assert adjust_pvalues(pvals, "bh")[0] <= 0.01
-        assert corrected and uncorrected
-        assert per_q.tolist() == [True] * 3 + [False] * 6
+        assert corrected == uncorrected == 1
+        assert per_q.tolist() == [1] * 3 + [0] * 6
+
+    def test_anova_chunk_decides_through_adjust_pvalues(self, monkeypatch):
+        """An ANOVA chunk decides each condition as every other method does:
+        one ``adjust_pvalues`` call on its (iterations, 1) p-value matrix."""
+        calls = []
+
+        def recording(p, method):
+            calls.append((np.shape(p), method))
+            return adjust_pvalues(p, method)
+
+        monkeypatch.setattr(qshift.simulation, "adjust_pvalues", recording)
+        unit = tuple(_null_condition(method="anova_means", contrast=contrast,
+                                     correction=correction, n_sims=8, name=contrast)
+                     for contrast, correction in ((INTERACTION, "bh"), (MAIN_A, "hochberg"),
+                                                  (MAIN_B, "none")))
+        qshift.simulation._run_chunk((unit, 2, 7))
+        assert calls == [((5, 1), "bh"), ((5, 1), "hochberg"), ((5, 1), "none")]
 
     def test_sweep_determinism_and_failure_isolation(self):
         good = _null_condition(n_sims=20)

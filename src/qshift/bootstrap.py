@@ -129,8 +129,6 @@ def _cell_resample_matrices(cells, config: BootstrapConfig) -> list:
     repeated calls reuse their memory instead of faulting in fresh pages.
     """
     samples = [np.asarray(c, dtype=float) for c in cells]
-    if any(sample.size == 0 for sample in samples):
-        raise ValueError("cannot resample an empty sample")
     buffer = np.empty(config.n_boot * sum(sample.size for sample in samples))
     mats, start = [], 0
     for i, sample in enumerate(samples):

@@ -212,20 +212,23 @@ def _plot_rows(sample, args):
     return out
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write a header and rows as CSV to ``path``, or to stdout without one."""
-    with (open(path, "w", encoding="utf-8", newline="") if path
-          else contextlib.nullcontext(sys.stdout)) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _output(path, default, **kwargs):
+    """``path`` opened for writing, or ``default``, left open, without one."""
+    return open(path, "w", encoding="utf-8", **kwargs) if path else contextlib.nullcontext(default)
+
+
+def _write_csv(out, header, rows) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _cmd_plotdata(args) -> int:
     sample = _load_sample(args)
     points = _timed(args, _plot_rows, sample, args)
     rows = [(panel, *map(_fmt, values)) for panel, *values in points]
-    _write_csv(args.output, _PLOT_HEADER, rows)
+    with _output(args.output, sys.stdout, newline="") as out:
+        _write_csv(out, _PLOT_HEADER, rows)
     return 0
 
 
@@ -241,15 +244,13 @@ def _cmd_simulate(args) -> int:
             print(f"[{i + 1}/{total}] {cond.name}: {status} "
                   f"({report.wall_time:.1f}s)", file=sys.stderr)
 
-    reports = sweep(conditions, workers=args.threads, progress=progress)
-    _write_csv(args.output, REPORT_COLUMNS, report_csv_rows(reports))
-
-    meta = json.dumps(report_metadata(reports, workers=args.threads), indent=2)
-    if args.metadata:
-        with open(args.metadata, "w", encoding="utf-8") as fh:
-            fh.write(meta + "\n")
-    else:
-        print(meta, file=sys.stderr)
+    # both outputs are opened first, so a path that cannot be written fails
+    # before the sweep, not after it
+    with _output(args.output, sys.stdout, newline="") as out, \
+            _output(args.metadata, sys.stderr) as meta:
+        reports = sweep(conditions, workers=args.threads, progress=progress)
+        _write_csv(out, REPORT_COLUMNS, report_csv_rows(reports))
+        print(json.dumps(report_metadata(reports, workers=args.threads), indent=2), file=meta)
     return 1 if any(r.error for r in reports) else 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bootstrap import _check_integer
-from .quantiles import _MAX_ABS
+from .quantiles import _as_sample
 
 __all__ = [
     "DistributionSpec",
@@ -34,6 +34,10 @@ KINDS = (
 
 _CONTAMINATION_RATE = 0.1
 _CONTAMINATION_SCALE = 10.0
+
+# numpy's largest Poisson mean, 2^63 - 1 - 10 sqrt(2^63 - 1): rng.poisson
+# refuses a larger one
+_POISSON_MAX_MEAN = 9.223372006484771e18
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,16 @@ class DistributionSpec:
             value = getattr(self, f.name)
             if f.name not in ("kind", "shift", *own) and value != f.default:
                 raise ValueError(f"{self.kind} does not read {f.name}, got {f.name}={value!r}")
-        if self.kind == "poisson" and not self.mean > 0:
-            raise ValueError(f"poisson mean must be positive, got {self.mean}")
+        if self.kind == "poisson" and not 0 < self.mean <= _POISSON_MAX_MEAN:
+            raise ValueError(f"poisson mean must be positive and at most "
+                             f"{_POISSON_MAX_MEAN!r}, got {self.mean}")
         if self.kind == "beta_binomial":
             if not (self.r > 0 and self.s > 0):
                 raise ValueError(f"beta-binomial needs r, s > 0, got r={self.r}, s={self.s}")
             _check_integer("nbin", self.nbin)
-            if self.nbin < 2:
-                raise ValueError(f"beta-binomial needs nbin >= 2, got {self.nbin}")
+            # numpy draws nbin - 1 trials as a C long
+            if not 2 <= self.nbin <= 2**63:
+                raise ValueError(f"beta-binomial needs 2 <= nbin <= 2**63, got {self.nbin}")
         if self.kind == "g_and_h" and self.h < 0:
             raise ValueError(f"g-and-h tail parameter h must be >= 0, got {self.h}")
 
@@ -90,39 +96,37 @@ def generate(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.nda
 
     The draw order within a kind is fixed (base variates first, then any
     contamination uniforms), so a given stream always yields the same
-    sample regardless of the shift.  A draw holding a NaN or a value
-    beyond ``_MAX_ABS`` in magnitude, which the analyses reject, raises a
-    ``ValueError``.
+    sample regardless of the shift.  The draw is returned as a sample
+    (see ``_as_sample``), so one holding NaN, infinity or a value beyond
+    ``_MAX_ABS`` in magnitude, which the analyses reject, raises a
+    ``ValueError`` naming the population.
     """
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     kind = spec.kind
-    if kind == "normal":
-        x = rng.standard_normal(n)
-    elif kind == "mixed_normal":
-        x = _contaminate(rng.standard_normal(n), rng)
-    elif kind == "lognormal":
-        x = np.exp(rng.standard_normal(n))
-    elif kind == "mixed_lognormal":
-        x = _contaminate(np.exp(rng.standard_normal(n)), rng)
-    elif kind == "poisson":
-        x = rng.poisson(spec.mean, n).astype(float)
-    elif kind == "beta_binomial":
-        p = rng.beta(spec.r, spec.s, n)
-        x = rng.binomial(spec.nbin - 1, p).astype(float)
-    elif kind == "g_and_h":
-        z = rng.standard_normal(n)
-        # an overflow to inf is reported by the bound check below
-        with np.errstate(over="ignore"):
+    # an overflow to inf, in a g-and-h transform or in the shift, is
+    # reported by _as_sample
+    with np.errstate(over="ignore"):
+        if kind == "normal":
+            x = rng.standard_normal(n)
+        elif kind == "mixed_normal":
+            x = _contaminate(rng.standard_normal(n), rng)
+        elif kind == "lognormal":
+            x = np.exp(rng.standard_normal(n))
+        elif kind == "mixed_lognormal":
+            x = _contaminate(np.exp(rng.standard_normal(n)), rng)
+        elif kind == "poisson":
+            x = rng.poisson(spec.mean, n).astype(float)
+        elif kind == "beta_binomial":
+            p = rng.beta(spec.r, spec.s, n)
+            x = rng.binomial(spec.nbin - 1, p).astype(float)
+        elif kind == "g_and_h":
+            z = rng.standard_normal(n)
             tail = np.exp(spec.h * z * z / 2.0)
-        if spec.g == 0.0:
-            x = z * tail
-        else:
-            x = np.expm1(spec.g * z) / spec.g * tail
-    else:  # pragma: no cover - guarded by DistributionSpec
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    x = x + spec.shift
-    if not np.abs(x).max() <= _MAX_ABS:  # false on NaN too
-        raise ValueError(f"{spec} drew a NaN or a value beyond {_MAX_ABS:.4g} "
-                         f"in magnitude")
-    return x
+            if spec.g == 0.0:
+                x = z * tail
+            else:
+                x = np.expm1(spec.g * z) / spec.g * tail
+        else:  # pragma: no cover - guarded by DistributionSpec
+            raise ValueError(f"unknown distribution kind {kind!r}")
+        return _as_sample(x + spec.shift, f"{spec} draw")

@@ -46,9 +46,9 @@ A block's differences are built as one batched matrix product: the rows
 are exact, so each difference is rounded once, as by a subtraction, and
 every bit is kept, whatever BLAS and however many BLAS threads run it.
 A product sum starts at +0.0, so a difference of equal values is +0.0;
-the samples hold no -0.0 (see ``_as_sample``), so that is the
-subtraction's bit too.  Each thread keeps the two operands of one block,
-tens of KB.
+every cell, read or drawn, is a sample (see ``_as_sample``) and holds no
+-0.0, so that is the subtraction's bit too.  Each thread keeps the two
+operands of one block, tens of KB.
 """
 
 import functools
@@ -331,10 +331,8 @@ def _point_quantiles(x: np.ndarray, y: np.ndarray, quantiles, estimator) -> np.n
 
 def _resampled_level(cells, first: int, config: BootstrapConfig):
     """``_level`` of cells ``first`` and ``first + 1``, each resampled from
-    its own (seed, cell) stream.  A simulated cell does not pass through
-    ``_as_sample``, so -0.0 is read as +0.0 here too."""
-    x, y = (np.asarray(cells[i], dtype=float) + 0.0 for i in (first, first + 1))
-    return _level(x, y, config.n_boot,
+    its own (seed, cell) stream."""
+    return _level(cells[first], cells[first + 1], config.n_boot,
                   lambda i, n: _resample_indices(config, first + i, n))
 
 

@@ -226,7 +226,7 @@ def _f_sf(f, df_w: int) -> np.ndarray:
 
 def _check_quantile(q: float) -> float:
     q = float(q)
-    if not 0.0 < q < 1.0 or math.isnan(q):
+    if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must lie strictly in (0, 1), got {q}")
     return q
 
@@ -415,12 +415,12 @@ def _window_masses(n: int, quantiles: tuple) -> tuple:
 def _t7_interp(n: int, quantiles: tuple) -> tuple:
     """(cols, g): the order statistics type 7 reads from rows of length n,
     and its interpolation weights.  ``cols`` lists each level's order
-    statistic j = floor((n-1)q) (0-based), then each level's j + 1; for
-    n == 1 it lists the lone element once per level, as the estimate."""
+    statistic j = floor((n-1)q) (0-based), then each level's j + 1, or j
+    again at n = 1, where g is 0."""
     h = (n - 1) * np.array([_check_quantile(q) for q in quantiles])
     j = np.floor(h).astype(np.intp)
     g = h - j
-    cols = j if n == 1 else np.concatenate([j, j + 1])
+    cols = np.concatenate([j, np.minimum(j + 1, n - 1)])
     cols.setflags(write=False)
     g.setflags(write=False)
     return cols, g
@@ -430,8 +430,6 @@ def _t7_from_order_stats(stats: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Type-7 estimates from the (m, cols.size) order statistics that
     ``_t7_interp`` lists, as an (m, g.size) matrix."""
     q = g.size
-    if stats.shape[1] == q:  # rows of one element
-        return stats
     lo = stats[:, :q]
     return lo + g * (stats[:, q:] - lo)
 

@@ -391,6 +391,34 @@ class TestSimulateCommand:
         assert err.startswith("error: conditions[0]: ")
         assert "must be a finite number" in err
 
+    @pytest.mark.parametrize("cells", [{"kind": "beta_binomial", "nbin": 2**63 + 1},
+                                       {"kind": "poisson", "mean": 9.3e18}],
+                             ids=["nbin", "poisson-mean"])
+    def test_population_numpy_refuses_is_experiment_error(self, capsys, tmp_path, cells):
+        path = self._experiment(tmp_path, {
+            "conditions": [{"name": "huge", "method": "anova_means", "n_per_group": 10,
+                            "cells": cells, "n_sims": 2}],
+        })
+        code, _, err = _run(capsys, "simulate", path)
+        assert code == 2
+        assert err.startswith("error: conditions[0]: ")
+
+    @pytest.mark.parametrize("flag", ["--output", "--metadata"])
+    def test_unwritable_output_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch,
+                                                      flag):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr("qshift.cli.sweep", no_sweep)
+        path = self._experiment(tmp_path, {
+            "conditions": [{"name": "tiny", "method": "anova_means", "n_per_group": 10,
+                            "cells": {"kind": "normal"}, "n_sims": 2}],
+        })
+        missing = tmp_path / "no-such-dir" / "out"
+        code, _, err = _run(capsys, "simulate", path, flag, str(missing))
+        assert code == 3
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
     def test_deterministic_csv_bytes(self, capsys, tmp_path):
         path = self._experiment(tmp_path, {
             "seed": 3,

@@ -7,6 +7,7 @@ import pytest
 
 from qshift import DistributionSpec, generate, stream
 from qshift.distributions import KINDS
+from qshift.quantiles import _as_sample
 
 from oracles import lognormal_kurtosis, sample_kurtosis
 
@@ -125,11 +126,45 @@ class TestGenerate:
         # cell (1,2) of iteration 4 of a seed-0 simulation: one draw is inf
         (DistributionSpec("g_and_h", h=100.0), stream(0, "data", 4, 1)),
         (DistributionSpec("normal", shift=4.5e307), stream(13, "bound")),
+        # expm1 overflows, and at g = 1e308 so does g * z first
+        (DistributionSpec("g_and_h", g=1000.0), stream(13, "bound")),
+        (DistributionSpec("g_and_h", g=-1000.0), stream(13, "bound")),
+        (DistributionSpec("g_and_h", g=1e308), stream(13, "bound")),
+        # a finite draw near 1e305 overflows when shifted
+        (DistributionSpec("g_and_h", h=160.0, shift=1.7976931348623157e308),
+         stream(13, "bound")),
     ])
     def test_draws_beyond_the_sample_bound_rejected(self, spec, rng):
-        with pytest.raises(ValueError, match=re.escape(f"{spec} drew a NaN or a value "
-                                                       f"beyond 4.494e+307 in magnitude")):
+        """The draw fails as a sample, with ``_as_sample``'s message, and no
+        overflow warning comes first."""
+        if spec.kind == "normal":
+            message = (f"{spec} draw holds a value beyond 4.494e+307 in magnitude, "
+                       f"where differences of values overflow")
+        else:
+            message = f"{spec} draw contains NaN or infinite values"
+        with pytest.raises(ValueError, match=re.escape(message)):
             generate(spec, 30, rng)
+
+    @pytest.mark.parametrize("shift", [0.0, -0.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_draws_are_samples(self, kind, shift):
+        """A draw is already a sample: ``_as_sample`` keeps its bytes, and it
+        holds no -0.0."""
+        x = generate(DistributionSpec(kind, shift=shift), 500, stream(21, "sample", kind))
+        assert x.tobytes() == _as_sample(x, "draw").tobytes()
+        assert not np.signbit(x[x == 0.0]).any()
+
+    @pytest.mark.parametrize("kind, field, limit, beyond, message", [
+        ("beta_binomial", "nbin", 2**63, 2**63 + 1, "beta-binomial needs 2 <= nbin <= 2**63"),
+        ("poisson", "mean", 9.223372006484771e18, 9.223372006484772e18,
+         "poisson mean must be positive and at most 9.223372006484771e+18"),
+    ], ids=["nbin", "poisson-mean"])
+    def test_parameters_beyond_numpy_limits_rejected(self, kind, field, limit, beyond, message):
+        """numpy draws at most 2^63 - 1 binomial trials and refuses a Poisson
+        mean above its largest; the spec refuses them first, naming the limit."""
+        assert generate(DistributionSpec(kind, **{field: limit}), 5, stream(22, kind)).min() >= 0
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {beyond}")):
+            DistributionSpec(kind, **{field: beyond})
 
     def test_draws_at_the_sample_bound_pass(self):
         x = generate(DistributionSpec("normal", shift=4.49e307), 30, stream(13, "bound"))

@@ -752,9 +752,10 @@ def test_blocked_build_matches_subtraction(x, y, n_boot, estimators, threads, se
     (-0.0, 0.0, "matmul"), (-0.0, -0.0, "matmul"), (0.0, 0.0, "matmul"), (0.0, -0.0, "matmul"),
 ])
 def test_signed_zero_rule(monkeypatch, x0, y0, built_by):
-    """A resampled level reads a -0.0 as +0.0, so every level is built by
-    the product, and each difference has the bits of the subtraction of
-    the cells with +0.0: a difference of equal values is +0.0."""
+    """A level handed a -0.0 straight, not through ``_as_sample``, is still
+    built by the product, whose sum starts at +0.0: each difference has the
+    bits of the subtraction of the cells with +0.0, so a difference of
+    equal values is +0.0."""
     x, y = np.array([x0, 1.5, -2.0]), np.array([y0, 1.5, 4.0])
     config = BootstrapConfig(n_boot=40, seed=3)
     ix, iy = _resample_indices(config, 0, x.size), _resample_indices(config, 1, y.size)

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig, _usable_cpus
 from .contrasts import _contrast_tests, decinter
 from .data import DataError, parse_level_order, read_long_csv
-from .design import INTERACTION, MAIN_A, MAIN_B
+from .design import INTERACTION, MAIN_A, MAIN_B, QuantileTestRow
 from .multcomp import CORRECTIONS
 from .pairwise import iband, pairwise_differences, ph_probability
 from .quantiles import ESTIMATORS, estimate_quantiles
@@ -37,6 +38,8 @@ _TABLE_HEADER = ("Quant", "Est.Lev 1", "Est.Lev 2", "Dif", "ci.low", "ci.up", "p
 _PLOT_HEADER = ("panel", "quant", "x", "dif", "ci.low", "ci.up")
 
 _CONTRAST_FLAGS = {"interaction": INTERACTION, "main-a": MAIN_A, "main-b": MAIN_B}
+
+_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(QuantileTestRow))
 
 
 def _fmt(value: float) -> str:
@@ -141,7 +144,8 @@ def _result_payload(command: str, args, sample, rows, extra=None) -> dict:
         "factor_a": {"column": args.factor_a, "levels": list(sample.factor_a)},
         "factor_b": {"column": args.factor_b, "levels": list(sample.factor_b)},
         "cell_sizes": [list(r) for r in sample.sizes()],
-        "rows": [dataclasses.asdict(r) for r in rows],
+        # a row's fields are floats, so a shallow copy of them is a full one
+        "rows": [{name: getattr(r, name) for name in _ROW_FIELDS} for r in rows],
     }
     if extra:
         payload.update(extra)
@@ -189,16 +193,16 @@ def _cmd_iband(args) -> int:
     return 0
 
 
-def _plot_rows(sample, args):
+def _plot_rows(sample, config):
     """Shift-function points for every panel of the 2x2 summary.  The
     points carry no adjusted p-value, so no correction is applied."""
     inter, main_a, main_b = _contrast_tests(
-        sample, (INTERACTION, MAIN_A, MAIN_B), _config(args), "none")
+        sample, (INTERACTION, MAIN_A, MAIN_B), config, "none")
     quantiles = tuple(row.q for row in inter)
     x11, x12, x21, x22 = sample.flat_cells()
     pooled = {
-        "a": estimate_quantiles(np.concatenate([x11, x12]), quantiles, args.estimator),
-        "b": estimate_quantiles(np.concatenate([x11, x21]), quantiles, args.estimator),
+        "a": estimate_quantiles(np.concatenate([x11, x12]), quantiles, config.estimator),
+        "b": estimate_quantiles(np.concatenate([x11, x21]), quantiles, config.estimator),
     }
     out = []
     for row, x in zip(inter, pooled["a"]):
@@ -225,15 +229,20 @@ def _write_csv(out, header, rows) -> None:
 
 def _cmd_plotdata(args) -> int:
     sample = _load_sample(args)
-    points = _timed(args, _plot_rows, sample, args)
-    rows = [(panel, *map(_fmt, values)) for panel, *values in points]
+    config = _config(args)
+    # opened after the data and the flags pass, but before the bootstrap, so
+    # a path that cannot be written fails first
     with _output(args.output, sys.stdout, newline="") as out:
-        _write_csv(out, _PLOT_HEADER, rows)
+        points = _timed(args, _plot_rows, sample, config)
+        _write_csv(out, _PLOT_HEADER, [(panel, *map(_fmt, values)) for panel, *values in points])
     return 0
 
 
 def _cmd_simulate(args) -> int:
     conditions = load_experiment(args.experiment)
+    # read when the command runs, so the parser main keeps for the process
+    # holds no CPU count of its own
+    workers = _usable_cpus() if args.threads is None else args.threads
 
     progress = None
     if args.progress:
@@ -248,9 +257,9 @@ def _cmd_simulate(args) -> int:
     # before the sweep, not after it
     with _output(args.output, sys.stdout, newline="") as out, \
             _output(args.metadata, sys.stderr) as meta:
-        reports = sweep(conditions, workers=args.threads, progress=progress)
+        reports = sweep(conditions, workers=workers, progress=progress)
         _write_csv(out, REPORT_COLUMNS, report_csv_rows(reports))
-        print(json.dumps(report_metadata(reports, workers=args.threads), indent=2), file=meta)
+        print(json.dumps(report_metadata(reports, workers=workers), indent=2), file=meta)
     return 1 if any(r.error for r in reports) else 0
 
 
@@ -287,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     p.add_argument("--metadata", default=None,
                    help="metadata JSON path (default: stderr)")
-    p.add_argument("--threads", type=_worker_count, default=_usable_cpus(),
+    p.add_argument("--threads", type=_worker_count, default=None,
                    help="worker processes in the run's one pool "
                         "(default: usable CPUs; results never depend on this)")
     p.add_argument("--progress", action="store_true")
@@ -296,8 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser never changes, so main builds it once per process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataError, OSError) as exc:

@@ -49,8 +49,12 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
 
     Each row holds a factor-A label, a factor-B label and a numeric
     value, written in ASCII without digit-group underscores; column names
-    are given by the caller.  Rows whose value cell is missing are
-    dropped and counted.  Levels are ordered lexicographically unless
+    are given by the caller, and each must name exactly one header column
+    (other columns may repeat).  A leading byte-order mark is stripped and
+    blank lines are skipped.  Rows whose value cell is missing, or that
+    end before the value column, are dropped and counted; a row numbers
+    its error messages by its place among the non-blank rows, the header
+    being row 1.  Levels are ordered lexicographically unless
     ``level_order`` (a pair of level pairs) says otherwise.
 
     Returns
@@ -58,21 +62,28 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
     (sample, n_dropped)
     """
     groups = {}
-    seen_a, seen_b = set(), set()
     dropped = 0
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: file is empty")
         for col in (factor_a, factor_b, value):
-            if col not in reader.fieldnames:
+            count = header.count(col)
+            if not count:
                 raise DataError(
-                    f"{path}: missing column {col!r}; available columns are "
-                    f"{reader.fieldnames}"
+                    f"{path}: missing column {col!r}; available columns are {header}"
                 )
-        for lineno, row in enumerate(reader, start=2):
-            raw = row.get(value)
-            if raw is None or raw.strip().lower() in _MISSING:
+            if count > 1:
+                raise DataError(
+                    f"{path}: the header names column {col!r} {count} times; "
+                    f"a column that is read must be named once"
+                )
+        ia, ib, iv = (header.index(col) for col in (factor_a, factor_b, value))
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            width = len(row)
+            raw = row[iv] if iv < width else ""
+            if raw.strip().lower() in _MISSING:
                 dropped += 1
                 continue
             try:
@@ -88,8 +99,8 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
                 ) from None
             if not math.isfinite(v):
                 raise DataError(f"{path}: row {lineno}: column {value!r} is not finite")
-            la = (row.get(factor_a) or "").strip()
-            lb = (row.get(factor_b) or "").strip()
+            la = row[ia].strip() if ia < width else ""
+            lb = row[ib].strip() if ib < width else ""
             if not la or not lb:
                 raise DataError(f"{path}: row {lineno}: missing factor label")
             if abs(v) > _MAX_ABS:
@@ -97,15 +108,13 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
                     f"{path}: row {lineno}: value {raw!r} of cell ({la!r}, {lb!r}) is beyond "
                     f"{_MAX_ABS:.4g} in magnitude, where differences of values overflow"
                 )
-            seen_a.add(la)
-            seen_b.add(lb)
             groups.setdefault((la, lb), []).append(v)
 
     if not groups:
         raise DataError(f"{path}: no usable data rows")
     want_a, want_b = level_order if level_order is not None else (None, None)
-    levels_a = _ordered_levels(path, seen_a, want_a, "factor A", factor_a)
-    levels_b = _ordered_levels(path, seen_b, want_b, "factor B", factor_b)
+    levels_a = _ordered_levels(path, {la for la, _ in groups}, want_a, "factor A", factor_a)
+    levels_b = _ordered_levels(path, {lb for _, lb in groups}, want_b, "factor B", factor_b)
     cells = []
     for la in levels_a:
         row_cells = []

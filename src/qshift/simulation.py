@@ -94,9 +94,14 @@ def anova_f_statistics(data) -> tuple:
     and no sum of squares over- or underflows.  An F beyond the largest
     float is inf.
     """
-    cells = data.flat_cells() if hasattr(data, "flat_cells") else tuple(
+    return _anova_f_statistics(data.flat_cells() if hasattr(data, "flat_cells") else tuple(
         _as_sample(c, f"cell ({i // 2 + 1},{i % 2 + 1})") for i, c in enumerate(data)
-    )
+    ))
+
+
+def _anova_f_statistics(cells) -> tuple:
+    """``anova_f_statistics`` of four cells that are already samples, such
+    as the drawn cells of a simulation iteration."""
     sizes = {c.size for c in cells}
     if len(sizes) != 1:
         raise ValueError(f"cells must be balanced, got sizes {[c.size for c in cells]}")
@@ -280,7 +285,7 @@ def _iterate(cond: SimCondition, i: int, siblings: tuple = ()):
         for c, spec in enumerate(cond.cell_specs)
     ]
     if cond.method == "anova_means":
-        return anova_f_statistics(cells)
+        return _anova_f_statistics(cells)
 
     pvalues = []
     methods = [member.method for member in unit]

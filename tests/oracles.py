@@ -20,9 +20,12 @@ The ANOVA rates of a simulated condition come from a loop of lone
 ``anova_f_test`` calls, one per iteration, where the harness evaluates a
 whole chunk's F tails at once.  The kurtosis helpers back the heavy-tail
 diagnostics of the population tests, and the relabelling helpers build
-the re-oriented samples of the orientation tests.
+the re-oriented samples of the orientation tests.  The long-format CSV
+reader reads each row as a dict through ``csv.DictReader``, where the
+library reads rows by the header's column positions.
 """
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -30,10 +33,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from qshift.bootstrap import _cell_resample_matrices
+from qshift.data import _MISSING, DataError, _ordered_levels
 from qshift.design import INTERACTION, MAIN_A, MAIN_B, FactorialSample
 from qshift.distributions import generate
 from qshift.multcomp import _validate_pvalues
-from qshift.quantiles import _from_sorted_rows, _hd_weight_matrix
+from qshift.quantiles import _MAX_ABS, _from_sorted_rows, _hd_weight_matrix
 from qshift.rng import stream
 from qshift.simulation import anova_f_test
 
@@ -406,3 +410,67 @@ def swapped_a_levels(sample: FactorialSample) -> FactorialSample:
         (sample.factor_a[1], sample.factor_a[0]),
         sample.factor_b,
     )
+
+
+def read_long_csv_by_dict(path, factor_a: str, factor_b: str, value: str,
+                          level_order=None) -> tuple:
+    """``read_long_csv`` with one ``csv.DictReader`` dict per row: a short
+    row's absent cells read as None, and of a column named twice the last
+    copy is read.  Same (sample, n_dropped) and error messages wherever
+    no column that is read is named twice."""
+    groups = {}
+    seen_a, seen_b = set(), set()
+    dropped = 0
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: file is empty")
+        for col in (factor_a, factor_b, value):
+            if col not in reader.fieldnames:
+                raise DataError(
+                    f"{path}: missing column {col!r}; available columns are "
+                    f"{reader.fieldnames}"
+                )
+        for lineno, row in enumerate(reader, start=2):
+            raw = row.get(value)
+            if raw is None or raw.strip().lower() in _MISSING:
+                dropped += 1
+                continue
+            try:
+                if not raw.isascii() or "_" in raw:
+                    raise ValueError(raw)
+                v = float(raw)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {lineno}: column {value!r} has non-numeric "
+                    f"value {raw!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise DataError(f"{path}: row {lineno}: column {value!r} is not finite")
+            la = (row.get(factor_a) or "").strip()
+            lb = (row.get(factor_b) or "").strip()
+            if not la or not lb:
+                raise DataError(f"{path}: row {lineno}: missing factor label")
+            if abs(v) > _MAX_ABS:
+                raise DataError(
+                    f"{path}: row {lineno}: value {raw!r} of cell ({la!r}, {lb!r}) is beyond "
+                    f"{_MAX_ABS:.4g} in magnitude, where differences of values overflow"
+                )
+            seen_a.add(la)
+            seen_b.add(lb)
+            groups.setdefault((la, lb), []).append(v)
+
+    if not groups:
+        raise DataError(f"{path}: no usable data rows")
+    want_a, want_b = level_order if level_order is not None else (None, None)
+    levels_a = _ordered_levels(path, seen_a, want_a, "factor A", factor_a)
+    levels_b = _ordered_levels(path, seen_b, want_b, "factor B", factor_b)
+    cells = []
+    for la in levels_a:
+        row_cells = []
+        for lb in levels_b:
+            if (la, lb) not in groups:
+                raise DataError(f"{path}: no rows for cell ({la!r}, {lb!r})")
+            row_cells.append(groups[(la, lb)])
+        cells.append(tuple(row_cells))
+    return FactorialSample(tuple(cells), levels_a, levels_b), dropped

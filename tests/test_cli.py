@@ -11,8 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qshift
+import qshift.cli
 from qshift import (
     INTERACTION,
     MAIN_A,
@@ -26,6 +29,8 @@ from qshift import (
     stream,
 )
 from qshift.cli import build_parser, main
+
+from oracles import read_long_csv_by_dict
 
 
 def _write_long_csv(path, cells, labels_a=("a1", "a2"), labels_b=("b1", "b2"),
@@ -327,6 +332,32 @@ class TestPlotdataCommand:
         assert out == ""
         assert out_path.read_text().startswith("panel,")
 
+    def test_unwritable_output_fails_before_the_bootstrap(self, capsys, normal_csv, tmp_path,
+                                                          monkeypatch):
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("bootstrap ran")
+
+        monkeypatch.setattr("qshift.cli._plot_rows", no_bootstrap)
+        missing = tmp_path / "no-such-dir" / "plot.csv"
+        code, out, err = _run(capsys, "plotdata", "--input", normal_csv, "--output", str(missing))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    @pytest.mark.parametrize("flags, code", [
+        (("--input", "absent.csv"), 3),
+        (("--quantiles", "0.2,1.5"), 2),
+    ], ids=["bad-input", "bad-quantiles"])
+    def test_failure_before_the_open_leaves_output_untouched(self, capsys, normal_csv,
+                                                             tmp_path, flags, code):
+        out_path = tmp_path / "plot.csv"
+        out_path.write_text("kept\n")
+        got, _, err = _run(capsys, "plotdata", "--input", normal_csv, "--nboot", "200",
+                           "--output", str(out_path), *flags)
+        assert got == code
+        assert err.startswith("error: ")
+        assert out_path.read_text() == "kept\n"
+
 
 class TestSimulateCommand:
     def _experiment(self, tmp_path, body):
@@ -447,10 +478,36 @@ class TestSimulateCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def _run_recording_workers(self, capsys, tmp_path, monkeypatch):
+        """Run ``simulate`` without --threads on one worker; return the
+        worker count the command resolved and the metadata it wrote."""
+        seen = []
+        real_sweep = qshift.cli.sweep
+
+        def recording(conditions, workers, progress):
+            seen.append(workers)
+            return real_sweep(conditions, workers=1, progress=progress)
+
+        monkeypatch.setattr("qshift.cli.sweep", recording)
+        path = self._experiment(tmp_path, {
+            "conditions": [{"name": "tiny", "method": "anova_means", "n_per_group": 10,
+                            "cells": {"kind": "normal"}, "n_sims": 2}],
+        })
+        meta_path = tmp_path / "meta.json"
+        code, _, _ = _run(capsys, "simulate", path, "--metadata", str(meta_path))
+        assert code == 0
+        return seen.pop(), json.loads(meta_path.read_text())["run"]["workers"]
+
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
-    def test_threads_default_to_usable_cpus(self):
-        args = build_parser().parse_args(["simulate", "exp.json"])
-        assert args.threads == len(os.sched_getaffinity(0))
+    def test_threads_default_to_usable_cpus(self, capsys, tmp_path, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        assert self._run_recording_workers(capsys, tmp_path, monkeypatch) == (cpus, cpus)
+
+    def test_threads_default_read_when_the_command_runs(self, capsys, tmp_path, monkeypatch):
+        """The parser main keeps for the process freezes no CPU count."""
+        for cpus in (3, 1):
+            monkeypatch.setattr("qshift.cli._usable_cpus", lambda cpus=cpus: cpus)
+            assert self._run_recording_workers(capsys, tmp_path, monkeypatch) == (cpus, cpus)
 
     def test_failing_condition_exits_one(self, capsys, tmp_path):
         # Beta(200, .01) pushes every draw to the top bin: zero variance,
@@ -499,6 +556,122 @@ def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decinter", "--input", "x.csv", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_a_sequence_of_commands(capsys, normal_csv):
+    """``main`` builds its parser once per process; each call of a sequence
+    that mixes commands and flags, a rejected flag among them, prints the
+    bytes it prints as the first call of a fresh parser."""
+    data = ("--input", normal_csv, "--nboot", "200", "--seed", "5")
+    calls = [
+        ("decinter", *data, "--level-order", "a2,a1:b1,b2", "--quantiles", "0.25,0.5,0.75"),
+        ("iband", *data, "--ph", "--estimator", "t7"),
+        ("decinter", *data, "--format", "tsv", "--bogus"),
+        ("plotdata", *data, "--quantiles", "0.3,0.7", "--estimator", "t7"),
+        ("decinter", *data, "--contrast", "main-b", "--format", "json", "--estimator", "t7"),
+        ("iband", *data, "--format", "tsv"),
+        ("decinter", *data),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        qshift.cli._parser.cache_clear()
+        fresh.append(run(argv))
+    qshift.cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert qshift.cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("header, column", [
+    ("a,b,y,y", "y"), ("a,a,b,y", "a"), ("b,a,y,b", "b"),
+], ids=["value", "factor-a", "factor-b"])
+def test_read_column_named_twice_is_data_error(capsys, tmp_path, header, column):
+    """A column that is read and named twice leaves which copy holds the
+    data a guess: reading the last copy would make ``a1,b1,9`` under
+    ``a,b,y,y`` a dropped row."""
+    path = tmp_path / "dup.csv"
+    path.write_text(header + "\n" + _ROWS.split("\n", 1)[1])
+    with pytest.raises(DataError, match=f"names column '{column}' 2 times"):
+        read_long_csv(path, "a", "b", "y")
+    code, _, err = _run(capsys, "decinter", "--input", str(path), "--nboot", "200")
+    assert code == 3
+    assert err.startswith(f"error: {path}: the header names column '{column}' 2 times")
+
+
+# tokens of a well-formed file, then those that make some read an error
+_TOKENS = {
+    "a": (["a1", "a2", " a1 ", "a2\t"], ["", "a,3"]),
+    "b": (["b1", "b2", "b1 ", " b2"], ["", "b 3"]),
+    "y": (["1", "2.5", " -3 ", "4e2", "-0.0"] * 3 + ["", "NA", " nan ", "None", "n/a"],
+          ["abc", "inf", "1_0", "1,5", "\u0663", "5e307"]),
+}
+_OTHER_TOKENS = ["", "x", "1,2", '"q"', "y"]
+
+
+@st.composite
+def _long_csv_texts(draw):
+    """A long-format CSV text for columns a, b and y: BOM, blank lines,
+    short and long rows, quoted commas, missing tokens, padded labels,
+    non-numeric values and repeated columns that are not read.  One file
+    in two is well formed but for its short rows."""
+    extra = draw(st.lists(st.sampled_from(["x", "z", "y2"]), max_size=3))
+    header = draw(st.permutations(["a", "b", "y", *extra]))
+    clean = draw(st.booleans())
+    tokens = {col: good if clean else good + bad for col, (good, bad) in _TOKENS.items()}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    buf.write("\n" * draw(st.sampled_from([0] * 9 + [1])))
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 40))):
+        row = [draw(st.sampled_from(tokens.get(col, _OTHER_TOKENS))) for col in header]
+        shape = draw(st.sampled_from(["full"] * 20 + ["blank", "blank", "short", "long"]))
+        if shape == "blank":
+            row = []
+        elif shape == "short":
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(st.sampled_from(_OTHER_TOKENS), min_size=1, max_size=2))
+        writer.writerow(row)
+    return draw(st.sampled_from(["", "\ufeff"])) + buf.getvalue()
+
+
+def _read_or_error(read, path, level_order):
+    try:
+        sample, dropped = read(path, "a", "b", "y", level_order)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ([c.tobytes() for c in sample.flat_cells()], sample.factor_a, sample.factor_b,
+            dropped)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_long_csv_texts(),
+       level_order=st.sampled_from([None, (("a2", "a1"), ("b1", "b2"))]))
+@example(text="a,b,y\n\na1,b1,1\na1\na1,b2,2\na2,b1,3,9\n\na2,b2,4\n,b1,x\n", level_order=None)
+@example(text="\ufeffx,y,b,x,a\n1,2,b1,3,a1\n,3,b2,,a1\n\"1,2\",4,b1,,a2\n,5,b2\n", level_order=None)
+@pytest.mark.filterwarnings("ignore:smallest cell:UserWarning")
+def test_positional_reader_matches_dict_reader(csv_dir, text, level_order):
+    """``read_long_csv`` reads each row by the header's column positions; it
+    gives the ``csv.DictReader`` reader's sample, drop count or error
+    message on every file whose read columns are each named once."""
+    path = csv_dir / "long.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_read_or_error(read_long_csv, path, level_order)
+            == _read_or_error(read_long_csv_by_dict, path, level_order))
 
 
 def _csv_sample(path):

@@ -32,6 +32,7 @@ from qshift import (
     stream,
     sweep,
 )
+import qshift.distributions
 import qshift.simulation
 from qshift.simulation import REPORT_COLUMNS, report_csv_rows, report_metadata
 
@@ -130,6 +131,23 @@ class TestAnova:
         sample = FactorialSample.from_cells(*(rng.normal(size=20) for _ in range(4)))
         pa, pb, pab = anova_f_test(sample)
         assert all(0.0 <= p <= 1.0 for p in (pa, pb, pab))
+
+    def test_drawn_cells_are_checked_once(self, monkeypatch):
+        """``generate`` returns samples, so a chunk of k ANOVA iterations runs
+        ``_as_sample`` once per drawn cell, 4k times; the public function
+        still checks the raw cells it is given."""
+        calls = []
+        for mod in (qshift.distributions, qshift.simulation):
+            def counting(*args, original=mod._as_sample, **kwargs):
+                calls.append(args[1])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "_as_sample", counting)
+        qshift.simulation._run_chunk(((_null_condition(method="anova_means"),), 3, 8))
+        assert len(calls) == 4 * 5
+        assert all(label.endswith(" draw") for label in calls)
+        with pytest.raises(ValueError, match=r"cell \(1,2\) contains NaN or infinite"):
+            anova_f_statistics([[1.0, 2.0], [np.nan, 1.0], [1.0, 3.0], [0.0, 2.0]])
 
     @pytest.mark.parametrize("k", [-900, -100, 100, 900])
     def test_power_of_two_scale_changes_no_bit(self, k):

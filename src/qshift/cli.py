@@ -28,6 +28,7 @@ from .pairwise import iband, pairwise_differences, ph_probability
 from .quantiles import ESTIMATORS, estimate_quantiles
 from .simulation import (
     REPORT_COLUMNS,
+    _single_blas_thread,
     load_experiment,
     report_csv_rows,
     report_metadata,
@@ -311,6 +312,11 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # A command runs OpenBLAS on one thread and leaves it so: at the default
+    # B and n its dense products reach OpenBLAS's threading threshold, and
+    # the idle worker then spins against the sort threads of the next call.
+    # No result bit depends on the count.
+    _single_blas_thread()
     try:
         return args.func(args)
     except (DataError, OSError) as exc:

@@ -51,10 +51,11 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
     value, written in ASCII without digit-group underscores; column names
     are given by the caller, and each must name exactly one header column
     (other columns may repeat).  A leading byte-order mark is stripped and
-    blank lines are skipped.  Rows whose value cell is missing, or that
-    end before the value column, are dropped and counted; a row numbers
-    its error messages by its place among the non-blank rows, the header
-    being row 1.  Levels are ordered lexicographically unless
+    blank lines are skipped, before the header as after it.  Rows whose
+    value cell is missing, or that end before the value column, are
+    dropped and counted; a row numbers its error messages by its line in
+    the file (the last line of a record whose quoted field spans lines).
+    Levels are ordered lexicographically unless
     ``level_order`` (a pair of level pairs) says otherwise.
 
     Returns
@@ -65,7 +66,7 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
     dropped = 0
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(filter(None, reader), None)
         if header is None:
             raise DataError(f"{path}: file is empty")
         for col in (factor_a, factor_b, value):
@@ -80,7 +81,8 @@ def read_long_csv(path, factor_a: str, factor_b: str, value: str,
                     f"a column that is read must be named once"
                 )
         ia, ib, iv = (header.index(col) for col in (factor_a, factor_b, value))
-        for lineno, row in enumerate(filter(None, reader), start=2):
+        for row in filter(None, reader):
+            lineno = reader.line_num
             width = len(row)
             raw = row[iv] if iv < width else ""
             if raw.strip().lower() in _MISSING:

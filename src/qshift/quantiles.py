@@ -55,9 +55,14 @@ where both take the windows (always above n = 257).
 
 Neither reduction depends on the BLAS thread count.  A window is one dot
 product per row, which OpenBLAS sums on one thread below 10^4 elements;
-a window reaches 10^4 only past n = 10^6.  The dense product sums fewer
-than 260 terms per estimate, and OpenBLAS's matrix product (Haswell
-kernels) changed bits with its thread count only from about 400 terms up.
+a window reaches 10^4 only past n = 10^6.  The dense (B, n) x (n, Q)
+product is split over OpenBLAS's threads from about B*n*Q = 10^6 (at
+Q = 9, (2000, 60) is split and (2000, 50), (1000, 100) and every B = 600
+product are not), so the CLI's default B = 2000 at n = 100 would be.  It
+sums fewer than 260 terms per estimate, and OpenBLAS's matrix product
+(Haswell kernels) changed bits with its thread count only from about 400
+terms up.  The CLI runs OpenBLAS on one thread all the same (see
+``cli.main``).
 """
 
 import math

@@ -14,6 +14,7 @@ functions, through the column-wise signed-count p-value.
 """
 
 import ctypes
+import functools
 import json
 import math
 import platform
@@ -605,9 +606,12 @@ def _blas_name():
 _OPENBLAS = "libscipy_openblas64_"
 
 
-def _blas_threads():
-    """The thread count of the loaded scipy-openblas library, read through
-    its own getter; None where no such library is loaded."""
+@functools.cache
+def _openblas():
+    """The (getter, setter) of the loaded scipy-openblas library's thread
+    count, looked up once per process; None where no such library is
+    loaded.  numpy loads the library when it is imported, so the lookup
+    cannot come too early, and a forked child inherits it."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
             paths = [line.split(maxsplit=5)[5].strip() for line in fh if _OPENBLAS in line]
@@ -615,12 +619,33 @@ def _blas_threads():
         return None
     for path in dict.fromkeys(paths):
         try:
-            get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
-        return get()
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
     return None
+
+
+def _blas_threads():
+    """The thread count of the loaded scipy-openblas library, read through
+    its own getter; None where no such library is loaded."""
+    blas = _openblas()
+    return None if blas is None else blas[0]()
+
+
+def _single_blas_thread() -> None:
+    """Set the loaded scipy-openblas library, if any, to one thread.
+
+    The setter is called only when the count is not 1 already: after a
+    fork, each call of it restarts a worker thread that spins a whole CPU.
+    """
+    blas = _openblas()
+    if blas is not None and blas[0]() != 1:
+        blas[1](1)
 
 
 def report_metadata(reports, workers: int | None = None) -> dict:

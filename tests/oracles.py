@@ -26,6 +26,7 @@ library reads rows by the header's column positions.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -416,13 +417,19 @@ def read_long_csv_by_dict(path, factor_a: str, factor_b: str, value: str,
                           level_order=None) -> tuple:
     """``read_long_csv`` with one ``csv.DictReader`` dict per row: a short
     row's absent cells read as None, and of a column named twice the last
-    copy is read.  Same (sample, n_dropped) and error messages wherever
-    no column that is read is named twice."""
+    copy is read.  Blank lines before the header are counted and skipped,
+    and a row is numbered by its file line.  Same (sample, n_dropped) and
+    error messages wherever no column that is read is named twice."""
     groups = {}
     seen_a, seen_b = set(), set()
     dropped = 0
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
+        blank = 0
+        first = next(fh, None)
+        while first in ("\n", "\r\n", "\r"):
+            blank += 1
+            first = next(fh, None)
+        reader = csv.DictReader(itertools.chain([first] if first else [], fh))
         if reader.fieldnames is None:
             raise DataError(f"{path}: file is empty")
         for col in (factor_a, factor_b, value):
@@ -431,7 +438,8 @@ def read_long_csv_by_dict(path, factor_a: str, factor_b: str, value: str,
                     f"{path}: missing column {col!r}; available columns are "
                     f"{reader.fieldnames}"
                 )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = blank + reader.line_num
             raw = row.get(value)
             if raw is None or raw.strip().lower() in _MISSING:
                 dropped += 1

@@ -218,6 +218,37 @@ def test_values_only_float_reads_are_non_numeric(tmp_path, raw):
     assert sample.flat_cells()[0].tolist() == [1.0, 10.0]
 
 
+@pytest.mark.parametrize("read", [read_long_csv, read_long_csv_by_dict],
+                         ids=["positional", "dict"])
+@pytest.mark.filterwarnings("ignore:smallest cell:UserWarning")
+def test_blank_lines_before_the_header_are_skipped(tmp_path, read):
+    """A file may open with blank lines, as it may hold them between rows:
+    the header is the first non-blank line, and an error names the row by
+    its line in the file."""
+    plain = tmp_path / "plain.csv"
+    plain.write_text(_ROWS, encoding="utf-8")
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(b"\xef\xbb\xbf\n\r\n" + _ROWS.encode())
+    assert _read_or_error(read, padded, None) == _read_or_error(read, plain, None)
+    padded.write_text("\n\n" + _ROWS + "a1,b1,abc\n", encoding="utf-8")
+    with pytest.raises(DataError, match="row 8: column 'y' has non-numeric value 'abc'"):
+        read(padded, "a", "b", "y")
+
+
+@pytest.mark.parametrize("read", [read_long_csv, read_long_csv_by_dict],
+                         ids=["positional", "dict"])
+def test_error_names_the_row_by_its_file_line(tmp_path, read):
+    """Blank lines count: after two of them, a bad value on line 6 of the
+    file is row 6, not the fourth non-blank record."""
+    path = tmp_path / "gaps.csv"
+    path.write_text("a,b,y\na1,b1,1\n\n\na1,b2,2\na2,b1,abc\na2,b2,4\n", encoding="utf-8")
+    with pytest.raises(DataError, match="row 6: column 'y' has non-numeric value 'abc'"):
+        read(path, "a", "b", "y")
+    path.write_text("\n\n\n", encoding="utf-8")
+    with pytest.raises(DataError, match="file is empty"):
+        read(path, "a", "b", "y")
+
+
 class TestIbandCommand:
     def test_huge_value_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
@@ -707,3 +738,63 @@ def test_import_leaves_test_only_packages_unloaded():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert run.stdout == "[]\n"
+
+
+# runs a command twice under a wrapped OpenBLAS setter, and prints the
+# library's thread count and the setter's calls so far before and after each
+_BLAS_SCRIPT = """
+import contextlib, io, json, sys
+import qshift.cli
+import qshift.simulation as sim
+
+get, put = sim._openblas()
+calls = []
+
+def counted(threads):
+    calls.append(threads)
+    put(threads)
+
+sim._openblas = lambda: (get, counted)
+seen = [(get(), len(calls))]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qshift.cli.main(["decinter", "--input", sys.argv[1], "--nboot", "200"]) == 0
+    seen.append((get(), len(calls)))
+print(json.dumps({"seen": seen, "calls": calls}))
+"""
+
+
+def _blas_commands(tmp_path, threads):
+    """(thread count, setter calls so far) before and after each of two
+    commands in a fresh process under ``OPENBLAS_NUM_THREADS=threads``."""
+    if qshift.simulation._blas_threads() is None:
+        pytest.skip("no scipy-openblas library is loaded")
+    path = tmp_path / "cells.csv"
+    _write_long_csv(path, [[float(i + j) for i in range(12)] for j in range(4)])
+    src = str(Path(qshift.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT, str(path)], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    out = json.loads(run.stdout)
+    assert set(out["calls"]) <= {1}
+    return [tuple(s) for s in out["seen"]]
+
+
+def test_command_leaves_openblas_on_one_thread(tmp_path):
+    """A command sets OpenBLAS to one thread and does not restore the count
+    it started with."""
+    (_, _), (threads, _), (again, _) = _blas_commands(tmp_path, "2")
+    assert threads == again == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_openblas_setter_is_called_only_off_one_thread(tmp_path, threads):
+    """The setter runs once, in the first command, and only where the count
+    is not 1 already: after a fork each call of it restarts a spinning
+    worker thread."""
+    (start, none), (_, first), (_, second) = _blas_commands(tmp_path, threads)
+    assert none == 0
+    assert first == second == int(start != 1)
+    if threads == "1":
+        assert start == 1

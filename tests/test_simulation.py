@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness and the ANOVA baseline."""
 
+import functools
 import json
 import os
 import re
@@ -871,8 +872,9 @@ class TestReportSerialization:
 
     def test_metadata_records_blas_threads(self, monkeypatch, tmp_path):
         """blas_threads is the loaded scipy-openblas library's own count,
-        1 under OPENBLAS_NUM_THREADS=1, and null where no such library is
-        loaded; the CSV bytes do not depend on it."""
+        which ``qshift simulate`` sets to 1 whatever OPENBLAS_NUM_THREADS
+        says, and null where no such library is loaded; the CSV bytes do
+        not depend on it."""
         loaded = qshift.simulation._blas_threads() is not None
         experiment = tmp_path / "exp.json"
         experiment.write_text(json.dumps({
@@ -893,10 +895,12 @@ class TestReportSerialization:
             runs.append((out.stdout, json.loads(meta.read_text())["run"]["blas_threads"]))
         (csv_one, threads_one), (csv_default, threads_default) = runs
         assert csv_one == csv_default
-        assert threads_one == (1 if loaded else None)
-        assert threads_default is None or threads_default >= 1
+        assert threads_one == threads_default == (1 if loaded else None)
         [report] = sweep([_null_condition(method="anova_means", n_sims=2)])
+        # a fresh cache of the lookup, so the name it scans for is read again
         monkeypatch.setattr(qshift.simulation, "_OPENBLAS", "libno_such_blas_")
+        monkeypatch.setattr(qshift.simulation, "_openblas",
+                            functools.cache(qshift.simulation._openblas.__wrapped__))
         assert report_metadata([report])["run"]["blas_threads"] is None
 
     def test_anova_rows_leave_bootstrap_cells_empty(self):

@@ -1,5 +1,7 @@
 """Data containers for the 2x2 between-subjects design."""
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +25,20 @@ CONTRASTS = (INTERACTION, MAIN_A, MAIN_B)
 
 # below this per-cell size the extreme deciles are unreliable
 RECOMMENDED_MIN_N = 20
+
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` that names, to a ``warnings.warn`` in the caller,
+    the first frame outside this package and outside the ``__init__`` that
+    dataclass generates (``<string>``): the user's line that built the
+    sample, through whichever constructor or reader."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and (frame.f_code.co_filename.startswith(_PACKAGE)
+                                 or frame.f_code is FactorialSample.__init__.__code__):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -55,7 +71,7 @@ class FactorialSample:
                 f"smallest cell has n={self.min_n()}; quantile tests are "
                 f"recommended for n >= {RECOMMENDED_MIN_N} per cell",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=_outside_stacklevel(),
             )
 
     @classmethod

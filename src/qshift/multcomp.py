@@ -5,11 +5,11 @@ p-values into adjusted p-values, and a hypothesis is rejected exactly
 where its adjusted p-value is at most alpha: the analysis tables print
 these values, and the simulation rejects with the same comparison, so a
 sweep estimates the error rate of the procedure the tables report.  A
-simulation chunk decides each condition, the ANOVA's too, in one call on
-its (iterations, family) matrix.  The step-up scans of the two procedures
-(descending p-values, stop at the first one under its threshold) live
-with the test oracles, as the independent reference this route is
-checked against.
+sweep decides each condition once, the ANOVA's too, in the parent
+process, in one call on its (iterations, family) matrix.  The step-up
+scans of the two procedures (descending p-values, stop at the first one
+under its threshold) live with the test oracles, as the independent
+reference this route is checked against.
 """
 
 import numpy as np

@@ -93,11 +93,15 @@ def anova_f_statistics(data) -> tuple:
     are squared and summed, and the cell means and effects to the scale of
     the largest |y|.  Power-of-two scaling is exact, so F keeps its bits,
     and no sum of squares over- or underflows.  An F beyond the largest
-    float is inf.
+    float is inf.  Any number of cells but four is a ValueError.
     """
-    return _anova_f_statistics(data.flat_cells() if hasattr(data, "flat_cells") else tuple(
-        _as_sample(c, f"cell ({i // 2 + 1},{i % 2 + 1})") for i, c in enumerate(data)
-    ))
+    if hasattr(data, "flat_cells"):
+        return _anova_f_statistics(data.flat_cells())
+    cells = list(data)
+    if len(cells) != 4:
+        raise ValueError(f"a 2x2 design has four cells, got {len(cells)}")
+    return _anova_f_statistics(tuple(
+        _as_sample(c, f"cell ({i // 2 + 1},{i % 2 + 1})") for i, c in enumerate(cells)))
 
 
 def _anova_f_statistics(cells) -> tuple:
@@ -142,7 +146,8 @@ def anova_f_test(data) -> tuple:
     Raises
     ------
     ValueError
-        If the design is unbalanced (the simulations are balanced).
+        If there are not four cells, or the design is unbalanced (the
+        simulations are balanced).
     DegenerateDataError
         If the within-cell variance is zero.
     """
@@ -234,21 +239,23 @@ class SimulationReport:
     A sweep runs the conditions that share a unit (the same method
     family, cells, sizes, iterations, replicates, seed and quantiles)
     together: each iteration's data, resamples and sort serve them all.
-    A unit's interval runs from the previous unit's last chunk's result
-    (for the first unit, from the start of the sweep) to its own, so the
-    intervals of a sweep add up to its duration even though a pool runs
-    the chunks of several units at once.  The first unit also pays the
-    workers' start-up, and no unit pays the pool's shutdown.
+    The unit decides each condition once, in the parent, on the p-values
+    of all its iterations.  A unit's interval runs from the end of the
+    previous unit's decisions (for the first unit, from the start of the
+    sweep) to the end of its own, so the intervals of a sweep cover its
+    duration, but for the building of each unit's reports, even though a
+    pool runs the chunks of several units at once.  The first unit also
+    pays the workers' start-up, and no unit pays the pool's shutdown.
     ``wall_time`` is the condition's share of its unit's interval, in
-    proportion to the seconds its chunks spent on the condition's own
-    work: its estimator's reduction, split evenly among the conditions
-    that share the estimator, its p-values, and its part of each chunk's
-    decision (an ANOVA condition's only work).  So the shares of siblings
-    are coupled: a condition's ``wall_time`` moves when a sibling's own
-    work gets faster or slower, even if its own does not.  A condition
-    alone in its unit gets the whole interval.  A failed condition
-    reports 0, and the time up to its failure is charged to no
-    condition.  Wall time is informational and excluded from equality.
+    proportion to the seconds spent on the condition's own work: its
+    estimator's reduction, split evenly among the conditions that share
+    the estimator, its p-values, and its decision (an ANOVA condition's
+    only work).  So the shares of siblings are coupled: a condition's
+    ``wall_time`` moves when a sibling's own work gets faster or slower,
+    even if its own does not.  A condition alone in its unit gets the
+    whole interval.  A failed condition reports 0, and the time up to its
+    failure is charged to no condition.  Wall time is informational and
+    excluded from equality.
     """
 
     condition: SimCondition
@@ -278,7 +285,8 @@ def _iterate(cond: SimCondition, i: int, siblings: tuple = ()):
     seconds of its own work, its estimator's reduction (split evenly among
     the conditions that share the estimator) plus its p-values.  An ANOVA
     unit's iteration returns ``anova_f_statistics`` of its cells instead.
-    Nothing is decided here: ``_run_chunk`` decides the chunk.
+    Nothing is decided here: the sweep decides each condition once, in the
+    parent, on all of its iterations (``_unit_reports``).
     """
     unit = (cond, *siblings)
     cells = [
@@ -305,33 +313,21 @@ def _iterate(cond: SimCondition, i: int, siblings: tuple = ()):
 
 
 def _run_chunk(args):
-    """Per condition of the unit, (n_corrected, n_uncorrected, per_q, own_s)
-    over the iterations start .. stop - 1: the sweep's one decision site.
+    """Per condition of the unit, its (iterations, C) p-value matrix over the
+    iterations start .. stop - 1 and the seconds of its own work in them.
 
-    Each condition's p-values form one (iterations, C) matrix; an ANOVA
-    condition's one column comes from the chunk's one ``_f_sf`` call.
-    Every condition decides alike: a level is hit where its p-value is at
-    most alpha, an iteration rejects where an adjusted p-value is (the
-    tables' rule).  ``own_s`` adds the decision's seconds to its
-    iterations' own (the F tails are charged to no condition).
+    An ANOVA condition's one column comes from the chunk's one ``_f_sf``
+    call, whose seconds are charged to no condition.  Nothing is decided
+    here: ``_unit_reports`` decides each condition once, on all of its
+    iterations.
     """
     unit, start, stop = args
     outcomes = [_iterate(unit[0], i, unit[1:]) for i in range(start, stop)]
     if unit[0].method == "anova_means":
         pvals = _f_sf([f for f, _ in outcomes], outcomes[0][1])
-        chunk = [(pvals[:, [_EFFECTS.index(member.contrast)]], 0.0) for member in unit]
-    else:
-        chunk = [(np.stack([p for p, _ in its]), sum(own for _, own in its))
-                 for its in zip(*outcomes)]
-    totals = []
-    for member, (pvals, own) in zip(unit, chunk):
-        mark = time.perf_counter()
-        hits = pvals <= member.alpha
-        rejected = adjust_pvalues(pvals, member.correction) <= member.alpha
-        per_q = hits[:, :len(member.quantiles)].sum(axis=0)
-        totals.append((int(rejected.any(axis=1).sum()), int(hits.any(axis=1).sum()), per_q,
-                       own + time.perf_counter() - mark))
-    return totals
+        return [(pvals[:, [_EFFECTS.index(member.contrast)]], 0.0) for member in unit]
+    return [(np.stack([p for p, _ in its]), sum(own for _, own in its))
+            for its in zip(*outcomes)]
 
 
 def _units(conditions) -> list:
@@ -349,22 +345,38 @@ def _chunks(unit: tuple, workers: int) -> list:
     return [(unit, s, min(s + step, n_sims)) for s in range(0, n_sims, step)]
 
 
-def _unit_reports(unit: tuple, chunks, interval: float) -> list:
-    """One report per condition of the unit, with ``interval`` split among
-    them in proportion to the seconds of each one's own work."""
-    totals = [[sum(parts) for parts in zip(*per_chunk)] for per_chunk in zip(*chunks)]
-    own = sum(total[3] for total in totals)
-    return [_report(cond, total, interval * total[3] / own)
-            for cond, total in zip(unit, totals)]
+def _unit_reports(unit: tuple, chunks, mark: float) -> list:
+    """One report per condition of the unit, each decided once: the sweep's
+    one decision site.
+
+    A condition's chunks, in iteration order, form its (n_sims, C)
+    p-value matrix.  Every condition decides alike: a level is hit where
+    its p-value is at most alpha, an iteration rejects where an adjusted
+    p-value is (the tables' rule).  The unit's interval runs from
+    ``mark`` to the end of its last decision and is split among the
+    conditions in proportion to their own seconds, their decision's
+    included.
+    """
+    rates, own = [], []
+    for member, parts in zip(unit, zip(*chunks)):
+        start = time.perf_counter()
+        pvals = np.concatenate([p for p, _ in parts])
+        hits = pvals <= member.alpha
+        rejected = adjust_pvalues(pvals, member.correction) <= member.alpha
+        rates.append((float(rejected.any(axis=1).mean()), float(hits.any(axis=1).mean()),
+                      hits[:, :len(member.quantiles)].mean(axis=0).tolist()))
+        own.append(sum(s for _, s in parts) + time.perf_counter() - start)
+    interval = time.perf_counter() - mark
+    return [_report(cond, *rate, interval * s / sum(own))
+            for cond, rate, s in zip(unit, rates, own)]
 
 
-def _report(cond: SimCondition, totals, wall_time: float, error=None) -> SimulationReport:
-    n_corr, n_uncorr, per_q, _ = totals
+def _report(cond: SimCondition, rate, rate_uncorrected, per_quantile_rates, wall_time: float,
+            error=None) -> SimulationReport:
     n = cond.n_sims
-    rate = n_corr / n
     return SimulationReport(condition=cond, rate=rate, se=math.sqrt(rate * (1.0 - rate) / n),
-                            rate_uncorrected=n_uncorr / n,
-                            per_quantile_rates=tuple((per_q / n).tolist()), n_sims=n,
+                            rate_uncorrected=rate_uncorrected,
+                            per_quantile_rates=tuple(per_quantile_rates), n_sims=n,
                             wall_time=wall_time, error=error)
 
 
@@ -377,8 +389,8 @@ def _failed_reports(unit: tuple, exc: Exception) -> list:
         others = [member.name for j, member in enumerate(unit) if j != k]
         if others:
             error += f" (shared with {', '.join(others)})"
-        totals = (math.nan, math.nan, np.full(len(cond.quantiles), math.nan), 0.0)
-        reports.append(_report(cond, totals, 0.0, error))
+        reports.append(_report(cond, math.nan, math.nan, [math.nan] * len(cond.quantiles),
+                               0.0, error))
     return reports
 
 
@@ -395,18 +407,20 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
     The conditions that share a unit (see ``_unit_key``: the same method
     family, cells, sizes, iterations, replicates, seed and quantiles) share
     every iteration's data, resamples and sort, wherever they stand in the
-    list; a chunk runs a range of one unit's iterations.  ``workers``, an
-    integer of at least 1, is capped at the largest ``n_sims``; at one,
-    the chunks run in this process.  Above one, the pool starts with the
-    first unit and the chunks of every unit are queued on it at once, in
-    order of each unit's first condition, so a worker never idles at a
-    unit boundary.  A unit that raises gives each of its conditions a
-    report with the exception on ``error`` (naming the others it was
-    shared with) and NaN rates; its queued chunks are cancelled and the
-    sweep goes on.  A dead worker breaks the pool and every chunk on it,
-    and any of them may have killed it, so the unit is rerun once, alone,
-    on a fresh pool, and fails only if that pool breaks too; the units
-    after it are queued again.
+    list; a chunk runs a range of one unit's iterations and returns their
+    p-values, and each condition is decided once, in this process, when
+    all of its unit's chunks are in.  ``workers``, an integer of at least
+    1, is capped at the largest ``n_sims``; at one, the chunks run in this
+    process.  Above one, the pool starts with the first unit and the
+    chunks of every unit are queued on it at once, in order of each
+    unit's first condition, so a worker never idles at a unit boundary.
+    A unit that raises gives each of its conditions a report with the
+    exception on ``error`` (naming the others it was shared with) and NaN
+    rates; its queued chunks are cancelled and the sweep goes on.  A dead
+    worker breaks the pool and every chunk on it, and any of them may have
+    killed it, so the unit is rerun once, alone, on a fresh pool, and
+    fails only if that pool breaks too; the units after it are queued
+    again.
     ``progress(i, condition, report)`` is called for each condition, in
     condition order, once its unit is done, when given.
     """
@@ -427,7 +441,6 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
     try:
         for u, (members, unit) in enumerate(zip(units, groups)):
             futures = []
-            error = None
             try:
                 if workers == 1:
                     chunks = list(map(_run_chunk, tasks[u]))
@@ -444,6 +457,7 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
                         queued = []
                         pool = ProcessPoolExecutor(max_workers=workers)
                         chunks = list(pool.map(_run_chunk, tasks[u]))
+                done = _unit_reports(unit, chunks, mark)
             except Exception as exc:  # noqa: BLE001 - aggregate without aborting the sweep
                 for f in futures:
                     f.cancel()
@@ -451,11 +465,8 @@ def sweep(conditions, workers: int | None = None, progress=None) -> list:
                     pool.shutdown()
                     pool = None
                     queued = []
-                error = exc
-            now = time.perf_counter()
-            done = (_unit_reports(unit, chunks, now - mark) if error is None
-                    else _failed_reports(unit, error))
-            mark = now
+                done = _failed_reports(unit, exc)
+            mark = time.perf_counter()
             for k, report in zip(members, done):
                 reports[k] = report
             # every condition before the next unit's first belongs to a unit done by now

@@ -740,6 +740,41 @@ def test_import_leaves_test_only_packages_unloaded():
     assert run.stdout == "[]\n"
 
 
+# blocks the test-only packages, then runs three commands in one process
+_NUMPY_ONLY_SCRIPT = """
+import contextlib, io, sys
+for name in ("scipy", "mpmath", "hypothesis"):
+    sys.modules[name] = None
+import qshift.cli
+
+csv_path, experiment = sys.argv[1:]
+data = ["--input", csv_path, "--nboot", "100"]
+for argv in (["decinter", *data], ["iband", *data, "--ph"], ["simulate", experiment]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qshift.cli.main(argv) == 0, argv
+print("ok")
+"""
+
+
+def test_commands_run_on_numpy_alone(tmp_path):
+    """numpy is the only runtime dependency: with the test-only packages
+    unimportable, the package imports and its commands run."""
+    csv_path = tmp_path / "cells.csv"
+    rng = stream(8, "numpy-only")
+    _write_long_csv(csv_path, [rng.normal(size=20).tolist() for _ in range(4)])
+    experiment = tmp_path / "exp.json"
+    experiment.write_text(json.dumps({"conditions": [
+        {"name": name, "method": method, "n_per_group": 20, "cells": {"kind": "normal"},
+         "n_sims": 2, "n_boot": 100}
+        for name, method in (("d", "decinter_hd"), ("i", "iband_t7"), ("f", "anova_means"))]}))
+    src = str(Path(qshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_SCRIPT, str(csv_path),
+                          str(experiment)], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "ok\n"
+
 # runs a command twice under a wrapped OpenBLAS setter, and prints the
 # library's thread count and the setter's calls so far before and after each
 _BLAS_SCRIPT = """

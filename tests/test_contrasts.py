@@ -1,5 +1,7 @@
 """Tests for the cell-quantile contrast tests (interaction and main effects)."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from qshift import (
     decinter,
     hd_quantile,
     pairwise_differences,
+    read_long_csv,
     stream,
 )
 from qshift.bootstrap import _cell_resample_matrices
@@ -89,6 +92,24 @@ class TestFactorialSample:
     def test_small_cells_warn(self):
         with pytest.warns(UserWarning, match="n=5"):
             FactorialSample.from_cells([1.0] * 5, [2.0] * 20, [3.0] * 20, [4.0] * 20)
+
+    def test_small_cell_warning_names_the_line_that_built_the_sample(self, tmp_path):
+        """Built directly, through ``from_cells`` or by ``read_long_csv``, a
+        small sample's warning names the caller's file and line, not the
+        ``__init__`` that dataclass generates or a line of the package."""
+        small = [1.0, 2.0, 3.0, 4.0, 5.0]
+        path = tmp_path / "small.csv"
+        path.write_text("a,b,y\n" + "".join(f"{a},{b},{v}\n" for a in ("a1", "a2")
+                                              for b in ("b1", "b2") for v in small))
+        lines = []
+        with pytest.warns(UserWarning, match="n=5") as record:
+            lines.append(sys._getframe().f_lineno + 1)
+            FactorialSample(((small, small), (small, small)))
+            lines.append(sys._getframe().f_lineno + 1)
+            FactorialSample.from_cells(small, small, small, small)
+            lines.append(sys._getframe().f_lineno + 1)
+            read_long_csv(str(path), "a", "b", "y")
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, line) for line in lines]
 
     def test_transposed_swaps_off_diagonal(self):
         sample = FactorialSample.from_cells([1.0] * 20, [2.0] * 20, [3.0] * 20, [4.0] * 20)

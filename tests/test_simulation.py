@@ -115,6 +115,14 @@ class TestAnova:
         with pytest.raises(DegenerateDataError):
             anova_f_test([[1.0, 1.0]] * 4)
 
+    @pytest.mark.parametrize("test", [anova_f_test, anova_f_statistics])
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_other_cell_counts_rejected_by_count(self, test, count, monkeypatch):
+        """Three or five cells fail with their count, before any statistic is computed."""
+        monkeypatch.setattr(qshift.simulation, "_anova_f_statistics", None)
+        with pytest.raises(ValueError, match=f"^a 2x2 design has four cells, got {count}$"):
+            test([[1.0, 2.0, 4.0]] * count)
+
     def test_single_observation_cells_rejected(self):
         with pytest.raises(ValueError, match="need at least 2 observations per cell, got 1"):
             anova_f_test([[1.0], [2.0], [3.0], [4.0]])
@@ -312,27 +320,59 @@ class TestRuns:
         monkeypatch.setattr(qshift.simulation, "signed_pvalue", lambda _: pvals.copy())
         cond = _null_condition(method="decinter_t7", alpha=0.01, correction="bh",
                                n_boot=600, n_sims=1)
-        [(corrected, uncorrected, per_q, _)] = qshift.simulation._run_chunk(((cond,), 0, 1))
+        [rep] = sweep([cond])
         assert adjust_pvalues(pvals, "bh")[0] <= 0.01
-        assert corrected == uncorrected == 1
-        assert per_q.tolist() == [1] * 3 + [0] * 6
+        assert rep.rate == rep.rate_uncorrected == 1.0
+        assert rep.per_quantile_rates == (1.0,) * 3 + (0.0,) * 6
 
-    def test_anova_chunk_decides_through_adjust_pvalues(self, monkeypatch):
-        """An ANOVA chunk decides each condition as every other method does:
-        one ``adjust_pvalues`` call on its (iterations, 1) p-value matrix."""
+    def test_anova_unit_decides_through_adjust_pvalues(self, monkeypatch):
+        """An ANOVA unit decides each condition as every other method does:
+        one ``adjust_pvalues`` call, with the condition's correction, on its
+        (n_sims, 1) matrix, whose rows are the lone test's p-values of the
+        condition's contrast in iteration order."""
         calls = []
 
         def recording(p, method):
-            calls.append((np.shape(p), method))
+            calls.append((p.copy(), method))
             return adjust_pvalues(p, method)
 
         monkeypatch.setattr(qshift.simulation, "adjust_pvalues", recording)
-        unit = tuple(_null_condition(method="anova_means", contrast=contrast,
-                                     correction=correction, n_sims=8, name=contrast)
-                     for contrast, correction in ((INTERACTION, "bh"), (MAIN_A, "hochberg"),
-                                                  (MAIN_B, "none")))
-        qshift.simulation._run_chunk((unit, 2, 7))
-        assert calls == [((5, 1), "bh"), ((5, 1), "hochberg"), ((5, 1), "none")]
+        unit = [_null_condition(method="anova_means", contrast=contrast, correction=correction,
+                                n_per_group=6, n_sims=8, name=contrast)
+                for contrast, correction in ((INTERACTION, "bh"), (MAIN_A, "hochberg"),
+                                             (MAIN_B, "none"))]
+        sweep(unit)
+        lone = np.array([anova_f_test([
+            qshift.distributions.generate(spec, 6, stream(5, "data", i, c))
+            for c, spec in enumerate(unit[0].cell_specs)]) for i in range(8)])
+        assert [method for _, method in calls] == ["bh", "hochberg", "none"]
+        for (p, _), column in zip(calls, (2, 0, 1)):
+            assert p.tolist() == lone[:, [column]].tolist()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_decides_each_condition_once(self, monkeypatch, workers):
+        """The chunks only compute p-values: the sweep calls ``adjust_pvalues``
+        once per condition, in this process, on its (n_sims, C) matrix, at
+        any worker count."""
+        calls = []
+
+        def recording(p, method):
+            calls.append((p.shape, method))
+            return adjust_pvalues(p, method)
+
+        monkeypatch.setattr(qshift.simulation, "adjust_pvalues", recording)
+        decinter_unit = [_null_condition(method=method, correction=correction, n_per_group=10,
+                                         n_sims=8, n_boot=100, name=method)
+                         for method, correction in (("decinter_hd", "bh"),
+                                                    ("decinter_t7", "hochberg"))]
+        anova_unit = [_null_condition(method="anova_means", contrast=contrast, correction="bh",
+                                      n_per_group=6, n_sims=6, name=contrast)
+                      for contrast in (INTERACTION, MAIN_A, MAIN_B)]
+        conditions = decinter_unit + anova_unit
+        assert len(qshift.simulation._units(conditions)) == 2
+        reports = sweep(conditions, workers)
+        assert not any(r.error for r in reports)
+        assert calls == [((8, 9), "bh"), ((8, 9), "hochberg")] + [((6, 1), "bh")] * 3
 
     def test_sweep_determinism_and_failure_isolation(self):
         good = _null_condition(n_sims=20)

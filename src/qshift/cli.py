@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -310,6 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` for a running command: the message alone,
+    as a ``warning:`` line on stderr like the command's other notices."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # A command runs OpenBLAS on one thread and leaves it so: at the default
@@ -317,14 +324,18 @@ def main(argv=None) -> int:
     # the idle worker then spins against the sort threads of the next call.
     # No result bit depends on the count.
     _single_blas_thread()
-    try:
-        return args.func(args)
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # ExperimentError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # the warning filters still decide which warnings show (and which
+    # raise); only how a shown one prints changes, until the command ends
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (DataError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:  # ExperimentError included
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import warnings
 
 from .bootstrap import (DECILES, BootstrapConfig, _by_estimator, _cell_resample_matrices,
                         _quantile_rows, _with_family)
-from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B
+from .design import CONTRASTS, INTERACTION, MAIN_A, MAIN_B, _outside_stacklevel
 from .quantiles import _from_sorted_rows, estimate_quantiles
 
 __all__ = ["contrast_value", "decinter"]
@@ -56,7 +56,7 @@ def _warn_extreme_quantiles(data, quantiles) -> None:
             f"quantiles outside [0.1, 0.9] requested with smallest cell "
             f"n={data.min_n()} < {_EXTREME_MIN_N}; estimates will be unstable",
             UserWarning,
-            stacklevel=4,  # the caller of decinter
+            stacklevel=_outside_stacklevel(),
         )
 
 

@@ -32,8 +32,9 @@ _PACKAGE = os.path.dirname(__file__) + os.sep
 def _outside_stacklevel() -> int:
     """The ``stacklevel`` that names, to a ``warnings.warn`` in the caller,
     the first frame outside this package and outside the ``__init__`` that
-    dataclass generates (``<string>``): the user's line that built the
-    sample, through whichever constructor or reader."""
+    dataclass generates (``<string>``): the user's line that called into
+    the package, however deep the warning is raised (for a small sample,
+    the line that built it, through whichever constructor or reader)."""
     frame, level = sys._getframe(1), 1
     while frame is not None and (frame.f_code.co_filename.startswith(_PACKAGE)
                                  or frame.f_code is FactorialSample.__init__.__code__):

@@ -8,13 +8,14 @@ order statistics bracketing h = (n-1)q + 1.
 
 The beta tails come from the standard continued fraction (modified
 Lentz), one vectorized pass over every point and level a build needs,
-each element leaving the loop at its own convergence.  Below the split
-point (a+1)/(a+b+2) it gives the lower CDF I_x(a, b); above it, the upper
-tail I_{1-x}(b, a) directly, from the complement argument as the caller
-computes it ((n-i)/n for the weights, f/(d+f) for the ANOVA F tails), so
-neither tail is a difference of numbers near 1 (DiDonato & Morris 1992,
-ACM TOMS 18, 360-373).  The F tails of ``_f_sf`` take the same single
-pass, with per-element shapes, so this module alone holds the split rule.
+each element leaving the loop at its own convergence.  One rule picks
+the tail, and ``_split_tails`` alone applies it: at or below the split
+point (a+1)/(a+b+2) the lower CDF I_x(a, b), and from the split up the
+upper tail I_y(b, a) directly, at the complement y = 1 - x as the caller
+computes it exactly ((n-i)/n for the weights, f/(d+f) for the ANOVA F
+tails), so neither tail is a difference of numbers near 1 (DiDonato &
+Morris 1992, ACM TOMS 18, 360-373).  A point on the split gets both.  The
+weights of a build and the F tails of ``_f_sf`` each take one such pass.
 Weights are lower-CDF differences below the split and upper-tail
 differences above it; the one interval across the split takes 1 minus
 both tails, so each column sums to 1.  The median's column is its own
@@ -22,8 +23,11 @@ mirror image bit for bit.
 
 Measured against scipy (betainc below the split, betaincc above) over the
 points a build evaluates for the deciles and the iband levels, the tails
-are off by at most 5.1e-13 absolute at n = 900, 1.0e-11 at n = 10^4 and
-7.0e-11 at n = 9*10^4, the same in both tails.  Against mpmath, weights
+are off by at most 1.07e-12 absolute for n up to 900 (at n = 868, q =
+0.2; 5.1e-13 at n = 900), 1.01e-11 at n = 10^4 and 7.01e-11 at n =
+9*10^4, the same in both tails, on an Intel Xeon with AVX-512.  The tests
+hold them to 1.2e-12, 1.2e-11 and 8e-11, since numpy's log and exp may
+round differently on other CPUs.  Against mpmath, weights
 in both tails of every window agree to 5.3e-13 relative at n = 400,
 1.3e-12 at 900 and 5.6e-11 at 10^4; the one or two weights touching the
 split take up the prefactor's common error (1.7e-11 absolute at 10^4) so
@@ -117,8 +121,8 @@ def _betacf(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta, elementwise over x and
     the shapes a, b (arrays like x, or scalars).
 
-    Modified Lentz recurrence; callers must keep each x below its split
-    point (a+1)/(a+b+2) where convergence is fast.  Each element leaves
+    Modified Lentz recurrence; callers must keep each x at or below its
+    split point (see ``_split_tails``), where convergence is fast.  Each element leaves
     the loop at its own convergence, so its value does not depend on the
     elements evaluated with it.
     """
@@ -193,13 +197,12 @@ def _log_beta_norm(a: float, b: float) -> float:
 
 
 def _beta_tails(x, y, a, b, lognorm) -> np.ndarray:
-    """I_x(a, b) for x at or below the split point (a+1)/(a+b+2), keeping
-    its relative accuracy however small it is.
+    """I_x(a, b) for x at or below its split point, keeping its relative
+    accuracy however small it is (``_split_tails`` picks the points).
 
     ``y`` is 1 - x as the caller computes it exactly, and ``lognorm`` is
     ``_log_beta_norm(a, b)``; a, b and lognorm are scalars or arrays like
-    x.  The upper tail 1 - I_x(a, b) above the split is I_y(b, a), with y
-    below the split of Beta(b, a).
+    x.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     # log of the smaller argument, log1p of its complement: no 1 - x
@@ -211,22 +214,35 @@ def _beta_tails(x, y, a, b, lognorm) -> np.ndarray:
     return front * _betacf(x, a, b) / a
 
 
+def _split_tails(x, y, a, b, lognorm) -> tuple:
+    """(lower, upper): I_x(a, b) where x <= (a+1)/(a+b+2) and I_y(b, a) =
+    1 - I_x(a, b) where x >= it, NaN elsewhere, so a point on the split
+    has both.  Arguments as for ``_beta_tails``; one pass evaluates every
+    tail."""
+    args = np.empty((5, *np.shape(x)))
+    args[0], args[1], args[2], args[3], args[4] = x, y, a, b, lognorm
+    x, _, a, b, _ = args
+    split = (a + 1.0) / (a + b + 2.0)
+    low, high = x <= split, x >= split
+    # the lower tails take (x, y, a, b) and the upper ones (y, x, b, a)
+    tails = _beta_tails(*np.concatenate([args[:, low], args[:, high][[1, 0, 3, 2, 4]]], axis=1))
+    lower, upper = np.full(x.shape, np.nan), np.full(x.shape, np.nan)
+    lower[low], upper[high] = np.split(tails, [np.count_nonzero(low)])
+    return lower, upper
+
+
 def _f_sf(f, df_w: int) -> np.ndarray:
     """P(F(1, d) > f) = I_x(d/2, 1/2) at x = d/(d + f), d = df_w, for an
-    array of F statistics of any shape, in one ``_beta_tails`` call.
-
-    At or above the split point it is 1 minus the lower tail of Beta(1/2,
-    d/2) at y = f/(d + f), so f near 0 keeps its digits; f = 0 gives 1 and
-    f = inf gives 0.  A p-value keeps its bits whatever is evaluated with it.
+    array of F statistics of any shape, in one ``_split_tails`` call: the
+    lower tail below the split, 1 minus the upper tail at y = f/(d + f)
+    from it up, so f near 0 keeps its digits.  f = 0 gives 1 and f = inf
+    gives 0.  A p-value keeps its bits whatever is evaluated with it.
     """
     f = np.asarray(f, dtype=float)
-    a, b = df_w / 2.0, 0.5
-    x = (df_w / (df_w + f)).ravel()
-    y = np.divide(f, df_w + f, out=np.ones(f.shape), where=f < np.inf).ravel()
-    upper = x >= (a + 1.0) / (a + b + 2.0)
-    tails = _beta_tails(np.where(upper, y, x), np.where(upper, x, y), np.where(upper, b, a),
-                        np.where(upper, a, b), _log_beta_norm(a, b))
-    return np.where(upper, 1.0 - tails, tails).reshape(f.shape)
+    x = df_w / (df_w + f)
+    y = np.divide(f, df_w + f, out=np.ones(f.shape), where=f < np.inf)
+    lower, upper = _split_tails(x, y, df_w / 2.0, 0.5, _log_beta_norm(df_w / 2.0, 0.5))
+    return np.where(np.isnan(upper), lower, 1.0 - upper)
 
 
 def _check_quantile(q: float) -> float:
@@ -283,12 +299,14 @@ class _HDWeights(NamedTuple):
     lists the levels whose window is its own mirror image, w == w[::-1]
     about the middle of the sample (the median's).  ``dense`` is the same
     weights as an (n, Q) matrix, zero outside the windows, where the
-    coverage rule keeps the dense product; None elsewhere.
+    coverage rule keeps the dense product; None elsewhere.  ``tables``
+    holds, per level, the ``_window_tables`` the counting path reads.
     """
 
     windows: tuple
     mirrored: tuple
     dense: np.ndarray | None
+    tables: tuple
 
 
 def _hd_bracket(n: int, q: float) -> tuple:
@@ -304,52 +322,56 @@ def _hd_bracket(n: int, q: float) -> tuple:
 
 def _hd_level_windows(n: int, levels: list) -> list:
     """The window (lo, w) of each level from the beta tails at the grid
-    points of its bracket.  One continued-fraction pass evaluates every
+    points of its bracket.  One ``_split_tails`` pass evaluates every
     level."""
-    js, shapes, parts = [], [], []
+    brackets, shapes = [], []
     for q in levels:
-        j0, j1 = _hd_bracket(n, q)
+        brackets.append(_hd_bracket(n, q))
         a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
-        j = np.arange(j0, j1 + 1)
-        x = j / n
-        split = (a + 1.0) / (a + b + 2.0)
-        # a grid point on the split is evaluated in both tails
-        low, high = x <= split, x >= split
-        parts.append((j0, x, split, low, high))
-        # the upper tail at j is the lower tail of Beta(b, a) at (n - j)/n
-        js += [j[low], n - j[high]]
-        lognorm = _log_beta_norm(a, b)
-        shapes += [(a, b, lognorm), (b, a, lognorm)]
-    sizes = [v.size for v in js]
-    j = np.concatenate(js)
-    a, b, lognorm = (np.repeat(v, sizes) for v in zip(*shapes))
-    # each tail takes its own argument j/n and complement (n - j)/n
-    tails = _beta_tails(j / n, (n - j) / n, a, b, lognorm)
-    sizes = [lower + upper for lower, upper in zip(sizes[::2], sizes[1::2])]
+        shapes.append((a, b, _log_beta_norm(a, b)))
+    sizes = [j1 - j0 + 1 for j0, j1 in brackets]
+    j = np.concatenate([np.arange(j0, j1 + 1) for j0, j1 in brackets])
+    # each point takes its own argument j/n and complement (n - j)/n
+    tails = _split_tails(j / n, (n - j) / n, *(np.repeat(v, sizes) for v in zip(*shapes)))
+    cuts = np.cumsum(sizes)[:-1]
     out = []
-    for (j0, x, split, low, high), t in zip(parts, np.split(tails, np.cumsum(sizes)[:-1])):
-        cdf = np.full(x.size, np.nan)
-        sf = np.full(x.size, np.nan)
-        n_low = np.count_nonzero(low)
-        cdf[low], sf[high] = t[:n_low], t[n_low:]
+    for (j0, _), cdf, sf in zip(brackets, *(np.split(t, cuts) for t in tails)):
         # on the split the two tails must add to 1: scaling them so keeps
         # the column's sum at 1 despite a common error in their prefactor
         # (a crossing weight 1 - cdf - sf does the same elsewhere)
-        on = low & high
+        on = ~np.isnan(cdf + sf)
         total = cdf[on] + sf[on]
         cdf[on] /= total
         sf[on] /= total
         first = int(np.flatnonzero(cdf <= _HD_TAIL_MASS)[-1])
         last = int(np.flatnonzero(sf <= _HD_TAIL_MASS)[0])
-        x, cdf, sf = x[first:last + 1], cdf[first:last + 1], sf[first:last + 1]
+        cdf, sf = cdf[first:last + 1], sf[first:last + 1]
         # lower-CDF differences below the split, upper-tail differences
         # above it, and 1 minus both tails across it
-        w = np.where(x[1:] <= split, cdf[1:] - cdf[:-1],
-                     np.where(x[:-1] >= split, sf[:-1] - sf[1:], (1.0 - sf[1:]) - cdf[:-1]))
+        w = np.where(~np.isnan(cdf[1:]), cdf[1:] - cdf[:-1],
+                     np.where(~np.isnan(sf[:-1]), sf[:-1] - sf[1:], (1.0 - sf[1:]) - cdf[:-1]))
         np.maximum(w, 0.0, out=w)
         w.setflags(write=False)
         out.append((j0 + first, w))
     return out
+
+
+def _window_tables(lo: int, w: np.ndarray) -> tuple:
+    """(lo, below, above, rest) of window (lo, w): tables of length
+    w.size + 1 that order statistic j reads at i = clip(j - lo, 0, w.size).
+    ``below[i]`` is the window's weight on its first i order statistics and
+    ``above[i]`` that on its order statistics from lo + i up, each summed
+    from the window's near end.  ``rest[i]`` is the weight from lo + i up
+    as a mass that ends in the upper half subtracts it: ``above[i]`` from
+    the upper half on, ``above[0] - below[i]`` below it."""
+    below = np.zeros(w.size + 1)
+    np.cumsum(w, out=below[1:])
+    above = np.zeros(w.size + 1)
+    above[:-1] = np.cumsum(w[::-1])[::-1]
+    rest = np.where(np.arange(w.size + 1) >= w.size - w.size // 2, above, above[0] - below)
+    for table in (below, above, rest):
+        table.setflags(write=False)
+    return lo, below, above, rest
 
 
 @lru_cache(maxsize=512)
@@ -373,7 +395,8 @@ def _hd_weight_matrix(n: int, quantiles: tuple) -> _HDWeights:
         for j, (lo, w) in enumerate(windows):
             dense[lo:lo + w.size, j] = w
         dense.setflags(write=False)
-    return _HDWeights(tuple(windows), mirrored, dense)
+    return _HDWeights(tuple(windows), mirrored, dense,
+                      tuple(_window_tables(lo, w) for lo, w in windows))
 
 
 def _mirror_pairs(rows: np.ndarray, lo: int, w: np.ndarray, out: np.ndarray) -> None:
@@ -391,29 +414,6 @@ def _mirror_pairs(rows: np.ndarray, lo: int, w: np.ndarray, out: np.ndarray) -> 
         if w.size % 2:
             pairs += w[half] * sub[:, lo + half]
         out[r] = pairs
-
-
-@lru_cache(maxsize=512)
-def _window_masses(n: int, quantiles: tuple) -> tuple:
-    """Per level of ``_hd_weight_matrix(n, quantiles)``, (lo, below, above,
-    rest): for window (lo, w), tables of length w.size + 1 that order
-    statistic j reads at i = clip(j - lo, 0, w.size).  ``below[i]`` is the
-    window's weight on its first i order statistics and ``above[i]`` that
-    on its order statistics from lo + i up, each summed from the window's
-    near end.  ``rest[i]`` is the weight from lo + i up as a mass that ends
-    in the upper half subtracts it: ``above[i]`` from the upper half on,
-    ``above[0] - below[i]`` below it."""
-    out = []
-    for lo, w in _hd_weight_matrix(n, quantiles).windows:
-        below = np.zeros(w.size + 1)
-        np.cumsum(w, out=below[1:])
-        above = np.zeros(w.size + 1)
-        above[:-1] = np.cumsum(w[::-1])[::-1]
-        rest = np.where(np.arange(w.size + 1) >= w.size - w.size // 2, above, above[0] - below)
-        for table in (below, above, rest):
-            table.setflags(write=False)
-        out.append((lo, below, above, rest))
-    return tuple(out)
 
 
 @lru_cache(maxsize=512)
@@ -510,7 +510,7 @@ def _from_cumulative_counts(values: np.ndarray, cum: np.ndarray, quantiles: tupl
         # (lo, w) iff top[k] > lo and (k == 0 or bottom[k - 1] < lo + w.size)
         top, bottom = cum.max(axis=1), cum.min(axis=1)
         out = np.empty((cum.shape[1], len(quantiles)))
-        for j, (lo, below_w, above_w, rest_w) in enumerate(_window_masses(n, quantiles)):
+        for j, (lo, below_w, above_w, rest_w) in enumerate(_hd_weight_matrix(n, quantiles).tables):
             size = below_w.size - 1
             k0 = int(np.searchsorted(top, lo, side="right"))
             k1 = min(int(np.searchsorted(bottom, lo + size - 1, side="right")), values.size - 1)

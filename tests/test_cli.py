@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -581,6 +582,40 @@ def test_progress_goes_to_stderr_only(capsys, normal_csv, command):
     assert len(lines) == 2
     assert lines[0].startswith("loaded cells ((30, 30), (30, 30))")
     assert lines[1].startswith("bootstrap of 200 replicates took ")
+
+
+_SMALL_CELLS = "warning: smallest cell has n=8; quantile tests are recommended for n >= 20 per cell"
+_EXTREME = ("warning: quantiles outside [0.1, 0.9] requested with smallest cell n=25 < 30; "
+            "estimates will be unstable")
+
+
+@pytest.mark.parametrize("command, n, notice", [
+    (("decinter",), 8, _SMALL_CELLS),
+    (("decinter", "--quantiles", "0.05,0.5"), 25, _EXTREME),
+    (("plotdata", "--quantiles", "0.05,0.5"), 25, _EXTREME),
+], ids=["small-cells", "decinter-extreme", "plotdata-extreme"])
+def test_warnings_print_as_notice_lines(capsys, tmp_path, command, n, notice):
+    """A warning raised while a command runs prints as one ``warning:`` line
+    on stderr, as the dropped-rows notice does, and not in Python's
+    ``file:line: UserWarning:`` form; stdout is the bytes of a run with the
+    warning ignored.  The warning filters still decide: ignored, nothing
+    prints, and as an error it raises."""
+    rng = stream(78, "cli-warnings")
+    path = tmp_path / "cells.csv"
+    _write_long_csv(path, [rng.normal(size=n).tolist() for _ in range(4)])
+    argv = (*command, "--input", str(path), "--nboot", "200", "--seed", "2")
+    code, out, err = _run(capsys, *argv)
+    assert code == 0
+    assert err.splitlines() == [notice]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, quiet, quiet_err = _run(capsys, *argv)
+    assert code == 0
+    assert (quiet, quiet_err) == (out, "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match=re.escape(notice.removeprefix("warning: "))):
+            main(list(argv))
 
 
 def test_unknown_flag_exits_two(capsys):

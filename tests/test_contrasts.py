@@ -214,6 +214,16 @@ class TestDecinter:
             decinter(sample, INTERACTION, config)
         assert record[0].filename == __file__  # names the caller's line
 
+    def test_extreme_quantile_warning_names_the_caller_at_any_depth(self):
+        """Reached one call shallower than through ``decinter``, the warning
+        still names the line outside the package that called in."""
+        sample = _random_sample(13, n=25)
+        config = BootstrapConfig(n_boot=200, seed=7, quantiles=(0.05, 0.5))
+        with pytest.warns(UserWarning, match="outside") as record:
+            line = sys._getframe().f_lineno + 1
+            contrasts_mod._contrast_tests(sample, (INTERACTION,), config, "bh")
+        assert (record[0].filename, record[0].lineno) == (__file__, line)
+
     @pytest.mark.parametrize("estimator", ["hd", "t7"])
     @pytest.mark.parametrize("kind", [INTERACTION, MAIN_A, MAIN_B, "iband"])
     @settings(max_examples=20, deadline=None)

@@ -4,7 +4,9 @@ The input data are drawn at test time from ``qshift.stream``, so no data
 file is committed; the expected outputs live in ``tests/golden/``.
 ``python tests/bless_golden.py`` lists the files a fresh run differs from,
 with the largest move of each, and writes nothing; ``bless_golden.py NAME
-...`` rewrites the named files only.  A change that re-blesses any file
+...`` rewrites the named files only; ``bless_golden.py --against REV``
+lists the cases whose fresh outputs differ between REV and the working
+tree.  A change that re-blesses any file
 must say which, by how much, and against which oracle.  The simulation
 CSVs (a subset of ``experiments/fwer_desk.json`` and both whole desk
 grids, at six iterations per condition) are each checked at one and at
@@ -28,8 +30,8 @@ SkylakeX kernels), a fresh run differs from 12 committed HD files by up
 to 1.73e-13 of the row scale, and from 13 under
 ``OPENBLAS_CORETYPE=Haswell``, all inside the 1e-12 rule.  So a claim
 that a change moves no bit compares fresh runs of the parent and of the
-change on one host (``bless_golden.py`` lists the same files and moves
-for both), not a fresh run with these files.
+change on one host (``bless_golden.py --against PARENT`` lists no case),
+not a fresh run with these files.
 """
 
 import contextlib
@@ -38,6 +40,8 @@ import dataclasses
 import io
 import json
 import math
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -250,3 +254,21 @@ def test_bless_refuses_unknown_names(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: no golden case named no-such-file.json\n"
+
+
+def test_bless_against_head_lists_nothing(capfd):
+    """``bless_golden.py --against HEAD`` on one case runs it on the last
+    commit and on the working tree, each in a subprocess: equal bytes print
+    nothing and exit 0, and nothing is written into the checkout."""
+    import bless_golden
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(bless_golden.ROOT), *args],
+                              capture_output=True, text=True)
+
+    if shutil.which("git") is None or git("rev-parse", "--verify", "HEAD").returncode:
+        pytest.skip("needs git and a checkout with a commit")
+    status = git("status", "--porcelain", "--untracked-files=all").stdout
+    assert bless_golden.main(["--against", "HEAD", "normal15-t7-decinter-interaction.json"]) == 0
+    assert capfd.readouterr() == ("", "")
+    assert git("status", "--porcelain", "--untracked-files=all").stdout == status

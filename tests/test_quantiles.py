@@ -24,7 +24,6 @@ from qshift import (
 )
 from qshift.quantiles import (
     _HD_TAIL_MASS,
-    _beta_tails,
     _betacf,
     _f_sf,
     _from_cumulative_counts,
@@ -32,6 +31,7 @@ from qshift.quantiles import (
     _hd_bracket,
     _hd_weight_matrix,
     _log_beta_norm,
+    _split_tails,
     _value_ranks,
 )
 from qshift.simulation import anova_f_statistics, anova_f_test
@@ -59,11 +59,10 @@ def _hd_weights(n: int, q: float) -> np.ndarray:
 
 
 def _ibeta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) through ``_beta_tails``, in the tail the split point picks."""
-    lognorm = _log_beta_norm(a, b)
-    if x >= (a + 1.0) / (a + b + 2.0):
-        return 1.0 - _beta_tails(np.array([1.0 - x]), np.array([x]), b, a, lognorm)[0]
-    return _beta_tails(np.array([x]), np.array([1.0 - x]), a, b, lognorm)[0]
+    """I_x(a, b) through ``_split_tails``: the lower tail, or 1 minus the
+    upper tail where there is one."""
+    lower, upper = _split_tails([x], [1.0 - x], a, b, _log_beta_norm(a, b))
+    return float(np.where(np.isnan(upper), lower, 1.0 - upper)[0])
 
 
 class TestRegularizedIncompleteBeta:
@@ -114,11 +113,9 @@ class TestRegularizedIncompleteBeta:
             j0, j1 = _hd_bracket(n, q)
             j = np.arange(j0, j1 + 1)
             x = j / n
-            upper = x >= (a + 1.0) / (a + b + 2.0)
-            lognorm = _log_beta_norm(a, b)
-            tails = np.where(upper, _beta_tails((n - j) / n, x, b, a, lognorm),
-                             _beta_tails(x, (n - j) / n, a, b, lognorm))
-            reference = np.where(upper, betaincc(a, b, x), betainc(a, b, x))
+            lower, upper = _split_tails(x, (n - j) / n, a, b, _log_beta_norm(a, b))
+            tails = np.where(np.isnan(upper), lower, upper)
+            reference = np.where(np.isnan(upper), betainc(a, b, x), betaincc(a, b, x))
             worst = max(worst, float(np.max(np.abs(tails - reference))))
         assert worst <= bound
 
@@ -142,57 +139,123 @@ class TestAnovaFTail:
 
 
 def _hd_tails(n: int, q: float, j: np.ndarray) -> tuple:
-    """The ``_beta_tails`` arguments a Harrell-Davis build of level q at n
-    passes for grid points j: the lower tail of Beta(a, b) at j/n below
-    the split point, that of Beta(b, a) at (n - j)/n from it up."""
+    """The ``_split_tails`` arguments a Harrell-Davis build of level q at n
+    passes for grid points j."""
     a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
-    upper = j / n >= (a + 1.0) / (a + b + 2.0)
-    k = np.where(upper, n - j, j)
-    return (k / n, (n - k) / n, np.where(upper, b, a), np.where(upper, a, b),
-            np.full(j.size, _log_beta_norm(a, b)))
+    return j / n, (n - j) / n, *(np.full(j.size, v) for v in (a, b, _log_beta_norm(a, b)))
+
+
+def _f_tails(f: np.ndarray, d: int) -> tuple:
+    """The ``_split_tails`` arguments of ``_f_sf(f, d)``, flattened."""
+    f = f.ravel()
+    y = np.divide(f, d + f, out=np.ones(f.size), where=f < np.inf)
+    shapes = (d / 2.0, 0.5, _log_beta_norm(d / 2.0, 0.5))
+    return d / (d + f), y, *(np.full(f.size, v) for v in shapes)
+
+
+_F_STAT = st.one_of(st.sampled_from((0.0, 4.5e-10, math.inf)),
+                    st.floats(min_value=0.0, max_value=1e6))
 
 
 @st.composite
 def tail_sets(draw):
-    """Either a few chunks of (iterations, 3) F statistics at one of the
-    within degrees of freedom of the desk grids' ANOVA, or a few sets of
-    grid points of Harrell-Davis brackets at one n, each set at its own
-    level."""
-    if draw(st.booleans()):
-        d = draw(st.sampled_from((4, 76, 396)))
-        f = st.one_of(st.sampled_from((0.0, 4.5e-10, math.inf)),
-                      st.floats(min_value=0.0, max_value=1e6))
-        chunks = draw(st.lists(st.lists(st.tuples(f, f, f), max_size=14), min_size=1, max_size=5))
-        return "f", d, [np.array(c, dtype=float).reshape(-1, 3) for c in chunks]
-    n = draw(st.sampled_from((30, 100, 900)))
+    """A few tail sets, mixed: chunks of (iterations, 3) F statistics at one
+    of the within degrees of freedom of the desk grids' ANOVA, and sets of
+    grid points of Harrell-Davis brackets, each at its own n and level."""
     sets = []
     for _ in range(draw(st.integers(1, 5))):
-        q = draw(st.sampled_from(sorted(set(IBAND_QUANTILES) | set(DECILES))))
-        j0, j1 = _hd_bracket(n, q)
-        sets.append(_hd_tails(n, q, np.array(draw(st.lists(st.integers(j0, j1), max_size=40)),
-                                              dtype=np.intp)))
-    return "hd", None, sets
+        if draw(st.booleans()):
+            d = draw(st.sampled_from((4, 76, 396)))
+            chunks = draw(st.lists(st.lists(st.tuples(_F_STAT, _F_STAT, _F_STAT), max_size=14),
+                                   min_size=1, max_size=5))
+            sets.append(("f", d, [np.array(c, dtype=float).reshape(-1, 3) for c in chunks]))
+        else:
+            n = draw(st.sampled_from((30, 100, 900)))
+            q = draw(st.sampled_from(sorted(set(IBAND_QUANTILES) | set(DECILES))))
+            j0, j1 = _hd_bracket(n, q)
+            j = np.array(draw(st.lists(st.integers(j0, j1), max_size=40)), dtype=np.intp)
+            sets.append(("hd", n, q, j))
+    return sets
 
 
 @settings(max_examples=150, deadline=None)
 @given(tail_sets())
-@example(("f", 76, [np.array([[0.0, 4.5e-10, math.inf]]),
-                    np.linspace(0.0, 40.0, 90).reshape(30, 3)]))
-def test_betainc_of_concatenated_sets_keeps_every_bit(case):
+@example([("f", 76, [np.array([[0.0, 4.5e-10, math.inf]]),
+                     np.linspace(0.0, 40.0, 90).reshape(30, 3)]),
+          ("hd", 900, 0.5, np.arange(_hd_bracket(900, 0.5)[0], _hd_bracket(900, 0.5)[1] + 1))])
+def test_betainc_of_concatenated_sets_keeps_every_bit(sets):
     """One evaluation over the concatenation of several tail sets equals
     the separate ones bit for bit: a simulation chunk's (iterations, 3) F
-    tails equal each statistic's own, and a Harrell-Davis build's tails
-    those of each level alone.  Sets of up to 210 points also cover the
-    continued fraction dropping its converged elements mid-loop."""
-    kind, d, sets = case
-    if kind == "f":
-        together = _f_sf(np.concatenate(sets), d)
-        assert together.shape == (sum(len(c) for c in sets), 3)
-        apart = np.array([_f_sf(f, d) for c in sets for f in c.ravel()])
-    else:
-        together = _beta_tails(*(np.concatenate(parts) for parts in zip(*sets)))
-        apart = np.concatenate([_beta_tails(*args) for args in sets])
-    assert together.tobytes() == apart.tobytes()
+    tails equal each statistic's own, and one ``_split_tails`` pass over
+    Harrell-Davis brackets and F sets together gives each set's own tails.
+    Sets of up to 210 points also cover the continued fraction dropping
+    its converged elements mid-loop."""
+    args = []
+    for kind, *rest in sets:
+        if kind == "f":
+            d, chunks = rest
+            together = _f_sf(np.concatenate(chunks), d)
+            assert together.shape == (sum(len(c) for c in chunks), 3)
+            apart = np.array([_f_sf(f, d) for c in chunks for f in c.ravel()])
+            assert together.tobytes() == apart.tobytes()
+            args.append(_f_tails(np.concatenate(chunks), d))
+        else:
+            args.append(_hd_tails(*rest))
+    together = _split_tails(*(np.concatenate(parts) for parts in zip(*args)))
+    apart = [np.concatenate(tails) for tails in zip(*(_split_tails(*a) for a in args))]
+    for t, a in zip(together, apart):
+        assert t.tobytes() == a.tobytes()
+
+
+# the module docstring's bounds on the tails a build evaluates, against
+# scipy, by the largest n each holds for
+_TAIL_BOUNDS = {900: 1.2e-12, 10_000: 1.2e-11, 90_000: 8e-11}
+
+
+@st.composite
+def bracket_points(draw):
+    """Grid points j of the bracket of one of the deciles or iband levels,
+    at an n the module docstring bounds the tails for."""
+    n = draw(st.one_of(st.integers(1, 900), st.sampled_from((10_000, 90_000))))
+    q = draw(st.sampled_from(sorted(set(IBAND_QUANTILES) | set(DECILES))))
+    j0, j1 = _hd_bracket(n, q)
+    return n, q, np.array(draw(st.lists(st.integers(j0, j1), min_size=1, max_size=30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_points())
+@example((2, 0.5, np.arange(3)))   # x = 1/2 is the split of Beta(1.5, 1.5)
+@example((3, 0.25, np.arange(4)))  # x = 1/3 is the split of Beta(1, 3)
+def test_split_tails_follow_the_split_rule(case):
+    """The lower tail is set exactly where x <= (a+1)/(a+b+2) and the upper
+    exactly where x >= it, and each is scipy's tail within the bounds the
+    module docstring states."""
+    n, q, j = case
+    a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+    x = j / n
+    lower, upper = _split_tails(x, (n - j) / n, a, b, _log_beta_norm(a, b))
+    split = (a + 1.0) / (a + b + 2.0)
+    low, high = x <= split, x >= split
+    assert np.array_equal(~np.isnan(lower), low)
+    assert np.array_equal(~np.isnan(upper), high)
+    bound = next(v for top, v in _TAIL_BOUNDS.items() if n <= top)
+    assert np.all(np.abs(lower[low] - betainc(a, b, x[low])) <= bound)
+    assert np.all(np.abs(upper[high] - betaincc(a, b, x[high])) <= bound)
+
+
+def test_counted_level_fills_only_the_weight_cache():
+    """The counting path reads its window tables from the one Harrell-Davis
+    build: a level it has not met misses ``_hd_weight_matrix``'s cache and
+    no other."""
+    caches = {name: f for name, f in vars(qshift.quantiles).items() if hasattr(f, "cache_info")}
+    before = {name: f.cache_info().misses for name, f in caches.items()}
+    values = np.array([-1.0, 0.0, 2.5])
+    cum = np.array([[2, 3], [5, 3], [7, 7]])
+    out = _from_cumulative_counts(values, cum, (0.123,), "hd")
+    rows = np.array([[-1.0, -1.0, 0.0, 0.0, 0.0, 2.5, 2.5], [-1.0] * 3 + [2.5] * 4])
+    np.testing.assert_allclose(out, _from_sorted_rows(rows, (0.123,), "hd"), rtol=1e-15)
+    grown = {name for name, f in caches.items() if f.cache_info().misses != before[name]}
+    assert grown == {"_hd_weight_matrix"}
 
 
 class TestHDWeights:
